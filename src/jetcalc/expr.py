@@ -120,18 +120,38 @@ class Expr:
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_cached_key", None)
 
+    @classmethod
+    def _trusted(cls, terms: dict) -> "Expr":
+        """Adopt ``terms`` as is: every coefficient must already be a nonzero
+        ``Fraction``.  The dict is owned by the new Expr from here on."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "_terms", terms)
+        object.__setattr__(e, "_hash", None)
+        object.__setattr__(e, "_cached_key", None)
+        return e
+
     def __setattr__(self, *a):
         raise AttributeError("Expr is immutable")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def sum(items) -> "Expr":
+        """The sum of an iterable of expressions (or numbers), collected into
+        one term dict: linear in the total number of terms."""
+        acc: dict = {}
+        for e in items:
+            _fold(acc, _coerce(e)._terms.items())
+        return Expr._trusted(acc)
+
+    @staticmethod
     def const(value) -> "Expr":
-        return Expr({(): Fraction(value)})
+        c = Fraction(value)
+        return Expr._trusted({(): c} if c else {})
 
     @staticmethod
     def atom(a: Atom) -> "Expr":
-        return Expr({((a, 1),): Fraction(1)})
+        return Expr._trusted({((a, 1),): Fraction(1)})
 
     # -- canonical identity ------------------------------------------------
 
@@ -176,16 +196,17 @@ class Expr:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return Expr(terms)
+        big, small = self._terms, _coerce(other)._terms
+        if len(big) < len(small):
+            big, small = small, big
+        acc = dict(big)
+        _fold(acc, small.items())
+        return Expr._trusted(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr({m: -c for m, c in self._terms.items()})
+        return Expr._trusted({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -194,22 +215,19 @@ class Expr:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        terms: dict = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = _mul_monomials(m1, m2)
-                if m is None:
-                    raise ExprError("negative power of a non-parameter atom")
-                terms[m] = terms.get(m, 0) + c1 * c2
-        return Expr(terms)
+        acc: dict = {}
+        _fold(acc, _mul_terms(self._terms, _coerce(other)._terms))
+        return Expr._trusted(acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ExprError("exponents must be non-negative integers")
-        result = Expr.const(1)
+        # Repeated multiplication by the (small) base, not repeated squaring:
+        # on dense multivariate bases squaring multiplies two large powers at
+        # the end and is up to 3x slower (a 5-term base at d = 20).
+        result = ONE
         for _ in range(exponent):
             result = result * self
         return result
@@ -253,25 +271,50 @@ def _coerce(v) -> Expr:
     raise TypeError(f"cannot coerce {v!r} to Expr")
 
 
-def normalize(e: Expr) -> Expr:
-    """Canonical form.  Expressions are canonical by construction, so this is
-    the identity; it exists as the named contract point."""
-    return e
+def _fold(acc: dict, terms) -> None:
+    """Add (monomial, coefficient) pairs into ``acc`` in place.  Monomials
+    that cancel are deleted, so ``acc`` keeps only nonzero coefficients."""
+    for m, c in terms:
+        s = acc.get(m)
+        if s is None:
+            acc[m] = c
+        else:
+            s += c
+            if s:
+                acc[m] = s
+            else:
+                del acc[m]
+
+
+def _mul_terms(t1: dict, t2: dict):
+    """The (monomial, coefficient) pairs of the product of two term dicts,
+    like terms not yet merged."""
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            m = _mul_monomials(m1, m2)
+            if m is None:
+                raise ExprError("negative power of a non-parameter atom")
+            yield m, c1 * c2
 
 
 # -- differentiation -------------------------------------------------------
+
+
+def _chain_rule(a: OpaqueCall, derive) -> Expr:
+    """sum_i derive(arg_i) * a_{,i}: a derivation through an opaque call."""
+    terms = []
+    for i, arg in enumerate(a.args):
+        d = derive(arg)
+        if not d.is_zero():
+            terms.append(d * Expr.atom(a.bump(i)))
+    return Expr.sum(terms)
 
 
 def _atom_partial(a: Atom, c: Coordinate) -> Expr:
     if a == c:
         return ONE
     if isinstance(a, OpaqueCall):
-        out = ZERO
-        for i, arg in enumerate(a.args):
-            d = partial_derivative(arg, c)
-            if not d.is_zero():
-                out = out + d * Expr.atom(a.bump(i))
-        return out
+        return _chain_rule(a, lambda arg: partial_derivative(arg, c))
     return ZERO
 
 
@@ -287,30 +330,22 @@ def _atom_total(a: Atom, lam: int) -> Expr:
     if isinstance(a, Multiplier):
         raise ExprError("total derivative of a Lagrange multiplier is undefined")
     if isinstance(a, OpaqueCall):
-        out = ZERO
-        for i, arg in enumerate(a.args):
-            d = total_derivative(arg, lam)
-            if not d.is_zero():
-                out = out + d * Expr.atom(a.bump(i))
-        return out
+        return _chain_rule(a, lambda arg: total_derivative(arg, lam))
     raise TypeError(f"unknown atom {a!r}")
 
 
 def _derive(e: Expr, atom_rule) -> Expr:
     """Extend a derivation defined on atoms to the whole algebra (Leibniz)."""
-    out = ZERO
+    acc: dict = {}
     for mon, coeff in e._terms.items():
         for i, (a, exp) in enumerate(mon):
             da = atom_rule(a)
             if da.is_zero():
                 continue
-            rest: dict = {}
-            new_mon = mon[:i] + ((a, exp - 1),) if exp != 1 else mon[:i]
-            new_mon = new_mon + mon[i + 1:]
-            new_mon = tuple((x, k) for x, k in new_mon if k)
-            rest[new_mon] = Fraction(coeff) * exp
-            out = out + Expr(rest) * da
-    return out
+            rest = mon[:i] + ((a, exp - 1),) if exp != 1 else mon[:i]
+            rest += mon[i + 1:]
+            _fold(acc, _mul_terms({rest: coeff * exp}, da._terms))
+    return Expr._trusted(acc)
 
 
 def partial_derivative(e: Expr, c: Coordinate) -> Expr:
@@ -343,25 +378,30 @@ def total_derivative_multi(e: Expr, mi, order_cap: int = 12) -> Expr:
 
 def substitute(e: Expr, mapping: dict) -> Expr:
     """Replace coordinate atoms by expressions (opaque arguments included)."""
-    out = ZERO
-    for mon, coeff in e._terms.items():
-        term = Expr.const(coeff)
-        for a, exp in mon:
-            if isinstance(a, OpaqueCall):
-                val = Expr.atom(
-                    OpaqueCall(a.name, a.derivs,
-                               tuple(substitute(arg, mapping) for arg in a.args))
-                )
-            elif a in mapping:
-                val = _coerce(mapping[a])
-            else:
-                val = Expr.atom(a)
-            if exp >= 0:
-                term = term * val ** exp
-            else:
-                term = divide(term, val ** (-exp))
-        out = out + term
-    return out
+    # A generator, not a list: each expanded term is folded in and dropped,
+    # so peak memory stays at the size of the sum.
+    return Expr.sum(_substitute_term(mon, coeff, mapping)
+                    for mon, coeff in e._terms.items())
+
+
+def _substitute_term(mon, coeff, mapping: dict) -> Expr:
+    """One term of ``substitute``: coeff times the mapped atom powers."""
+    term = Expr.const(coeff)
+    for a, exp in mon:
+        if isinstance(a, OpaqueCall):
+            val = Expr.atom(
+                OpaqueCall(a.name, a.derivs,
+                           tuple(substitute(arg, mapping) for arg in a.args))
+            )
+        elif a in mapping:
+            val = _coerce(mapping[a])
+        else:
+            val = Expr.atom(a)
+        if exp >= 0:
+            term = term * val ** exp
+        else:
+            term = divide(term, val ** (-exp))
+    return term
 
 
 # -- division --------------------------------------------------------------

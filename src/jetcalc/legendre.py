@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 from .coords import Jet, Momentum, Parameter
 from .expr import (Expr, ExprError, ONE, ZERO, divide, partial_derivative,
-                   substitute, total_derivative)
+                   substitute)
 from .multiindex import MultiIndex, all_multiindices, multiindices_up_to
 from .problem import LagrangianProblem
-from .variational import Equation, EquationSet, _slot_atom, _sym_atom, jet_partial
+from .variational import (Equation, EquationSet, _slot_atom, _slot_divergence,
+                          _sym_atom, jet_partial)
 
 
 class LegendreError(ValueError):
@@ -134,18 +135,16 @@ def legendre_top(problem: LagrangianProblem) -> LegendreData:
                  for fld, mi in _top_unknowns(problem, k)}
     inversion = _invert_top(problem, k, sym_atoms)
 
-    pairing_sym = ZERO
-    for (fld, mi), atom in sym_atoms.items():
-        pairing_sym = pairing_sym + atom * Expr.atom(Jet(fld, mi))
+    pairing_sym = Expr.sum(atom * Expr.atom(Jet(fld, mi))
+                           for (fld, mi), atom in sym_atoms.items())
     top_subst = {Jet(fld, mi): expr for (fld, mi), expr in inversion.items()}
     h = substitute(pairing_sym - L, top_subst)
 
-    pairing_all = ZERO
-    for fld in problem.fields:
-        for mi in multiindices_up_to(n, k - 1):
-            for lam in range(1, n + 1):
-                pairing_all = pairing_all + \
-                    _slot_atom(fld, mi, lam) * Expr.atom(Jet(fld, mi.bump(lam)))
+    pairing_all = Expr.sum(
+        _slot_atom(fld, mi, lam) * Expr.atom(Jet(fld, mi.bump(lam)))
+        for fld in problem.fields
+        for mi in multiindices_up_to(n, k - 1)
+        for lam in range(1, n + 1))
     slot_sym = {Momentum(fld, mi): _sym_atom(fld, mi)
                 for fld, mi in sym_atoms}
     slot_inversion = {jet: substitute(e, slot_sym) for jet, e in top_subst.items()}
@@ -168,15 +167,13 @@ def hamilton_equations(problem: LagrangianProblem) -> EquationSet:
                 partial_derivative(h, Momentum(fld, mi))))
         for order in range(k - 1, 0, -1):
             for mi in all_multiindices(n, order):
-                rhs = -partial_derivative(h, Jet(fld, mi))
-                for lam in range(1, n + 1):
-                    rhs = rhs - total_derivative(_slot_atom(fld, mi, lam), lam)
+                rhs = -partial_derivative(h, Jet(fld, mi)) \
+                    - _slot_divergence(fld, mi, n)
                 rows.append(Equation(f"{fld}:p[{','.join(map(str, mi))}]",
                                      _sym_atom(fld, mi), rhs))
         zero_mi = MultiIndex.zero(n)
-        rhs = -partial_derivative(h, Jet(fld, zero_mi))
-        for lam in range(1, n + 1):
-            rhs = rhs - total_derivative(_slot_atom(fld, zero_mi, lam), lam)
+        rhs = -partial_derivative(h, Jet(fld, zero_mi)) \
+            - _slot_divergence(fld, zero_mi, n)
         rows.append(Equation(f"{fld}:euler", ZERO, rhs))
     return EquationSet(rows)
 
@@ -220,9 +217,7 @@ def energy_legendre(problem: LagrangianProblem, time_direction: int) -> Expr:
     except SingularLegendreError:
         raise SingularLegendreError(
             "degenerate time-direction Hessian") from None
-    pairing = ZERO
-    for fld in problem.fields:
-        pairing = pairing + Expr.atom(Momentum(fld, zero, time_direction)) * \
-            Expr.atom(Jet(fld, t_mi))
+    pairing = Expr.sum(Expr.atom(Momentum(fld, zero, time_direction))
+                       * Expr.atom(Jet(fld, t_mi)) for fld in problem.fields)
     return substitute(pairing - L,
                       {Jet(fld, t_mi): x for (fld, _), x in zip(unknowns, xs)})

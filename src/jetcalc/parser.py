@@ -129,12 +129,12 @@ class _ExprParser:
         return self._sum()
 
     def _sum(self) -> Expr:
-        e = self._term()
+        terms = [self._term()]
         while self.toks.peek().text in ("+", "-"):
             op = self.toks.next().text
             rhs = self._term()
-            e = e + rhs if op == "+" else e - rhs
-        return e
+            terms.append(rhs if op == "+" else -rhs)
+        return Expr.sum(terms)
 
     def _term(self) -> Expr:
         e = self._factor()
@@ -377,6 +377,13 @@ def parse_problem(text: str) -> ProblemFile:
             parts.append(toks.next().text)
         return " ".join(parts)
 
+    def read_int(what: str) -> int:
+        t = toks.next()
+        if t.kind != "int":
+            raise ParseError(f"{what} must be an integer, found {t.text!r}",
+                             t.line, t.col)
+        return int(t.text)
+
     def declare(name: str, tok):
         if name in _RESERVED or re.fullmatch(r"x\d+", name):
             raise ParseError(f"{name!r} is reserved", tok.line, tok.col)
@@ -389,12 +396,12 @@ def parse_problem(text: str) -> ProblemFile:
         if stmt == "base":
             if n is not None:
                 raise ParseError("duplicate 'base' declaration", t.line, t.col)
-            n = int(toks.next().text)
+            n = read_int("base dimension")
             toks.expect(";")
         elif stmt == "order":
             if k is not None:
                 raise ParseError("duplicate 'order' declaration", t.line, t.col)
-            k = int(toks.next().text)
+            k = read_int("order")
             toks.expect(";")
         elif stmt == "field":
             name = toks.next()
@@ -410,7 +417,7 @@ def parse_problem(text: str) -> ProblemFile:
             name = toks.next()
             declare(name.text, name)
             toks.expect("(")
-            arity = int(toks.next().text)
+            arity = read_int("opaque arity")
             toks.expect(")")
             toks.expect(";")
             if not 1 <= arity <= 9:

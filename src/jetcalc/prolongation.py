@@ -79,35 +79,33 @@ class HomogeneousPoly:
         coefficients; raises unless homogeneous in the given atoms."""
         variables = list(variables)
         index = {v: i for i, v in enumerate(variables)}
-        coeffs: dict = {}
+        groups: dict = {}
         degree = None
         for mon, c in e._terms.items():
             exps = [0] * len(variables)
-            rest = Expr.const(c)
             for a, k in mon:
                 if a in index:
                     exps[index[a]] = k
-                else:
-                    rest = rest * Expr.atom(a) ** k if k > 0 else \
-                        rest * Expr({((a, k),): Fraction(1)})
             mi = MultiIndex(exps)
             if degree is None:
                 degree = mi.order
             elif mi.order != degree:
                 raise ProlongationError("polynomial is not homogeneous")
-            coeffs[mi] = coeffs.get(mi, ZERO) + rest
+            rest = tuple((a, k) for a, k in mon if a not in index)
+            groups.setdefault(mi, []).append(Expr({rest: c}))
         if degree is None:
             raise ProlongationError("zero polynomial has no degree")
-        return cls(degree, len(variables), coeffs)
+        return cls(degree, len(variables),
+                   {mi: Expr.sum(parts) for mi, parts in groups.items()})
 
     def to_expr(self, variables) -> Expr:
-        out = ZERO
+        terms = []
         for mi, c in self.coefficients.items():
             term = c
             for v, e in zip(variables, mi):
                 term = term * Expr.atom(v) ** e
-            out = out + term
-        return out
+            terms.append(term)
+        return Expr.sum(terms)
 
 
 def polarize(Q: HomogeneousPoly) -> dict:
@@ -122,8 +120,8 @@ def polarize(Q: HomogeneousPoly) -> dict:
             below = mi.drop(i)
             if below is None:
                 continue
-            comp[below] = comp.get(below, ZERO) + \
-                c * Expr.const(Fraction(mi[i - 1], Q.degree))
+            # mi -> mi - e_i is injective, so each key is written once
+            comp[below] = c * Expr.const(Fraction(mi[i - 1], Q.degree))
         out[i] = HomogeneousPoly(Q.degree - 1, Q.nvars, comp)
     return out
 
@@ -131,12 +129,12 @@ def polarize(Q: HomogeneousPoly) -> dict:
 def resymmetrize(components: dict, degree: int, nvars: int) -> HomogeneousPoly:
     """Contract the extra slot back with the variables: sum_i x_i * B_i.
     By the Euler identity this recovers Q from polarize(Q)."""
-    coeffs: dict = {}
+    groups: dict = {}
     for i, poly in components.items():
         for mi, c in poly.coefficients.items():
-            up = mi.bump(i)
-            coeffs[up] = coeffs.get(up, ZERO) + c
-    return HomogeneousPoly(degree, nvars, coeffs)
+            groups.setdefault(mi.bump(i), []).append(c)
+    return HomogeneousPoly(degree, nvars,
+                           {mi: Expr.sum(cs) for mi, cs in groups.items()})
 
 
 def gram_matrix(Q: HomogeneousPoly) -> list:

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .coords import Base, Jet
 from .expr import Expr, ZERO
+from .legendre import _bareiss_det
 from .multiindex import all_multiindices, multiindices_up_to
 from .problem import LagrangianProblem
 
@@ -19,14 +20,14 @@ from .problem import LagrangianProblem
 def random_polynomial(rng: random.Random, atoms, degree: int, terms: int,
                       lo: int = -3, hi: int = 3) -> Expr:
     """Sum of random monomials in the given atoms with integer coefficients."""
-    out = ZERO
+    monomials = []
     for _ in range(terms):
         coeff = rng.randint(lo, hi)
         mon = Expr.const(coeff)
         for _ in range(rng.randint(0, degree)):
             mon = mon * Expr.atom(rng.choice(atoms))
-        out = out + mon
-    return out
+        monomials.append(mon)
+    return Expr.sum(monomials)
 
 
 def jet_atoms(n: int, order: int, fld: str = "u", include_base: bool = True):
@@ -62,26 +63,19 @@ def random_quadratic_lagrangian(rng: random.Random, n: int, k: int) -> Lagrangia
                 H[i][j] = H[j][i]
         if _int_det(H) != 0:
             break
-    L = ZERO
-    for i, mi in enumerate(tops):
-        for j, mj in enumerate(tops):
-            if H[i][j]:
-                L = L + Expr.const(Fraction(H[i][j], 2)) * \
-                    Expr.atom(Jet("u", mi)) * Expr.atom(Jet("u", mj))
-    lower = jet_atoms(n, k - 1)
-    L = L + random_polynomial(rng, lower, 2, 3)
-    return LagrangianProblem(n, ("u",), k, L)
+    quadratic = [Expr.const(Fraction(H[i][j], 2))
+                 * Expr.atom(Jet("u", mi)) * Expr.atom(Jet("u", mj))
+                 for i, mi in enumerate(tops)
+                 for j, mj in enumerate(tops) if H[i][j]]
+    lower = random_polynomial(rng, jet_atoms(n, k - 1), 2, 3)
+    return LagrangianProblem(n, ("u",), k, Expr.sum(quadratic + [lower]))
 
 
 def _int_det(H) -> int:
-    n = len(H)
-    if n == 1:
-        return H[0][0]
-    det = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in H[1:]]
-        det += (-1) ** j * H[0][j] * _int_det(minor)
-    return det
+    """Exact determinant of a square integer matrix by the fraction-free
+    elimination of the Legendre solver, O(dim^3)."""
+    det = _bareiss_det([[Expr.const(x) for x in row] for row in H])
+    return int(det.as_fraction())
 
 
 def random_gauge_table(rng: random.Random, problem: LagrangianProblem,
@@ -104,7 +98,8 @@ def random_gauge_table(rng: random.Random, problem: LagrangianProblem,
         f = random_polynomial(rng, atoms, 2, 2)
         for key, s in (((fld, sigma.drop(lam), lam), 1),
                        ((fld, sigma.drop(kap), kap), -1)):
-            chi[key] = chi.get(key, ZERO) + (f if s == 1 else -f)
+            # sigma = key prefix + e_lam, so no key is written twice
+            chi[key] = f if s == 1 else -f
     for mi in all_multiindices(n, level - 1):
         for lam in range(1, n + 1):
             chi.setdefault((fld, mi, lam), ZERO)

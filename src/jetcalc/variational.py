@@ -102,10 +102,8 @@ class MomentumAssignment:
         multi-index momentum of order |mi| >= 1."""
         if not 1 <= mi.order <= self.order:
             raise VariationalError(f"no momentum of order {mi.order}")
-        out = ZERO
-        for lam in mi.directions():
-            out = out + self.slot(fld, mi.drop(lam), lam)
-        return out
+        return Expr.sum(self.slot(fld, mi.drop(lam), lam)
+                        for lam in mi.directions())
 
     def __eq__(self, other):
         return (isinstance(other, MomentumAssignment)
@@ -135,10 +133,14 @@ def _slot_atom(fld: str, mi: MultiIndex, lam: int) -> Expr:
 
 def _sym_atom(fld: str, mi: MultiIndex) -> Expr:
     """Symbolic totally symmetric momentum of order |mi| as a slot-atom sum."""
-    out = ZERO
-    for lam in mi.directions():
-        out = out + _slot_atom(fld, mi.drop(lam), lam)
-    return out
+    return Expr.sum(_slot_atom(fld, mi.drop(lam), lam)
+                    for lam in mi.directions())
+
+
+def _slot_divergence(fld: str, mi: MultiIndex, n: int) -> Expr:
+    """sum_lam D_lam of the symbolic slot atoms p^{mi|lam}."""
+    return Expr.sum(total_derivative(_slot_atom(fld, mi, lam), lam)
+                    for lam in range(1, n + 1))
 
 
 def jet_partial(L: Expr, fld: str, mi: MultiIndex) -> Expr:
@@ -165,8 +167,9 @@ def canonical_momenta(problem: LagrangianProblem,
             for mi in all_multiindices(n, order):
                 value = divide_weight(jet_partial(L, fld, mi), mi)
                 if order < k:
-                    for lam in range(1, n + 1):
-                        value = value - total_derivative(V[mi.bump(lam)], lam)
+                    value = value - Expr.sum(
+                        total_derivative(V[mi.bump(lam)], lam)
+                        for lam in range(1, n + 1))
                 if value.max_jet_order() > order_cap:
                     raise VariationalError(
                         f"momentum cascade exceeded the jet order cap {order_cap}")
@@ -188,17 +191,12 @@ def currents(problem: LagrangianProblem, m: MomentumAssignment) -> CurrentTable:
     n, k = m.n, m.order
     table = {}
     for fld in m.fields:
-        div0 = ZERO
-        for lam in range(1, n + 1):
-            div0 = div0 + total_derivative(m.slot(fld, MultiIndex.zero(n), lam), lam)
-        table[(fld, MultiIndex.zero(n))] = div0
-        for order in range(1, k + 1):
-            for mi in all_multiindices(n, order):
-                j = m.symmetric_part(fld, mi)
-                if order <= k - 1:
-                    for lam in range(1, n + 1):
-                        j = j + total_derivative(m.slot(fld, mi, lam), lam)
-                table[(fld, mi)] = j
+        for mi in multiindices_up_to(n, k):
+            parts = [m.symmetric_part(fld, mi)] if mi.order >= 1 else []
+            if mi.order <= k - 1:
+                parts += [total_derivative(m.slot(fld, mi, lam), lam)
+                          for lam in range(1, n + 1)]
+            table[(fld, mi)] = Expr.sum(parts)
     return CurrentTable(n, k, table)
 
 
@@ -216,15 +214,13 @@ def cascade_equations(problem: LagrangianProblem) -> EquationSet:
             for mi in all_multiindices(n, order):
                 rhs = jet_partial(L, fld, mi)
                 if order < k:
-                    for lam in range(1, n + 1):
-                        rhs = rhs - total_derivative(_slot_atom(fld, mi, lam), lam)
+                    rhs = rhs - _slot_divergence(fld, mi, n)
                 rows.append(Equation(f"{fld}:p[{','.join(map(str, mi))}]",
                                      _sym_atom(fld, mi), rhs))
-        rhs = jet_partial(L, fld, MultiIndex.zero(n))
-        for lam in range(1, n + 1):
-            rhs = rhs - total_derivative(
-                _slot_atom(fld, MultiIndex.zero(n), lam), lam)
-        rows.append(Equation(f"{fld}:euler", ZERO, rhs))
+        zero = MultiIndex.zero(n)
+        rows.append(Equation(f"{fld}:euler", ZERO,
+                             jet_partial(L, fld, zero)
+                             - _slot_divergence(fld, zero, n)))
     return EquationSet(rows)
 
 
@@ -234,14 +230,14 @@ def euler_lagrange(problem: LagrangianProblem, order_cap: int = 12) -> dict:
     n, k, L = problem.n, problem.k, problem.lagrangian
     out = {}
     for fld in problem.fields:
-        total = ZERO
+        terms = []
         for mi in multiindices_up_to(n, k):
             dl = jet_partial(L, fld, mi)
             if dl.is_zero():
                 continue
             term = total_derivative_multi(dl, mi, order_cap=order_cap)
-            total = total + (term if mi.order % 2 == 0 else -term)
-        out[fld] = total
+            terms.append(term if mi.order % 2 == 0 else -term)
+        out[fld] = Expr.sum(terms)
     return out
 
 
@@ -349,9 +345,8 @@ def apply_momentum_gauge(m: MomentumAssignment, chi: dict) -> MomentumAssignment
 
     for fld in m.fields:
         for sigma in all_multiindices(n, level):
-            s = ZERO
-            for lam in sigma.directions():
-                s = s + chi_at(fld, sigma.drop(lam), lam)
+            s = Expr.sum(chi_at(fld, sigma.drop(lam), lam)
+                         for lam in sigma.directions())
             if not s.is_zero():
                 raise VariationalError(
                     f"gauge table has nonzero symmetrization at {sigma}")
@@ -371,10 +366,9 @@ def apply_momentum_gauge(m: MomentumAssignment, chi: dict) -> MomentumAssignment
             # divergence of the current level, distributed symmetrically below
             G = {}
             for mu in all_multiindices(n, v_order):
-                g = ZERO
-                for lam in range(1, n + 1):
-                    g = g - total_derivative(cur[(mu, lam)], lam)
-                G[mu] = divide_weight(g, mu)
+                g = Expr.sum(total_derivative(cur[(mu, lam)], lam)
+                             for lam in range(1, n + 1))
+                G[mu] = divide_weight(-g, mu)
             nxt = {}
             for nu in all_multiindices(n, v_order - 1):
                 w = nu.weight()
@@ -386,6 +380,15 @@ def apply_momentum_gauge(m: MomentumAssignment, chi: dict) -> MomentumAssignment
     return MomentumAssignment(m.n, m.fields, m.order, slots)
 
 
+def _with_multipliers(problem: LagrangianProblem, fld: str,
+                      mi: MultiIndex) -> Expr:
+    """dL/dphi_mu + sum_a lam[a] dC_a/dphi_mu."""
+    return Expr.sum(
+        [jet_partial(problem.lagrangian, fld, mi)]
+        + [Expr.atom(Multiplier(a)) * jet_partial(C, fld, mi)
+           for a, C in enumerate(problem.constraints, start=1)])
+
+
 def constrained_generating_family(problem: LagrangianProblem) -> EquationSet:
     """First-order generating family with Lagrange multipliers: the momenta
     and the field equation each gain lam[a] * dC_a terms."""
@@ -395,31 +398,21 @@ def constrained_generating_family(problem: LagrangianProblem) -> EquationSet:
                 f"constraint {a} depends on jets of order > 1")
     if problem.k != 1:
         raise VariationalError("constrained cascade is stated at first order")
-    n, L = problem.n, problem.lagrangian
+    n = problem.n
     rows = []
     zero_mi = MultiIndex.zero(n)
     for fld in problem.fields:
         for lam in range(1, n + 1):
-            rhs = jet_partial(L, fld, MultiIndex.unit(n, lam))
-            for a, C in enumerate(problem.constraints, start=1):
-                rhs = rhs + Expr.atom(Multiplier(a)) * jet_partial(
-                    C, fld, MultiIndex.unit(n, lam))
-            rows.append(Equation(f"{fld}:p[{lam}]",
-                                 _slot_atom(fld, zero_mi, lam), rhs))
-        lhs = ZERO
-        for lam in range(1, n + 1):
-            lhs = lhs + total_derivative(_slot_atom(fld, zero_mi, lam), lam)
-        rhs = jet_partial(L, fld, zero_mi)
-        for a, C in enumerate(problem.constraints, start=1):
-            rhs = rhs + Expr.atom(Multiplier(a)) * jet_partial(C, fld, zero_mi)
-        rows.append(Equation(f"{fld}:euler", lhs, rhs))
+            rows.append(Equation(
+                f"{fld}:p[{lam}]", _slot_atom(fld, zero_mi, lam),
+                _with_multipliers(problem, fld, MultiIndex.unit(n, lam))))
+        rows.append(Equation(f"{fld}:euler", _slot_divergence(fld, zero_mi, n),
+                             _with_multipliers(problem, fld, zero_mi)))
     return EquationSet(rows)
 
 
 def psi_reduction(momenta: dict, momentum_jets: dict):
     """Coordinate form of the reduction map on the k = 1 grid: the jet of a
     momentum covector maps to (trace of the momentum jets, the momenta)."""
-    trace = ZERO
-    for mu in sorted(momenta):
-        trace = trace + momentum_jets[(mu, mu)]
+    trace = Expr.sum(momentum_jets[(mu, mu)] for mu in sorted(momenta))
     return trace, dict(momenta)

@@ -232,7 +232,7 @@ def check_polarization(seed: int = 0, count: int = 20) -> CheckResult:
         vs = [Jet(f"v{i+1}", MultiIndex((0,))) for i in range(nv)]
         e = ZERO
         while e.is_zero():
-            e = ZERO
+            terms = []
             for _ in range(3):
                 exps = [0] * nv
                 for _ in range(d):
@@ -240,7 +240,8 @@ def check_polarization(seed: int = 0, count: int = 20) -> CheckResult:
                 term = Expr.const(rng.randint(-3, 3))
                 for v, p in zip(vs, exps):
                     term = term * Expr.atom(v) ** p
-                e = e + term
+                terms.append(term)
+            e = Expr.sum(terms)
         Qi = HomogeneousPoly.from_expr(e, vs)
         if resymmetrize(polarize(Qi), Qi.degree, Qi.nvars) != Qi:
             out.fail(f"draw {i}: euler identity", e)

@@ -8,6 +8,7 @@ import numpy as np
 
 from jetcalc import (Base, Expr, Jet, Momentum, MultiIndex, OpaqueCall,
                      Parameter)
+from jetcalc.cli import run
 from jetcalc.expr import ZERO, divide
 from jetcalc.forms import SectionData
 from jetcalc.legendre import legendre_top
@@ -177,3 +178,13 @@ def test_criterion_10_prolongation():
     with _Criterion("criterion-10 prolongation", 10.0):
         result = check_prolongation(seed=0, count=20)
         assert result.ok, result.failures[:3]
+
+
+def test_dense_power_euler_lagrange(tmp_path):
+    """A 20th power of a four-term sum (1771 terms) must not blow up: sums
+    are collected in one dict, so the cost stays linear in the term count."""
+    path = tmp_path / "dense.lag"
+    path.write_text("base 2; field u; order 1;\n"
+                    "lagrangian (u+u[1,0]+u[0,1]+x1)^20;\n")
+    with _Criterion("dense (u+u[1,0]+u[0,1]+x1)^20 el", 30.0):
+        assert run(["el", str(path)]) == 0

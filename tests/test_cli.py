@@ -84,6 +84,18 @@ class TestCommands:
         code = run(["el", lagfile("base 1; field u; order 2; lagrangian u[5];")])
         assert code == 2
 
+    @pytest.mark.parametrize("source,where", [
+        ("base x;", "line 1, column 6"),
+        ("base 1;\norder x;", "line 2, column 7"),
+        ("base 1;\nfield u;\nopaque U(x);", "line 3, column 10"),
+    ])
+    def test_non_integer_declaration_exit_2(self, capsys, lagfile, source,
+                                            where):
+        assert run(["el", lagfile(source)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert where in err
+
     def test_missing_file_exit_2(self, capsys):
         assert run(["el", "/nonexistent/x.lag"]) == 2
 

@@ -1,6 +1,8 @@
 """Core algebra: multi-indices, expressions, derivatives, parsing."""
 
+import functools
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from jetcalc import (
     parse_expr, partial_derivative, substitute, to_dsl, total_derivative,
     total_derivative_multi,
 )
+from jetcalc.expr import ONE, ZERO, _akey
 from jetcalc.multiindex import all_multiindices
 
 
@@ -179,6 +182,80 @@ def test_total_derivatives_commute_hypothesis(shape, lam, nu):
         e = e + mon
     assert total_derivative(total_derivative(e, lam), nu) == \
         total_derivative(total_derivative(e, nu), lam)
+
+
+# -- kernel properties: the one-dict accumulator against plain references
+
+_U = OpaqueCall("U", (0, 0), (Expr.atom(Base(1)),
+                              Expr.atom(Jet("u", MultiIndex((0, 0))))))
+_ATOMS = (Jet("u", MultiIndex((0, 0))), Jet("u", MultiIndex((1, 0))),
+          Jet("u", MultiIndex((0, 1))), Base(1), _U)
+_MASS = Expr.atom(Parameter("m"))
+
+
+@st.composite
+def small_exprs(draw):
+    """Sums of up to five monomials over jets, x1, an opaque call and a
+    parameter with a Laurent exponent; coefficients may be zero."""
+    parts = []
+    for _ in range(draw(st.integers(0, 5))):
+        term = Expr.const(draw(st.fractions(-3, 3, max_denominator=4)))
+        for a in _ATOMS:
+            term = term * Expr.atom(a) ** draw(st.integers(0, 2))
+        m_exp = draw(st.integers(-2, 2))
+        term = term * _MASS ** m_exp if m_exp >= 0 else \
+            divide(term, _MASS ** -m_exp)
+        parts.append(term)
+    return functools.reduce(operator.add, parts, ZERO)
+
+
+def _assert_canonical(e: Expr):
+    for mon, c in e._terms.items():
+        assert type(c) is Fraction and c != 0, (mon, c)
+        assert all(x != 0 for _, x in mon), mon
+        keys = [_akey(a) for a, _ in mon]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys), mon
+
+
+_KERNEL = settings(max_examples=80, deadline=None)
+
+
+@_KERNEL
+@given(st.lists(small_exprs(), max_size=6))
+def test_sum_matches_pairwise_addition(xs):
+    got = Expr.sum(xs)
+    assert got == functools.reduce(operator.add, xs, ZERO)
+    merged: dict = {}
+    for x in xs:
+        for mon, c in x._terms.items():
+            merged[mon] = merged.get(mon, 0) + c
+    assert got == Expr(merged)
+    _assert_canonical(got)
+
+
+@_KERNEL
+@given(small_exprs(), st.integers(0, 6), st.data())
+def test_power_is_repeated_product(e, n, data):
+    assert e ** n == functools.reduce(operator.mul, [e] * n, ONE)
+    split = data.draw(st.integers(0, n))
+    assert e ** n == e ** split * e ** (n - split)
+
+
+@_KERNEL
+@given(small_exprs())
+def test_sum_with_negation_is_zero(e):
+    assert Expr.sum([e, -e]).is_zero()
+    assert (e - e).is_zero()
+
+
+@_KERNEL
+@given(small_exprs(), small_exprs(), st.integers(1, 2))
+def test_no_zero_or_non_fraction_coefficient_stored(a, b, lam):
+    for e in (Expr.sum([a, b, -a]), a + b, a * b,
+              partial_derivative(a, Jet("u", MultiIndex((0, 0)))),
+              partial_derivative(a, Base(1)),
+              total_derivative(a, lam)):
+        _assert_canonical(e)
 
 
 class TestParser:

@@ -12,7 +12,7 @@ from jetcalc.expr import ZERO, divide
 from jetcalc.legendre import (LegendreError, SingularLegendreError,
                               energy_legendre, field_hamiltonian_first_order,
                               hamilton_equations, legendre_top)
-from jetcalc.randgen import random_quadratic_lagrangian
+from jetcalc.randgen import _int_det, random_quadratic_lagrangian
 from jetcalc.variational import (canonical_momenta, cascade_equations,
                                  evaluate_on_momenta, jet_partial)
 
@@ -328,3 +328,14 @@ class TestExactSolver:
             numeric = [[substitute(entry, point).as_fraction() for entry in row]
                        for row in M]
             assert substitute(det, point).as_fraction() == laplace(numeric)
+
+
+def test_int_det_matches_sympy():
+    import sympy
+    rng = random.Random(7)
+    for dim in range(1, 9):
+        for _ in range(6):
+            H = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
+            if rng.random() < 0.3:
+                H[-1] = list(H[0])  # a singular draw now and then
+            assert _int_det(H) == int(sympy.Matrix(H).det())
