@@ -1,15 +1,18 @@
 """Command-line front end.
 
-Reports are JSON by default (``--latex`` switches the expression strings to
-LaTeX).  Exit status: 0 on success, 1 when a verification command finds a
-nonzero residual, 2 on input errors (parse failures, singular transforms,
-missing blocks).
+Reports are JSON (``--latex`` switches the expression strings to LaTeX).
+Exit status: 0 on success, 1 when a verification command finds a nonzero
+residual, 2 on input errors (parse failures, singular transforms, missing
+blocks), 3 on an internal fault (any other exception, including stdout
+closed before the report was written); exit 2 and 3 print one ``error:``
+line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .coords import Jet, Momentum
@@ -48,8 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("file", nargs="?", help="problem file (DSL)")
     ap.add_argument("--latex", action="store_true",
                     help="emit LaTeX expression strings")
-    ap.add_argument("--json", action="store_true",
-                    help="emit JSON (default)")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for verify-all")
     ap.add_argument("--order-cap", type=int, default=12,
@@ -84,8 +85,27 @@ class Report:
     def add_residual(self, label: str, value: str):
         self.doc["residuals"].append({"label": label, "expr": value})
 
+    def add_rows(self, eqs) -> None:
+        for row in eqs:
+            self.add(row.label,
+                     f"{self.expr(row.lhs)} = {self.expr(row.rhs)}")
+
+    def add_residuals(self, residuals) -> bool:
+        """Record the nonzero (label, residual) pairs; True if there are none."""
+        ok = True
+        for label, res in residuals:
+            if not res.is_zero():
+                ok = False
+                self.add_residual(label, self.expr(res))
+        return ok
+
+    def add_slots(self, slots: dict) -> None:
+        for key in sorted(slots, key=lambda k: (k[0], tuple(k[1]), k[2])):
+            self.add(repr(Momentum(*key)), self.expr(slots[key]))
+
     def emit(self) -> None:
-        print(json.dumps(self.doc, indent=2, ensure_ascii=False))
+        # flushed, so that a closed reader fails inside run(), not at exit
+        print(json.dumps(self.doc, indent=2, ensure_ascii=False), flush=True)
 
 
 def _load(path: str | None) -> ProblemFile:
@@ -110,35 +130,28 @@ def _need_fvector(pf: ProblemFile):
     return pf.fvector
 
 
-def _slot_name(key) -> str:
-    fld, mi, lam = key
-    return repr(Momentum(fld, mi, lam))
-
-
-def _equations(report: Report, eqs) -> bool:
-    ok = True
-    for row in eqs:
-        report.add(row.label,
-                   f"{report.expr(row.lhs)} = {report.expr(row.rhs)}")
-    for label, res in eqs.residuals():
-        if not res.is_zero():
-            ok = False
-            report.add_residual(label, report.expr(res))
-    return ok
-
-
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        report, ok = _dispatch(args)
+        report.emit()
+        return 0 if ok else 1
     except (ParseError, ProblemError, InputError, LegendreError,
             DivergenceError, VariationalError, ProlongationError, FormsError,
             ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:    # a fault of the program, not of the input
+        if isinstance(exc, BrokenPipeError):
+            # The reader closed stdout: point it at devnull, so that flushing
+            # the rest of the report at interpreter exit cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
-def _dispatch(args) -> int:
+def _dispatch(args):
+    """Compute the command's report; returns (report, no residual found)."""
     cmd = args.command
 
     if cmd == "galilei":
@@ -148,8 +161,7 @@ def _dispatch(args) -> int:
             report.add(label, report.form(form))
             if not form.is_zero():
                 report.add_residual(label, report.form(form))
-        report.emit()
-        return 0 if outcome.all_zero() else 1
+        return report, outcome.all_zero()
 
     if cmd == "verify-all":
         report = Report(cmd, latex=args.latex)
@@ -159,11 +171,10 @@ def _dispatch(args) -> int:
             report.add(r.name, "pass" if r.ok else "fail")
             for label, e in r.failures:
                 ok = False
-                value = form_to_str(e) if hasattr(e, "terms") else to_dsl(e)
-                report.add_residual(f"{r.name}: {label}", value)
+                # plain text in either mode: e is an Expr or a form
+                report.add_residual(f"{r.name}: {label}", repr(e))
         report.doc["result"]["seed"] = args.seed
-        report.emit()
-        return 0 if ok else 1
+        return report, ok
 
     pf = _load(args.file)
     prob = pf.problem
@@ -173,31 +184,25 @@ def _dispatch(args) -> int:
         report.add("euler_lagrange",
                    {fld: report.expr(e)
                     for fld, e in euler_lagrange(prob, order_cap=args.order_cap).items()})
-        report.emit()
-        return 0
+        return report, True
 
     if cmd == "cascade":
         eqs = (constrained_generating_family(prob) if prob.constraints
                else cascade_equations(prob))
-        _equations(report, eqs)
-        report.doc["residuals"] = []
-        report.emit()
-        return 0
+        report.add_rows(eqs)
+        return report, True
 
     if cmd == "momenta":
         m = canonical_momenta(prob, order_cap=args.order_cap)
-        for key in sorted(m.slots, key=lambda k: (k[0], tuple(k[1]), k[2])):
-            report.add(_slot_name(key), report.expr(m.slots[key]))
-        report.emit()
-        return 0
+        report.add_slots(m.slots)
+        return report, True
 
     if cmd == "currents":
         tbl = currents(prob, canonical_momenta(prob, order_cap=args.order_cap))
         for (fld, mi), e in sorted(tbl.table.items(),
                                    key=lambda kv: (kv[0][0], tuple(kv[0][1]))):
             report.add(f"j[{fld};{','.join(map(str, mi))}]", report.expr(e))
-        report.emit()
-        return 0
+        return report, True
 
     if cmd == "legendre":
         data = legendre_top(prob)
@@ -205,59 +210,49 @@ def _dispatch(args) -> int:
         report.add("H", report.expr(data.hamiltonian))
         for (fld, mi), e in data.inversion.items():
             report.add(f"{fld}[{','.join(map(str, mi))}]", report.expr(e))
-        report.emit()
-        return 0
+        return report, True
 
     if cmd == "hamilton":
-        _equations(report, hamilton_equations(prob))
-        report.doc["residuals"] = []
-        report.emit()
-        return 0
+        report.add_rows(hamilton_equations(prob))
+        return report, True
 
     if cmd == "energy":
         direction = args.time if args.time is not None else prob.n
         report.add("energy", report.expr(energy_legendre(prob, direction)))
         report.add("time_direction", str(direction))
-        report.emit()
-        return 0
+        return report, True
 
     if cmd == "pc-form":
         form = pc_form(prob)
         report.add("omega", report.form(form.omega))
         report.add("theta", report.form(form.theta))
         report.add("H", report.expr(form.hamiltonian))
-        report.emit()
-        return 0
+        return report, True
 
     if cmd == "ms-check":
         sigma = _need_section(pf)
         eqs = multisymplectic_residuals(prob, sigma)
         hol = holonomy_residual(prob, sigma)
-        ok = _equations(report, eqs) and hol.all_zero()
-        for label, res in hol.residuals():
-            if not res.is_zero():
-                report.add_residual(f"holonomy:{label}", report.expr(res))
-        report.emit()
-        return 0 if ok else 1
+        report.add_rows(eqs)
+        return report, report.add_residuals(
+            eqs.residuals() + [(f"holonomy:{label}", res)
+                               for label, res in hol.residuals()])
 
     if cmd == "check-divergence":
         F = _need_fvector(pf)
         data = divergence_lagrangian(F, fields=prob.fields)
         report.add("L0", report.expr(data.lagrangian))
         eqs = verify_divergence_trivial(F, fields=prob.fields)
-        ok = _equations(report, eqs)
-        report.emit()
-        return 0 if ok else 1
+        report.add_rows(eqs)
+        return report, report.add_residuals(eqs.residuals())
 
     if cmd == "shift":
         F = _need_fvector(pf)
         m = canonical_momenta(prob, order_cap=args.order_cap)
         shifted = momentum_shift(m, F, "inverse" if args.inverse else "forward",
                                  fields=prob.fields)
-        for key in sorted(shifted.slots, key=lambda k: (k[0], tuple(k[1]), k[2])):
-            report.add(_slot_name(key), report.expr(shifted.slots[key]))
-        report.emit()
-        return 0
+        report.add_slots(shifted.slots)
+        return report, True
 
     if cmd == "prolong":
         if not pf.vfields:
@@ -268,8 +263,7 @@ def _dispatch(args) -> int:
                                         order_cap=args.order_cap)
         for coord, e in lifted.components:
             report.add(f"d/d({coord!r})", report.expr(e))
-        report.emit()
-        return 0
+        return report, True
 
     if cmd == "polarize":
         if pf.poly is None:
@@ -281,8 +275,7 @@ def _dispatch(args) -> int:
             report.add(f"component_{prob.fields[i - 1]}",
                        report.expr(poly.to_expr(variables)))
         report.add("degree", str(Q.degree))
-        report.emit()
-        return 0
+        return report, True
 
     raise InputError(f"unhandled command {cmd}")
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coords import Jet, Momentum
-from .expr import Expr, ZERO, partial_derivative, total_derivative
+from .expr import Expr, ZERO, partial_derivative, total_divergence
 from .multiindex import multiindices_up_to
 from .problem import LagrangianProblem
 from .variational import (Equation, EquationSet, MomentumAssignment,
@@ -47,8 +47,7 @@ def divergence_lagrangian(F, fields=None) -> DivergenceData:
     """L0 = sum_lam D_lam F^lam; an order-(l) Lagrangian for order-(l-1) F."""
     F = tuple(F)
     _validate(F)
-    L0 = Expr.sum(total_derivative(comp, lam)
-                  for lam, comp in enumerate(F, start=1))
+    L0 = total_divergence(F)
     order = max(max((e.max_jet_order() for e in F), default=0) + 1, 1)
     return DivergenceData(components=F, lagrangian=L0, order=order,
                           fields=_fields_of(F, fields))
@@ -80,9 +79,8 @@ def verify_divergence_trivial(F, fields=None) -> EquationSet:
         for mi in multiindices_up_to(n, l):
             lhs = jet_partial(data.lagrangian, fld, mi)
             if mi.order <= l - 1:
-                lhs = lhs - Expr.sum(
-                    total_derivative(m.slot(fld, mi, lam), lam)
-                    for lam in range(1, n + 1))
+                lhs = lhs - total_divergence(
+                    m.slot(fld, mi, lam) for lam in range(1, n + 1))
             rhs = m.symmetric_part(fld, mi) if mi.order >= 1 else ZERO
             mi_s = ",".join(map(str, mi))
             rows.append(Equation(f"{fld}:residual[{mi_s}]", lhs, rhs))

@@ -56,14 +56,16 @@ class OpaqueCall:
         d[slot] += 1
         return OpaqueCall(self.name, tuple(d), self.args)
 
+    def marked_name(self) -> str:
+        """The name with its derivative marker: ``U_{,12}`` after one
+        derivative in each of the first two arguments."""
+        if not any(self.derivs):
+            return self.name
+        digits = "".join(str(i + 1) * c for i, c in enumerate(self.derivs))
+        return f"{self.name}_{{,{digits}}}"
+
     def __repr__(self):
-        body = ", ".join(map(str, self.args))
-        if any(self.derivs):
-            digits = "".join(
-                str(i + 1) * c for i, c in enumerate(self.derivs)
-            )
-            return f"{self.name}_{{,{digits}}}({body})"
-        return f"{self.name}({body})"
+        return f"{self.marked_name()}({', '.join(map(str, self.args))})"
 
 
 Atom = Coordinate | OpaqueCall
@@ -75,8 +77,9 @@ def _akey(atom):
 
 
 def _mul_monomials(m1, m2):
-    """Merge two sorted monomials, summing exponents; None if a non-parameter
-    atom would end up with a negative power."""
+    """Merge two sorted monomials, summing exponents.  A product of valid
+    monomials is valid: only a divisor can bring a negative power of an
+    atom that is not a parameter, so ``_div_single_term`` checks for it."""
     out = []
     i = j = 0
     while i < len(m1) and j < len(m2):
@@ -96,9 +99,6 @@ def _mul_monomials(m1, m2):
             j += 1
     out.extend(m1[i:])
     out.extend(m2[j:])
-    for a, e in out:
-        if e < 0 and not isinstance(a, Parameter):
-            return None
     return tuple(out)
 
 
@@ -112,6 +112,8 @@ class Expr:
         clean = {}
         if terms:
             for mon, coeff in terms.items():
+                if any(e < 0 and not isinstance(a, Parameter) for a, e in mon):
+                    raise ExprError("negative power of a non-parameter atom")
                 c = Fraction(coeff)
                 if c:
                     clean[mon] = clean.get(mon, 0) + c
@@ -291,10 +293,7 @@ def _mul_terms(t1: dict, t2: dict):
     like terms not yet merged."""
     for m1, c1 in t1.items():
         for m2, c2 in t2.items():
-            m = _mul_monomials(m1, m2)
-            if m is None:
-                raise ExprError("negative power of a non-parameter atom")
-            yield m, c1 * c2
+            yield _mul_monomials(m1, m2), c1 * c2
 
 
 # -- differentiation -------------------------------------------------------
@@ -360,6 +359,13 @@ def total_derivative(e: Expr, lam: int) -> Expr:
     return _derive(e, lambda a: _atom_total(a, lam))
 
 
+def total_divergence(row) -> Expr:
+    """sum_lam D_lam row[lam]: the total divergence of a row of expressions
+    given in direction order lam = 1, 2, ..."""
+    return Expr.sum(total_derivative(e, lam)
+                    for lam, e in enumerate(row, start=1))
+
+
 def total_derivative_multi(e: Expr, mi, order_cap: int = 12) -> Expr:
     """Composed total derivative D_mi (directions commute, order immaterial)."""
     out = e
@@ -415,10 +421,11 @@ def _div_single_term(num: Expr, den: Expr) -> Expr:
     terms = {}
     for mon, coeff in num._terms.items():
         m = _mul_monomials(mon, neg)
-        if m is None:
+        if any(e < 0 and not isinstance(a, Parameter) for a, e in m):
             raise ExprError(f"division by non-constant expression: {den}")
         terms[m] = coeff / dcoeff
-    return Expr(terms)
+    # Distinct monomials stay distinct and no coefficient becomes zero.
+    return Expr._trusted(terms)
 
 
 def _cmp_monomials(m1, m2) -> int:
@@ -513,29 +520,38 @@ def _factor_str(a: Atom, e: int) -> str:
     return s if e == 1 else f"{s}^{e}"
 
 
-def to_dsl(e: Expr) -> str:
-    """Canonical textual form; reparsing yields the identical Expr."""
+def _join_terms(e: Expr, render) -> str:
+    """The printers' common core: the terms of ``e`` in canonical order,
+    each rendered without its sign by ``render(monomial, coefficient)``,
+    joined by " + " and " - "; "0" for the zero expression."""
     if e.is_zero():
         return "0"
-    pieces = []
+    out = []
     for mon, coeff in sorted(e._terms.items(),
                              key=lambda mc: tuple((_akey(a), x) for a, x in mc[0])):
-        pos = [(a, x) for a, x in _display_sorted(mon) if x > 0]
-        neg = [(a, -x) for a, x in _display_sorted(mon) if x < 0]
-        num_parts = []
-        if abs(coeff.numerator) != 1 or not pos:
-            num_parts.append(str(abs(coeff.numerator)))
-        num_parts.extend(_factor_str(a, x) for a, x in pos)
-        den_parts = []
-        if coeff.denominator != 1:
-            den_parts.append(str(coeff.denominator))
-        den_parts.extend(_factor_str(a, x) for a, x in neg)
-        s = "*".join(num_parts)
-        if den_parts:
-            s += "/" + (den_parts[0] if len(den_parts) == 1
-                        else "(" + "*".join(den_parts) + ")")
-        pieces.append((coeff < 0, s))
-    out = ("-" if pieces[0][0] else "") + pieces[0][1]
-    for negative, s in pieces[1:]:
-        out += (" - " if negative else " + ") + s
-    return out
+        out += [" - " if coeff < 0 else " + ", render(mon, coeff)]
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
+
+
+def to_dsl(e: Expr) -> str:
+    """Canonical textual form; reparsing yields the identical Expr."""
+    return _join_terms(e, _term_dsl)
+
+
+def _term_dsl(mon, coeff) -> str:
+    pos = [(a, x) for a, x in _display_sorted(mon) if x > 0]
+    neg = [(a, -x) for a, x in _display_sorted(mon) if x < 0]
+    num_parts = []
+    if abs(coeff.numerator) != 1 or not pos:
+        num_parts.append(str(abs(coeff.numerator)))
+    num_parts.extend(_factor_str(a, x) for a, x in pos)
+    den_parts = []
+    if coeff.denominator != 1:
+        den_parts.append(str(coeff.denominator))
+    den_parts.extend(_factor_str(a, x) for a, x in neg)
+    s = "*".join(num_parts)
+    if den_parts:
+        s += "/" + (den_parts[0] if len(den_parts) == 1
+                    else "(" + "*".join(den_parts) + ")")
+    return s

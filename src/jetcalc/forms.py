@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coords import Base, Coordinate, Jet, Momentum, Multiplier, Parameter
-from .expr import Expr, ZERO, partial_derivative, substitute
+from .expr import (Expr, ZERO, partial_derivative, substitute,
+                   total_derivative_multi)
+from .multiindex import multiindices_up_to
 
 
 class FormsError(ValueError):
@@ -109,17 +111,28 @@ class ExteriorForm:
                             {f: c * e for f, c in self.terms.items()})
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for facs, coeff in sorted(self.terms.items(),
-                                  key=lambda fc: tuple(f.sort_key() for f in fc[0])):
-            wedge_part = " ∧ ".join(f"d({f!r})" for f in facs)
-            if not facs:
-                parts.append(f"({coeff})")
-            else:
-                parts.append(f"({coeff}) {wedge_part}")
-        return " + ".join(parts)
+        return form_to_str(self)
+
+
+def _join_form(a: ExteriorForm, render) -> str:
+    """The form printers' common core: the terms of ``a`` in factor order,
+    each rendered by ``render(factors, coefficient)``, joined by " + ";
+    "0" for the zero form."""
+    if a.is_zero():
+        return "0"
+    return " + ".join(render(facs, coeff) for facs, coeff in sorted(
+        a.terms.items(), key=lambda fc: tuple(f.sort_key() for f in fc[0])))
+
+
+def form_to_str(a: ExteriorForm) -> str:
+    """Plain-text form rendering for JSON reports."""
+    return _join_form(a, _form_term_str)
+
+
+def _form_term_str(facs, coeff) -> str:
+    if not facs:
+        return f"({coeff})"
+    return f"({coeff}) " + " ∧ ".join(f"d({f!r})" for f in facs)
 
 
 def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
@@ -258,9 +271,6 @@ def holonomic_section(problem, profiles: dict, jet_order: int,
     """Prolong base-coordinate field profiles into a holonomic SectionData
     assigning every jet slot up to ``jet_order``; extra momentum-slot
     assignments may be supplied alongside."""
-    from .expr import total_derivative_multi
-    from .multiindex import multiindices_up_to
-
     assign: dict = {}
     for fld in problem.fields:
         f = profiles[fld]

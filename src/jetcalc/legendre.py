@@ -3,13 +3,14 @@
 The top-order transform exchanges the order-k jets for the symmetric top
 momenta by solving the top cascade rows, which are linear because the
 admissible Lagrangians are quadratic in the top jets with a
-parameter-constant Hessian block.  The solve is exact: fraction-free
-Bareiss determinants plus Cramer quotients, with parameter monomials the
-only permitted denominators.
+parameter-constant Hessian block.  The solve is exact: one fraction-free
+Bareiss elimination and back-substitution give the Cramer numerators and
+the determinant, with parameter monomials the only permitted denominators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .coords import Jet, Momentum, Parameter
@@ -17,8 +18,8 @@ from .expr import (Expr, ExprError, ONE, ZERO, divide, partial_derivative,
                    substitute)
 from .multiindex import MultiIndex, all_multiindices, multiindices_up_to
 from .problem import LagrangianProblem
-from .variational import (Equation, EquationSet, _slot_atom, _slot_divergence,
-                          _sym_atom, jet_partial)
+from .variational import (Equation, EquationSet, _cascade_row, _slot_atom,
+                          _slot_divergence, _sym_atom, jet_partial)
 
 
 class LegendreError(ValueError):
@@ -39,51 +40,103 @@ class LegendreData:
     inversion: dict
 
 
-def _bareiss_det(M) -> Expr:
-    """Exact determinant of a square Expr matrix (fraction-free Bareiss)."""
-    M = [row[:] for row in M]
+def _eliminate(M) -> int:
+    """Fraction-free Gaussian elimination (Bareiss, Math. Comp. 1968) of the
+    rows ``M`` in place.  Pivots come from the leading square block; any
+    further columns ride along.  Afterwards ``M[i][i]`` is the i-th leading
+    minor of the row-permuted block.  Returns the sign of the row
+    permutation, or 0 when a column has no pivot."""
     dim = len(M)
-    if dim == 0:
-        return ONE
     sign = 1
     prev = ONE
     for j in range(dim - 1):
         piv = next((r for r in range(j, dim) if not M[r][j].is_zero()), None)
         if piv is None:
-            return ZERO
+            return 0
         if piv != j:
             M[j], M[piv] = M[piv], M[j]
             sign = -sign
         for r in range(j + 1, dim):
-            for c in range(j + 1, dim):
+            for c in range(j + 1, len(M[r])):
                 M[r][c] = divide(M[r][c] * M[j][j] - M[r][j] * M[j][c], prev)
             M[r][j] = ZERO
         prev = M[j][j]
-    det = M[-1][-1]
-    return det if sign == 1 else -det
+    return sign
+
+
+def _bareiss_det(M) -> Expr:
+    """Exact determinant of a square Expr matrix (fraction-free Bareiss)."""
+    M = [row[:] for row in M]
+    return _eliminate(M) * M[-1][-1] if M else ONE
+
+
+def _clearing_monomial(entries) -> Expr:
+    """The least parameter monomial whose product with each of ``entries``
+    has no negative power."""
+    low: dict = {}
+    for e in entries:
+        for mon in e._terms:
+            for a, x in mon:
+                if x < low.get(a, 0):
+                    low[a] = x
+    return math.prod((Expr.atom(a) ** -x for a, x in low.items()), start=ONE)
 
 
 def _solve_linear(A, b):
-    """Solve A x = b exactly via Cramer; raises on a singular matrix or a
-    quotient that leaves the parameter-Laurent ring."""
-    det = _bareiss_det(A)
+    """Solve A x = b exactly: one Bareiss elimination of [A | b], then
+    fraction-free back-substitution for the Cramer numerators det(A) x_i.
+    Raises on a singular matrix or a quotient that leaves the
+    parameter-Laurent ring."""
+    dim = len(A)
+    M = [row + [rhs] for row, rhs in zip(A, b)]
+    # Scaling by a parameter monomial that clears every negative power
+    # makes each division in the elimination and the back-substitution an
+    # exact division of polynomials, which ``divide`` always carries out.
+    m = _clearing_monomial(e for row in M for e in row)
+    M = [[m * e for e in row] for row in M]
+    scale = m ** dim
+    sign = _eliminate(M)
+    # The last diagonal entry: M[-1][-1] is the eliminated b.
+    pivot = M[dim - 1][dim - 1]
+    det = divide(sign * pivot, scale)
     if det.is_zero():
         raise SingularLegendreError("singular Legendre: top Hessian block degenerate")
-    dim = len(A)
-    out = []
-    for i in range(dim):
-        Ai = [[A[r][c] if c != i else b[r] for c in range(dim)] for r in range(dim)]
-        try:
-            out.append(divide(_bareiss_det(Ai), det))
-        except ExprError as exc:
-            raise LegendreError(
-                f"Legendre inversion not representable: {exc}") from None
-    return out
+    try:
+        # y[i] = pivot * x_i, so sign * y[i] / scale = det(A_i).
+        y = [ZERO] * (dim - 1) + [M[dim - 1][dim]]
+        for i in range(dim - 2, -1, -1):
+            y[i] = divide(pivot * M[i][dim] - Expr.sum(
+                M[i][c] * y[c] for c in range(i + 1, dim)), M[i][i])
+        return [divide(divide(sign * yi, scale), det) for yi in y]
+    except ExprError as exc:
+        raise LegendreError(
+            f"Legendre inversion not representable: {exc}") from None
 
 
-def _top_unknowns(problem: LagrangianProblem, order: int):
-    return [(fld, mi) for fld in problem.fields
-            for mi in all_multiindices(problem.n, order)]
+def _exchange(L: Expr, momenta: dict, check):
+    """Exchange the jets phi_mu named by the keys (fld, mu) of ``momenta``
+    for those momenta: solve dL/dphi_mu = momenta[(fld, mu)], in which L
+    must be quadratic; ``check`` vets each entry of the Hessian of L in
+    those jets.  Returns the inversion {(fld, mu): Expr} and
+    sum p phi_mu - L on it."""
+    unknowns = list(momenta)
+    kill = {Jet(fld, mi): ZERO for fld, mi in unknowns}
+    A = []
+    rhs = []
+    for fld, mi in unknowns:
+        dL = jet_partial(L, fld, mi)
+        row = []
+        for fld2, mi2 in unknowns:
+            entry = partial_derivative(dL, Jet(fld2, mi2))
+            check(entry)
+            row.append(entry)
+        A.append(row)
+        rhs.append(momenta[(fld, mi)] - substitute(dL, kill))
+    inversion = dict(zip(unknowns, _solve_linear(A, rhs)))
+    pairing = Expr.sum(p * Expr.atom(Jet(fld, mi))
+                       for (fld, mi), p in momenta.items())
+    return inversion, substitute(pairing - L, {
+        Jet(fld, mi): x for (fld, mi), x in inversion.items()})
 
 
 def _check_hessian_entry(e: Expr, order: int):
@@ -96,28 +149,9 @@ def _check_hessian_entry(e: Expr, order: int):
                 f"(found {c!r} in an entry)")
 
 
-def _invert_top(problem: LagrangianProblem, order: int, atoms):
-    """Solve the order-``order`` cascade rows for the jets of that order.
-
-    ``atoms[(fld, mi)]`` supplies the symbolic momentum each row equates to.
-    Returns the inversion map {(fld, mi): Expr}.
-    """
-    L = problem.lagrangian
-    unknowns = _top_unknowns(problem, order)
-    A = []
-    rhs = []
-    kill_top = {Jet(fld, mi): ZERO for fld, mi in unknowns}
-    for fld, mi in unknowns:
-        dL = jet_partial(L, fld, mi)
-        row = []
-        for fld2, mi2 in unknowns:
-            entry = partial_derivative(dL, Jet(fld2, mi2))
-            _check_hessian_entry(entry, order)
-            row.append(entry)
-        A.append(row)
-        rhs.append(atoms[(fld, mi)] - substitute(dL, kill_top))
-    xs = _solve_linear(A, rhs)
-    return dict(zip(unknowns, xs))
+def _check_time_entry(e: Expr):
+    if any(not isinstance(c, Parameter) for c in e.free_coordinates()):
+        raise LegendreError("time-direction Hessian must be parameter-constant")
 
 
 def legendre_top(problem: LagrangianProblem) -> LegendreData:
@@ -132,13 +166,9 @@ def legendre_top(problem: LagrangianProblem) -> LegendreData:
                             "is not supported")
     n, k, L = problem.n, problem.k, problem.lagrangian
     sym_atoms = {(fld, mi): Expr.atom(Momentum(fld, mi))
-                 for fld, mi in _top_unknowns(problem, k)}
-    inversion = _invert_top(problem, k, sym_atoms)
-
-    pairing_sym = Expr.sum(atom * Expr.atom(Jet(fld, mi))
-                           for (fld, mi), atom in sym_atoms.items())
-    top_subst = {Jet(fld, mi): expr for (fld, mi), expr in inversion.items()}
-    h = substitute(pairing_sym - L, top_subst)
+                 for fld in problem.fields for mi in all_multiindices(n, k)}
+    inversion, h = _exchange(L, sym_atoms,
+                             lambda e: _check_hessian_entry(e, k))
 
     pairing_all = Expr.sum(
         _slot_atom(fld, mi, lam) * Expr.atom(Jet(fld, mi.bump(lam)))
@@ -147,7 +177,8 @@ def legendre_top(problem: LagrangianProblem) -> LegendreData:
         for lam in range(1, n + 1))
     slot_sym = {Momentum(fld, mi): _sym_atom(fld, mi)
                 for fld, mi in sym_atoms}
-    slot_inversion = {jet: substitute(e, slot_sym) for jet, e in top_subst.items()}
+    slot_inversion = {Jet(fld, mi): substitute(e, slot_sym)
+                      for (fld, mi), e in inversion.items()}
     H = substitute(pairing_all - L, slot_inversion)
     return LegendreData(h=h, hamiltonian=H, inversion=inversion)
 
@@ -165,16 +196,11 @@ def hamilton_equations(problem: LagrangianProblem) -> EquationSet:
                 f"{fld}:phi[{','.join(map(str, mi))}]",
                 Expr.atom(Jet(fld, mi)),
                 partial_derivative(h, Momentum(fld, mi))))
-        for order in range(k - 1, 0, -1):
+        for order in range(k - 1, -1, -1):
             for mi in all_multiindices(n, order):
-                rhs = -partial_derivative(h, Jet(fld, mi)) \
-                    - _slot_divergence(fld, mi, n)
-                rows.append(Equation(f"{fld}:p[{','.join(map(str, mi))}]",
-                                     _sym_atom(fld, mi), rhs))
-        zero_mi = MultiIndex.zero(n)
-        rhs = -partial_derivative(h, Jet(fld, zero_mi)) \
-            - _slot_divergence(fld, zero_mi, n)
-        rows.append(Equation(f"{fld}:euler", ZERO, rhs))
+                rows.append(_cascade_row(
+                    fld, mi, -partial_derivative(h, Jet(fld, mi))
+                    - _slot_divergence(fld, mi, n)))
     return EquationSet(rows)
 
 
@@ -194,30 +220,11 @@ def energy_legendre(problem: LagrangianProblem, time_direction: int) -> Expr:
     if not 1 <= time_direction <= n:
         raise LegendreError(f"time direction {time_direction} out of range")
     t_mi = MultiIndex.unit(n, time_direction)
-    unknowns = [(fld, t_mi) for fld in problem.fields]
     zero = MultiIndex.zero(n)
-    A = []
-    rhs = []
-    kill = {Jet(fld, t_mi): ZERO for fld in problem.fields}
-    for fld, mi in unknowns:
-        dL = jet_partial(L, fld, mi)
-        row = []
-        for fld2, mi2 in unknowns:
-            entry = partial_derivative(dL, Jet(fld2, mi2))
-            for c in entry.free_coordinates():
-                if not isinstance(c, Parameter):
-                    raise LegendreError(
-                        "time-direction Hessian must be parameter-constant")
-            row.append(entry)
-        A.append(row)
-        rhs.append(Expr.atom(Momentum(fld, zero, time_direction))
-                   - substitute(dL, kill))
+    momenta = {(fld, t_mi): Expr.atom(Momentum(fld, zero, time_direction))
+               for fld in problem.fields}
     try:
-        xs = _solve_linear(A, rhs)
+        return _exchange(L, momenta, _check_time_entry)[1]
     except SingularLegendreError:
         raise SingularLegendreError(
             "degenerate time-direction Hessian") from None
-    pairing = Expr.sum(Expr.atom(Momentum(fld, zero, time_direction))
-                       * Expr.atom(Jet(fld, t_mi)) for fld in problem.fields)
-    return substitute(pairing - L,
-                      {Jet(fld, t_mi): x for (fld, _), x in zip(unknowns, xs)})

@@ -6,8 +6,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coords import Base, Jet, Momentum, Multiplier, Parameter
-from .expr import Expr, OpaqueCall, _akey, _display_sorted
-from .forms import ExteriorForm
+from .expr import Expr, OpaqueCall, _display_sorted, _join_terms
+from .forms import ExteriorForm, _join_form, form_to_str  # noqa: F401 (public here)
 
 _GREEK = {"alpha", "beta", "gamma", "delta", "epsilon", "lambda", "mu", "nu",
           "xi", "rho", "sigma", "tau", "phi", "chi", "psi", "omega", "theta"}
@@ -40,11 +40,7 @@ def atom_latex(a) -> str:
     if isinstance(a, Parameter):
         return _name_latex(a.name)
     if isinstance(a, OpaqueCall):
-        args = ", ".join(to_latex(arg) for arg in a.args)
-        if any(a.derivs):
-            digits = "".join(str(i + 1) * c for i, c in enumerate(a.derivs))
-            return f"{a.name}_{{,{digits}}}({args})"
-        return f"{a.name}({args})"
+        return f"{a.marked_name()}({', '.join(to_latex(arg) for arg in a.args)})"
     raise TypeError(f"unknown atom {a!r}")
 
 
@@ -55,48 +51,28 @@ def _coeff_latex(c: Fraction) -> str:
 
 
 def to_latex(e: Expr) -> str:
-    if e.is_zero():
-        return "0"
-    pieces = []
-    for mon, coeff in sorted(e._terms.items(),
-                             key=lambda mc: tuple((_akey(a), x) for a, x in mc[0])):
-        factors = []
-        for a, exp in _display_sorted(mon):
-            s = atom_latex(a)
-            factors.append(s if exp == 1 else f"{s}^{{{exp}}}")
-        body = "\\,".join(factors)
-        if abs(coeff) != 1 or not factors:
-            body = _coeff_latex(coeff) + ("\\," + body if body else "")
-        pieces.append((coeff < 0, body))
-    out = ("-" if pieces[0][0] else "") + pieces[0][1]
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+    return _join_terms(e, _term_latex)
+
+
+def _term_latex(mon, coeff) -> str:
+    factors = []
+    for a, exp in _display_sorted(mon):
+        s = atom_latex(a)
+        factors.append(s if exp == 1 else f"{s}^{{{exp}}}")
+    body = "\\,".join(factors)
+    if abs(coeff) != 1 or not factors:
+        body = _coeff_latex(coeff) + ("\\," + body if body else "")
+    return body
 
 
 def form_to_latex(a: ExteriorForm) -> str:
-    if a.is_zero():
-        return "0"
-    parts = []
-    for facs, coeff in sorted(a.terms.items(),
-                              key=lambda fc: tuple(f.sort_key() for f in fc[0])):
-        wedge_part = " \\wedge ".join(f"\\mathrm{{d}}{atom_latex(f)}" for f in facs)
-        c = to_latex(coeff)
-        if facs:
-            parts.append(f"\\left({c}\\right) {wedge_part}" if " " in c or "+" in c
-                         else f"{c}\\, {wedge_part}")
-        else:
-            parts.append(c)
-    return " + ".join(parts)
+    return _join_form(a, _form_term_latex)
 
 
-def form_to_str(a: ExteriorForm) -> str:
-    """Plain-text form rendering for JSON reports."""
-    if a.is_zero():
-        return "0"
-    parts = []
-    for facs, coeff in sorted(a.terms.items(),
-                              key=lambda fc: tuple(f.sort_key() for f in fc[0])):
-        wedge_part = " ∧ ".join(f"d({f!r})" for f in facs)
-        parts.append(f"({coeff}) {wedge_part}" if facs else f"({coeff})")
-    return " + ".join(parts)
+def _form_term_latex(facs, coeff) -> str:
+    c = to_latex(coeff)
+    if not facs:
+        return c
+    wedge_part = " \\wedge ".join(f"\\mathrm{{d}}{atom_latex(f)}" for f in facs)
+    return (f"\\left({c}\\right) {wedge_part}" if " " in c or "+" in c
+            else f"{c}\\, {wedge_part}")

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .coords import Base, Jet, Momentum, Multiplier
 from .expr import (Expr, ZERO, partial_derivative, substitute,
-                   total_derivative, total_derivative_multi)
+                   total_derivative_multi, total_divergence)
 from .multiindex import MultiIndex, all_multiindices, multiindices_up_to
 from .problem import LagrangianProblem
 
@@ -139,8 +139,7 @@ def _sym_atom(fld: str, mi: MultiIndex) -> Expr:
 
 def _slot_divergence(fld: str, mi: MultiIndex, n: int) -> Expr:
     """sum_lam D_lam of the symbolic slot atoms p^{mi|lam}."""
-    return Expr.sum(total_derivative(_slot_atom(fld, mi, lam), lam)
-                    for lam in range(1, n + 1))
+    return total_divergence(_slot_atom(fld, mi, lam) for lam in range(1, n + 1))
 
 
 def jet_partial(L: Expr, fld: str, mi: MultiIndex) -> Expr:
@@ -167,9 +166,8 @@ def canonical_momenta(problem: LagrangianProblem,
             for mi in all_multiindices(n, order):
                 value = divide_weight(jet_partial(L, fld, mi), mi)
                 if order < k:
-                    value = value - Expr.sum(
-                        total_derivative(V[mi.bump(lam)], lam)
-                        for lam in range(1, n + 1))
+                    value = value - total_divergence(
+                        V[mi.bump(lam)] for lam in range(1, n + 1))
                 if value.max_jet_order() > order_cap:
                     raise VariationalError(
                         f"momentum cascade exceeded the jet order cap {order_cap}")
@@ -194,8 +192,8 @@ def currents(problem: LagrangianProblem, m: MomentumAssignment) -> CurrentTable:
         for mi in multiindices_up_to(n, k):
             parts = [m.symmetric_part(fld, mi)] if mi.order >= 1 else []
             if mi.order <= k - 1:
-                parts += [total_derivative(m.slot(fld, mi, lam), lam)
-                          for lam in range(1, n + 1)]
+                parts.append(total_divergence(
+                    m.slot(fld, mi, lam) for lam in range(1, n + 1)))
             table[(fld, mi)] = Expr.sum(parts)
     return CurrentTable(n, k, table)
 
@@ -210,18 +208,21 @@ def cascade_equations(problem: LagrangianProblem) -> EquationSet:
     n, k, L = problem.n, problem.k, problem.lagrangian
     rows = []
     for fld in problem.fields:
-        for order in range(k, 0, -1):
+        for order in range(k, -1, -1):
             for mi in all_multiindices(n, order):
                 rhs = jet_partial(L, fld, mi)
                 if order < k:
                     rhs = rhs - _slot_divergence(fld, mi, n)
-                rows.append(Equation(f"{fld}:p[{','.join(map(str, mi))}]",
-                                     _sym_atom(fld, mi), rhs))
-        zero = MultiIndex.zero(n)
-        rows.append(Equation(f"{fld}:euler", ZERO,
-                             jet_partial(L, fld, zero)
-                             - _slot_divergence(fld, zero, n)))
+                rows.append(_cascade_row(fld, mi, rhs))
     return EquationSet(rows)
+
+
+def _cascade_row(fld: str, mi: MultiIndex, rhs: Expr) -> Equation:
+    """The row for the momentum of order |mi|, or the field equation at
+    mi = 0."""
+    if mi.order == 0:
+        return Equation(f"{fld}:euler", ZERO, rhs)
+    return Equation(f"{fld}:p[{','.join(map(str, mi))}]", _sym_atom(fld, mi), rhs)
 
 
 def euler_lagrange(problem: LagrangianProblem, order_cap: int = 12) -> dict:
@@ -366,8 +367,7 @@ def apply_momentum_gauge(m: MomentumAssignment, chi: dict) -> MomentumAssignment
             # divergence of the current level, distributed symmetrically below
             G = {}
             for mu in all_multiindices(n, v_order):
-                g = Expr.sum(total_derivative(cur[(mu, lam)], lam)
-                             for lam in range(1, n + 1))
+                g = total_divergence(cur[(mu, lam)] for lam in range(1, n + 1))
                 G[mu] = divide_weight(-g, mu)
             nxt = {}
             for nu in all_multiindices(n, v_order - 1):

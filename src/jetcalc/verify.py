@@ -11,7 +11,8 @@ import random
 from dataclasses import dataclass, field
 
 from .coords import Base, Jet, Momentum, MultiIndex, Parameter
-from .expr import Expr, ZERO, divide, total_derivative
+from .expr import (Expr, ZERO, divide, partial_derivative,
+                   total_derivative_multi)
 from .forms import SectionData, holonomic_section
 from .legendre import legendre_top
 from .multiindex import multiindices_up_to
@@ -259,7 +260,6 @@ def check_prolongation(seed: int = 0, count: int = 20) -> CheckResult:
         psi = random_polynomial(rng, atoms, 3, 3)
         lift = prolong_vertical_field(VerticalField({"u": psi}), n=n,
                                       target_order=1)
-        from .expr import partial_derivative
         for mu in range(1, n + 1):
             truncated = partial_derivative(psi, Base(mu)) + \
                 Expr.atom(Jet("u", MultiIndex.unit(n, mu))) * \
@@ -274,7 +274,6 @@ def check_prolongation(seed: int = 0, count: int = 20) -> CheckResult:
         sigma = holonomic_section(prob, profiles, jet_order=k + 1)
         lift2 = prolong_vertical_field(VerticalField({"u": psi2}), n=n,
                                        target_order=k)
-        from .expr import total_derivative_multi
         for mi in multiindices_up_to(n, k):
             on_jet = sigma.evaluate(lift2.component(Jet("u", mi)))
             direct = total_derivative_multi(sigma.evaluate(psi2), mi)

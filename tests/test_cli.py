@@ -1,9 +1,14 @@
 """CLI: reports, exit codes, expression round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import jetcalc
+import jetcalc.cli
 from jetcalc import parse_expr, parse_problem
 from jetcalc.cli import run
 
@@ -102,6 +107,31 @@ class TestCommands:
     def test_singular_legendre_exit_2(self, capsys, lagfile):
         path = lagfile("base 1; field u; order 2; lagrangian u[2];")
         assert run(["legendre", path]) == 2
+
+    def test_internal_fault_exit_3(self, capsys, lagfile, monkeypatch):
+        def fault(*args, **kwargs):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(jetcalc.cli, "euler_lagrange", fault)
+        assert run(["el", lagfile(BEAM)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: RuntimeError: boom\n"
+
+    def test_closed_stdout_exit_3(self, lagfile):
+        # the reader is gone before the report is written: one error line,
+        # no traceback, not even from the flush at interpreter exit; stdout
+        # is block-buffered, so this small report reaches the pipe on a flush
+        src = os.path.dirname(os.path.dirname(jetcalc.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "jetcalc.cli", "el", lagfile(BEAM)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 3
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
     def test_verify_all(self, capsys):
         code, doc = invoke(capsys, "verify-all", "--seed", "3")

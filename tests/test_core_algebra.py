@@ -94,6 +94,10 @@ class TestExprAlgebra:
         with pytest.raises(ExprError):
             divide(m ** 2 + 1, den)
 
+    def test_constructor_rejects_negative_jet_power(self):
+        with pytest.raises(ExprError, match="negative power"):
+            Expr({((Jet("u", MultiIndex((1,))), -1),): 1})
+
 
 class TestDerivatives:
     def test_power_rule(self):
@@ -213,6 +217,7 @@ def _assert_canonical(e: Expr):
     for mon, c in e._terms.items():
         assert type(c) is Fraction and c != 0, (mon, c)
         assert all(x != 0 for _, x in mon), mon
+        assert all(x > 0 or isinstance(a, Parameter) for a, x in mon), mon
         keys = [_akey(a) for a, _ in mon]
         assert keys == sorted(keys) and len(set(keys)) == len(keys), mon
 
@@ -251,10 +256,18 @@ def test_sum_with_negation_is_zero(e):
 @_KERNEL
 @given(small_exprs(), small_exprs(), st.integers(1, 2))
 def test_no_zero_or_non_fraction_coefficient_stored(a, b, lam):
+    # and no negative power of a non-parameter atom; division by each single
+    # term of b either succeeds canonically or refuses
+    quotients = []
+    for mon, c in b._terms.items():
+        try:
+            quotients.append(divide(a, Expr({mon: c})))
+        except ExprError as exc:
+            assert "non-constant" in str(exc)
     for e in (Expr.sum([a, b, -a]), a + b, a * b,
               partial_derivative(a, Jet("u", MultiIndex((0, 0)))),
               partial_derivative(a, Base(1)),
-              total_derivative(a, lam)):
+              total_derivative(a, lam), *quotients):
         _assert_canonical(e)
 
 

@@ -8,9 +8,10 @@ import pytest
 from jetcalc import (Base, Expr, Jet, LagrangianProblem, Momentum, MultiIndex,
                      OpaqueCall, Parameter, parse_expr, partial_derivative,
                      substitute)
-from jetcalc.expr import ZERO, divide
+from jetcalc.expr import ZERO, ExprError, divide
 from jetcalc.legendre import (LegendreError, SingularLegendreError,
-                              energy_legendre, field_hamiltonian_first_order,
+                              _bareiss_det, _solve_linear, energy_legendre,
+                              field_hamiltonian_first_order,
                               hamilton_equations, legendre_top)
 from jetcalc.randgen import _int_det, random_quadratic_lagrangian
 from jetcalc.variational import (canonical_momenta, cascade_equations,
@@ -329,6 +330,87 @@ class TestExactSolver:
                        for row in M]
             assert substitute(det, point).as_fraction() == laplace(numeric)
 
+
+    def test_solver_matches_cramer_reference(self):
+        # differential test: one elimination of [A | b] against dim + 1
+        # separate determinants (Cramer), on symmetric parametric systems
+        rng = random.Random(11)
+        a, b = Expr.atom(Parameter("a")), Expr.atom(Parameter("b"))
+        u, x = Expr.atom(Jet("u", MI((0,)))), Expr.atom(Base(1))
+        agreed = 0
+        for draw in range(200):
+            dim = rng.randint(1, 4)
+            A = [[None] * dim for _ in range(dim)]
+            for r in range(dim):
+                for c in range(r, dim):
+                    A[r][c] = A[c][r] = (Expr.const(rng.randint(-2, 2))
+                                         + rng.choice((-1, 0, 0, 0, 0, 1))
+                                         * rng.choice((a, b)))
+            rhs = [Expr.atom(Momentum("u", MI((i,)))) + rng.randint(-1, 1) * a * u
+                   + rng.randint(-1, 1) * x for i in range(dim)]
+            assert _outcome(_solve_linear, A, rhs) == \
+                _outcome(_cramer_reference, A, rhs), f"draw {draw}"
+            agreed += 1
+        assert agreed == 200
+
+    def test_solver_on_laurent_systems(self):
+        # entries and right-hand sides with 1/a: whenever the Cramer
+        # reference finds the solution, the solver finds the same one, and
+        # whatever it returns solves the system
+        rng = random.Random(12)
+        a, b = Expr.atom(Parameter("a")), Expr.atom(Parameter("b"))
+        inv_a = divide(Expr.const(1), a)
+        u, x = Expr.atom(Jet("u", MI((0,)))), Expr.atom(Base(1))
+        solved = 0
+        for draw in range(150):
+            dim = rng.randint(1, 3)
+            A = [[None] * dim for _ in range(dim)]
+            for r in range(dim):
+                for c in range(r, dim):
+                    A[r][c] = A[c][r] = (Expr.const(rng.randint(-2, 2))
+                                         + rng.choice((-1, 0, 0, 1))
+                                         * rng.choice((a, b, inv_a)))
+            rhs = [Expr.atom(Momentum("u", MI((i,))))
+                   + rng.randint(-1, 1) * inv_a * u + rng.randint(-1, 1) * x
+                   for i in range(dim)]
+            got = _outcome(_solve_linear, A, rhs)
+            try:
+                want = _outcome(_cramer_reference, A, rhs)
+            except ExprError:   # a determinant the reference cannot form
+                want = None
+            if want is not None and want[0] == "ok":
+                assert got == want, f"draw {draw}"
+            if got[0] == "ok":
+                solved += 1
+                for r in range(dim):
+                    assert Expr.sum(A[r][c] * got[1][c]
+                                    for c in range(dim)) == rhs[r]
+        assert solved > 30
+
+
+def _cramer_reference(A, b):
+    """x_i = det(A_i) / det(A) with dim + 1 Bareiss determinants."""
+    det = _bareiss_det(A)
+    if det.is_zero():
+        raise SingularLegendreError(
+            "singular Legendre: top Hessian block degenerate")
+    out = []
+    for i in range(len(A)):
+        Ai = [[b[r] if c == i else entry for c, entry in enumerate(row)]
+              for r, row in enumerate(A)]
+        try:
+            out.append(divide(_bareiss_det(Ai), det))
+        except ExprError as exc:
+            raise LegendreError(
+                f"Legendre inversion not representable: {exc}") from None
+    return out
+
+
+def _outcome(solve, A, b):
+    try:
+        return ("ok", solve(A, b))
+    except LegendreError as exc:
+        return (type(exc), str(exc))
 
 def test_int_det_matches_sympy():
     import sympy

@@ -10,6 +10,7 @@ from jetcalc.forms import (ExteriorForm, SectionData, exterior_derivative,
                            holonomic_section, wedge)
 from jetcalc.legendre import hamilton_equations, legendre_top
 from jetcalc.poincare import galilei_transform_check, multisymplectic_residuals, pc_form
+from jetcalc.printing import form_to_str
 from jetcalc.randgen import random_quadratic_lagrangian, random_section_profiles
 from jetcalc.variational import canonical_momenta
 
@@ -36,6 +37,11 @@ class TestPCForm:
         dH_dt = wedge(exterior_derivative(ExteriorForm.scalar(form.hamiltonian)),
                       ExteriorForm.d_coordinate(Base(1)))
         assert form.omega == dp_dq - dH_dt
+
+    def test_repr_is_the_report_rendering(self):
+        omega = pc_form(beam()).omega
+        assert not omega.is_zero()
+        assert repr(omega) == form_to_str(omega)
 
     def test_theta_is_primitive(self):
         for prob in (mechanics(), beam()):
