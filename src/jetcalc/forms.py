@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coords import Base, Coordinate, Jet, Momentum, Multiplier, Parameter
-from .expr import (Expr, ZERO, partial_derivative, substitute,
+from .coords import (Base, Coordinate, Jet, Momentum, Multiplier, Parameter,
+                     is_fibre)
+from .expr import (Expr, ZERO, _akey, partial_derivative, substitute,
                    total_derivative_multi)
 from .multiindex import multiindices_up_to
 
@@ -217,9 +218,9 @@ class SectionData:
         elif dims - {n}:
             raise FormsError("slot dimension disagrees with n")
         for slot, value in assign.items():
-            if not isinstance(slot, (Jet, Momentum)):
+            if not is_fibre(slot):
                 raise FormsError(f"section assigns fibre slots only, got {slot!r}")
-            bad = [c for c in value.free_coordinates() if isinstance(c, (Jet, Momentum))]
+            bad = sorted(filter(is_fibre, value.free_coordinates()), key=_akey)
             if bad:
                 raise FormsError(f"section value for {slot!r} contains fibre atom {bad[0]!r}")
         self.n = n
@@ -240,7 +241,7 @@ class SectionData:
         return self.assign[atom]
 
     def evaluate(self, e: Expr) -> Expr:
-        fibre = [c for c in e.free_coordinates() if isinstance(c, (Jet, Momentum))]
+        fibre = sorted(filter(is_fibre, e.free_coordinates()), key=_akey)
         return substitute(e, {c: self.value(c) for c in fibre})
 
 

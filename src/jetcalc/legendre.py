@@ -6,16 +6,22 @@ admissible Lagrangians are quadratic in the top jets with a
 parameter-constant Hessian block.  The solve is exact: one fraction-free
 Bareiss elimination and back-substitution give the Cramer numerators and
 the determinant, with parameter monomials the only permitted denominators.
+L is never expanded on the inversion.  Once every Hessian entry is checked
+free of the exchanged jets x, L = L0 + b.x + 1/2 x.A x exactly, so
+p.x - L = 1/2 (p - b).x - L0.  Since L holds no momenta, H is h with each
+top momentum p^sigma replaced by its slot sum sym(sigma), plus the pairing
+of the slots of order below k - 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .coords import Jet, Momentum, Parameter
-from .expr import (Expr, ExprError, ONE, ZERO, divide, partial_derivative,
-                   substitute)
+from .expr import (Expr, ExprError, ONE, ZERO, _akey, divide,
+                   partial_derivative, substitute)
 from .multiindex import MultiIndex, all_multiindices, multiindices_up_to
 from .problem import LagrangianProblem
 from .variational import (Equation, EquationSet, _cascade_row, _slot_atom,
@@ -114,11 +120,12 @@ def _solve_linear(A, b):
 
 
 def _exchange(L: Expr, momenta: dict, check):
-    """Exchange the jets phi_mu named by the keys (fld, mu) of ``momenta``
-    for those momenta: solve dL/dphi_mu = momenta[(fld, mu)], in which L
-    must be quadratic; ``check`` vets each entry of the Hessian of L in
-    those jets.  Returns the inversion {(fld, mu): Expr} and
-    sum p phi_mu - L on it."""
+    """Exchange the jets x = phi_mu named by the keys (fld, mu) of ``momenta``
+    for those momenta p: solve dL/dx = p.  ``check`` vets each entry of the
+    Hessian A of L in x; one that passes is free of x, so L = L0 + b.x +
+    1/2 x.A x exactly (L0 and b = dL/dx at x = 0), the rows read A x = p - b,
+    and p.x - L = 1/2 (p - b).x - L0 on the inversion.  Returns the
+    inversion {(fld, mu): Expr} and that value."""
     unknowns = list(momenta)
     kill = {Jet(fld, mi): ZERO for fld, mi in unknowns}
     A = []
@@ -132,17 +139,17 @@ def _exchange(L: Expr, momenta: dict, check):
             row.append(entry)
         A.append(row)
         rhs.append(momenta[(fld, mi)] - substitute(dL, kill))
-    inversion = dict(zip(unknowns, _solve_linear(A, rhs)))
-    pairing = Expr.sum(p * Expr.atom(Jet(fld, mi))
-                       for (fld, mi), p in momenta.items())
-    return inversion, substitute(pairing - L, {
-        Jet(fld, mi): x for (fld, mi), x in inversion.items()})
+    x = _solve_linear(A, rhs)
+    return dict(zip(unknowns, x)), (
+        Fraction(1, 2) * Expr.sum(r * xi for r, xi in zip(rhs, x))
+        - substitute(L, kill))
 
 
 def _check_hessian_entry(e: Expr, order: int):
-    for c in e.free_coordinates():
-        if isinstance(c, Jet) and c.mi.order >= order:
-            raise LegendreError("Lagrangian is not quadratic in the top jets")
+    coords = sorted(e.free_coordinates(), key=_akey)
+    if any(isinstance(c, Jet) and c.mi.order >= order for c in coords):
+        raise LegendreError("Lagrangian is not quadratic in the top jets")
+    for c in coords:
         if not isinstance(c, Parameter):
             raise LegendreError(
                 "top-jet Hessian must be parameter-constant "
@@ -158,8 +165,9 @@ def legendre_top(problem: LagrangianProblem) -> LegendreData:
     """Exchange the order-k jets for the symmetric top momenta.
 
     h = sum p^mu phi_mu - L on the inversion;  H = sum over all slots of
-    p^{mu lam} phi_{mu+lam} - L on the inversion, the combined velocity
-    pairing restricted to holonomic first jets.
+    p^{mu lam} phi_{mu+lam} - L on it (the combined velocity pairing
+    restricted to holonomic first jets); the slots of order k - 1 pair as
+    sum_sigma sym(sigma) phi_sigma, so H = h(p^sigma -> sym(sigma)) + lower.
     """
     if problem.constraints:
         raise LegendreError("Legendre transform of a constrained problem "
@@ -170,16 +178,14 @@ def legendre_top(problem: LagrangianProblem) -> LegendreData:
     inversion, h = _exchange(L, sym_atoms,
                              lambda e: _check_hessian_entry(e, k))
 
-    pairing_all = Expr.sum(
+    lower = Expr.sum(
         _slot_atom(fld, mi, lam) * Expr.atom(Jet(fld, mi.bump(lam)))
         for fld in problem.fields
-        for mi in multiindices_up_to(n, k - 1)
+        for mi in multiindices_up_to(n, k - 2)
         for lam in range(1, n + 1))
     slot_sym = {Momentum(fld, mi): _sym_atom(fld, mi)
                 for fld, mi in sym_atoms}
-    slot_inversion = {Jet(fld, mi): substitute(e, slot_sym)
-                      for (fld, mi), e in inversion.items()}
-    H = substitute(pairing_all - L, slot_inversion)
+    H = substitute(h, slot_sym) + lower
     return LegendreData(h=h, hamiltonian=H, inversion=inversion)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .coords import Jet, Momentum, Multiplier
-from .expr import Expr, ZERO
+from .expr import Expr, ZERO, _akey
 
 
 class ProblemError(ValueError):
@@ -39,7 +39,7 @@ class LagrangianProblem:
         for e, what in [(self.lagrangian, "lagrangian")] + [
             (c, "constraint") for c in self.constraints
         ]:
-            for a in e.free_coordinates():
+            for a in sorted(e.free_coordinates(), key=_akey):
                 if isinstance(a, (Momentum, Multiplier)):
                     raise ProblemError(f"{what} may not contain {a!r}")
                 if isinstance(a, Jet) and a.mi.order > self.k:

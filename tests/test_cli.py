@@ -179,3 +179,48 @@ class TestDeterminism:
         code1, doc1 = invoke(capsys, "verify-all", "--seed", "5")
         code2, doc2 = invoke(capsys, "verify-all", "--seed", "5")
         assert (code1, doc1) == (code2, doc2)
+
+    def test_error_text_independent_of_hash_seed(self, lagfile):
+        # every Hessian entry holds several offending coordinates; the
+        # refusal must not depend on the iteration order of a set of atoms
+        path = lagfile("base 2; field u; order 1; "
+                       "lagrangian (u+u[1,0]+u[0,1]+x1)^6;")
+        src = os.path.dirname(os.path.dirname(jetcalc.__file__))
+        errors = set()
+        for seed in range(6):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+            proc = subprocess.run(
+                [sys.executable, "-m", "jetcalc.cli", "legendre", path],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 2
+            errors.add(proc.stderr)
+        assert errors == {
+            "error: Lagrangian is not quadratic in the top jets\n"}
+
+    def test_named_coordinate_independent_of_hash_seed(self):
+        # a section value and a Lagrangian with several offending atoms:
+        # each error names the first of them in canonical order
+        snippet = (
+            "from jetcalc import *\n"
+            "u = lambda *mi: Expr.atom(Jet('u', MultiIndex(mi)))\n"
+            "p = Expr.atom(Momentum('u', MultiIndex((0,)), 1))\n"
+            "for build in (lambda: SectionData({Jet('u', MultiIndex((0,))):"
+            " p + u(1) + u(0)}),\n"
+            "              lambda: LagrangianProblem(1, ('u',), 1,"
+            " p * u(3) + u(2) + p)):\n"
+            "    try:\n"
+            "        build()\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+        src = os.path.dirname(os.path.dirname(jetcalc.__file__))
+        outputs = set()
+        for seed in range(6):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+            proc = subprocess.run([sys.executable, "-c", snippet],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert outputs == {
+            "section value for u contains fibre atom u\n"
+            "lagrangian depends on jet u[2] beyond order k=1\n"}

@@ -10,12 +10,16 @@ from jetcalc import (Base, Expr, Jet, LagrangianProblem, Momentum, MultiIndex,
                      substitute)
 from jetcalc.expr import ZERO, ExprError, divide
 from jetcalc.legendre import (LegendreError, SingularLegendreError,
-                              _bareiss_det, _solve_linear, energy_legendre,
-                              field_hamiltonian_first_order,
+                              _bareiss_det, _check_hessian_entry,
+                              _check_time_entry, _solve_linear,
+                              energy_legendre, field_hamiltonian_first_order,
                               hamilton_equations, legendre_top)
-from jetcalc.randgen import _int_det, random_quadratic_lagrangian
-from jetcalc.variational import (canonical_momenta, cascade_equations,
-                                 evaluate_on_momenta, jet_partial)
+from jetcalc.multiindex import all_multiindices, multiindices_up_to
+from jetcalc.randgen import (_int_det, jet_atoms, random_polynomial,
+                             random_quadratic_lagrangian)
+from jetcalc.variational import (_slot_atom, _sym_atom, canonical_momenta,
+                                 cascade_equations, evaluate_on_momenta,
+                                 jet_partial)
 
 MI = MultiIndex
 
@@ -406,9 +410,9 @@ def _cramer_reference(A, b):
     return out
 
 
-def _outcome(solve, A, b):
+def _outcome(fn, *args):
     try:
-        return ("ok", solve(A, b))
+        return ("ok", fn(*args))
     except LegendreError as exc:
         return (type(exc), str(exc))
 
@@ -421,3 +425,135 @@ def test_int_det_matches_sympy():
             if rng.random() < 0.3:
                 H[-1] = list(H[0])  # a singular draw now and then
             assert _int_det(H) == int(sympy.Matrix(H).det())
+
+
+# -- the transforms by substitution, the reference for the identities -------
+
+def _reference_exchange(L, momenta, check):
+    """Solve dL/dphi_mu = p for the exchanged jets and evaluate
+    sum p phi_mu - L on the inversion by substituting it into L."""
+    unknowns = list(momenta)
+    kill = {Jet(fld, mi): ZERO for fld, mi in unknowns}
+    A, rhs = [], []
+    for fld, mi in unknowns:
+        dL = jet_partial(L, fld, mi)
+        row = []
+        for fld2, mi2 in unknowns:
+            entry = partial_derivative(dL, Jet(fld2, mi2))
+            check(entry)
+            row.append(entry)
+        A.append(row)
+        rhs.append(momenta[(fld, mi)] - substitute(dL, kill))
+    inversion = dict(zip(unknowns, _solve_linear(A, rhs)))
+    pairing = Expr.sum(p * Expr.atom(Jet(fld, mi))
+                       for (fld, mi), p in momenta.items())
+    return inversion, substitute(pairing - L, {
+        Jet(fld, mi): x for (fld, mi), x in inversion.items()})
+
+
+def _reference_top(problem):
+    """(inversion, h, H): H = the full slot pairing - L on the inversion
+    with every top momentum replaced by its slot sum."""
+    n, k, L = problem.n, problem.k, problem.lagrangian
+    sym = {(fld, mi): Expr.atom(Momentum(fld, mi))
+           for fld in problem.fields for mi in all_multiindices(n, k)}
+    inversion, h = _reference_exchange(
+        L, sym, lambda e: _check_hessian_entry(e, k))
+    pairing_all = Expr.sum(
+        _slot_atom(fld, mi, lam) * Expr.atom(Jet(fld, mi.bump(lam)))
+        for fld in problem.fields
+        for mi in multiindices_up_to(n, k - 1)
+        for lam in range(1, n + 1))
+    slot_sym = {Momentum(fld, mi): _sym_atom(fld, mi) for fld, mi in sym}
+    slot_inversion = {Jet(fld, mi): substitute(e, slot_sym)
+                      for (fld, mi), e in inversion.items()}
+    return inversion, h, substitute(pairing_all - L, slot_inversion)
+
+
+def _reference_energy(problem, t):
+    n = problem.n
+    t_mi, zero = MI.unit(n, t), MI.zero(n)
+    momenta = {(fld, t_mi): Expr.atom(Momentum(fld, zero, t))
+               for fld in problem.fields}
+    try:
+        return _reference_exchange(problem.lagrangian, momenta,
+                                   _check_time_entry)[1]
+    except SingularLegendreError:
+        raise SingularLegendreError(
+            "degenerate time-direction Hessian") from None
+
+
+def _top(problem):
+    data = legendre_top(problem)
+    return data.inversion, data.h, data.hamiltonian
+
+
+TWO_FIELD = [
+    # parameters in the Hessian, 1/a in the terms linear in the top jets
+    "1/2*a*u[1]^2 + 1/2*a*v[1]^2 + u*v[1]/a + x1*u[1] - v^2/a",
+    "1/2*u[1]^2 + 1/2*v[1]^2 + u*u[1]/a + 1/2*u[1]*v[1] + a*v*v[1] + u*v",
+    # the coupling c*u[1]*v[1]: det -c^2 solves, det a*b - c^2 is refused
+    "1/2*a*u[1]^2 + c*u[1]*v[1] + u*v[1]/a + x1*u[1] + a*c*u*v",
+    "1/2*a*u[1]^2 + 1/2*b*v[1]^2 + c*u[1]*v[1] + u*v[1]",
+    "1/2*a*u[1]^2 + 1/2*v[1]^2 + u*u[1]/a + u[1]*v[1] - v^2/a",
+    # refused before the solve
+    "u*u[1]^2 + v[1]^2",
+    "u[1]^3 + v[1]^2",
+]
+
+TWO_FIELD_2D = [
+    "1/2*a*u[1,0]^2 - 1/2*u[0,1]^2 + c*u[1,0]*v[1,0] + v[0,1]^2"
+    " + u[0,1]*v[0,1] + u*v[0,1]/a + x2*u[1,0]*v",
+    "1/2*u[1,0]^2/a + 1/2*u[0,1]^2 + v[1,0]^2 + u[1,0]*v[0,1] + u*u[0,1]"
+    " + v*v[0,1]/a",
+]
+
+
+def _two_field(source, n, k=1):
+    prob0 = LagrangianProblem(n, ("u", "v"), k, Expr(), (), ("a", "b", "c"))
+    L = parse_expr(source, prob0)
+    return LagrangianProblem(n, ("u", "v"), k, L, (), ("a", "b", "c"))
+
+
+class TestIdentityAgainstSubstitution:
+    """h = 1/2 (p - b).x - L0 and H = h(p -> sym) + lower pairing give
+    exactly what substituting the inversion into L gives."""
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 2)])
+    def test_random_quadratic(self, n, k):
+        for seed in range(3):
+            rng = random.Random(500 + 10 * n + k + 100 * seed)
+            prob = random_quadratic_lagrangian(rng, n, k)
+            # terms linear in the top jets with state coefficients make
+            # b = dL/dx at x = 0 nonzero
+            L = prob.lagrangian + Expr.sum(
+                Expr.atom(Jet("u", mi))
+                * random_polynomial(rng, jet_atoms(n, k - 1), 2, 2)
+                for mi in all_multiindices(n, k) if rng.random() < 0.5)
+            for lag in (prob.lagrangian, L):
+                p = LagrangianProblem(n, ("u",), k, lag)
+                got = _outcome(_top, p)
+                assert got[0] == "ok"
+                assert got == _outcome(_reference_top, p), (n, k, seed)
+
+    def test_two_field_parametric(self):
+        problems = [_two_field(s, 1) for s in TWO_FIELD]
+        problems += [_two_field(s, 2) for s in TWO_FIELD_2D]
+        problems.append(_two_field(
+            "1/2*a*u[2]^2 + c*u[2]*v[2] + u[1]*v[2]/a + u*v*u[2] + v[1]^2",
+            1, 2))
+        outcomes = [_outcome(_top, p) for p in problems]
+        assert outcomes == [_outcome(_reference_top, p) for p in problems]
+        assert sum(o[0] == "ok" for o in outcomes) >= 5
+
+    def test_energy_two_field(self):
+        solved = 0
+        for source in TWO_FIELD_2D + [
+                "1/2*u[1,0]^2 - 1/2*u[0,1]^2 + v[1,0]^2 + u[1,0]*v[1,0]"
+                " + 1/2*v[0,1]^2 + a*u[1,0]*v[0,1] + u*v*v[1,0]/a"]:
+            prob = _two_field(source, 2)
+            for t in (1, 2):
+                got = _outcome(energy_legendre, prob, t)
+                assert got == _outcome(_reference_energy, prob, t), (source, t)
+                solved += got[0] == "ok"
+        assert solved >= 5
