@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coords import Jet, Momentum
-from .expr import Expr, ZERO, partial_derivative, total_divergence
+from .expr import Expr, ZERO, _akey, partial_derivative, total_divergence
 from .multiindex import multiindices_up_to
 from .problem import LagrangianProblem
 from .variational import (Equation, EquationSet, MomentumAssignment,
@@ -37,7 +37,7 @@ def _fields_of(F, fields=None) -> tuple:
 
 def _validate(F):
     for lam, e in enumerate(F, start=1):
-        for c in e.free_coordinates():
+        for c in sorted(e.free_coordinates(), key=_akey):
             if isinstance(c, Momentum):
                 raise DivergenceError(
                     f"F^{lam} contains a momentum atom {c!r}")

@@ -6,19 +6,28 @@ the fixed coordinate order and like terms merged.  Equality of canonical
 forms therefore decides equality of the underlying functions, which is what
 every theorem check in the package reduces to.
 
+A stored coefficient is a nonzero ``int``, or a ``Fraction`` whose
+denominator is not 1: integral results are stored as ``int``, so the common
+integer case never pays for ``Fraction`` arithmetic, and every quotient of
+coefficients goes through ``Fraction`` (never ``int / int``).
+
 Atoms are the coordinates of :mod:`jetcalc.coords` plus opaque function
-applications.  Parameters may carry negative exponents (they are symbolic
-constants, so 1/m is legal); every other atom is restricted to a plain
-polynomial role.
+applications.  They are interned (one object per value), so monomials
+compare atoms by identity and order them by the sort key each atom stored
+when it was built.  Parameters may carry negative exponents (they are
+symbolic constants, so 1/m is legal); every other atom is restricted to a
+plain polynomial role.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key
+from numbers import Rational
 
-from .coords import Base, Coordinate, Jet, Momentum, Multiplier, Parameter
+from .coords import (AtomBase, Base, Coordinate, Interned, Jet, Momentum,
+                     Multiplier, Parameter)
 
 _RANK_OPAQUE = 5
 
@@ -27,20 +36,25 @@ class ExprError(Exception):
     """Illegal algebraic operation (bad division, bad exponent, ...)."""
 
 
-@dataclass(frozen=True)
-class OpaqueCall:
+@dataclass(frozen=True, eq=False)
+class OpaqueCall(AtomBase, metaclass=Interned):
     """An opaque function symbol applied to argument expressions.
 
     ``derivs[i]`` counts formal derivatives with respect to the i-th argument
     slot; markers are symmetric by construction (only counts are stored).
-    Distinct marker/argument combinations are independent atoms.
+    Distinct marker/argument combinations are independent atoms; equal
+    ones (equal canonical arguments) are one interned object.
     """
 
     name: str
     derivs: tuple[int, ...]
     args: tuple["Expr", ...]
 
-    def sort_key(self):
+    @classmethod
+    def _canonical(cls, name, derivs, args):
+        return name, tuple(derivs), tuple(args)
+
+    def _make_sort_key(self):
         return (
             _RANK_OPAQUE,
             self.name,
@@ -71,9 +85,9 @@ class OpaqueCall:
 Atom = Coordinate | OpaqueCall
 
 
-@lru_cache(maxsize=None)
 def _akey(atom):
-    return atom.sort_key()
+    """The canonical sort key of an atom, stored when it was interned."""
+    return atom._sort_key
 
 
 def _mul_monomials(m1, m2):
@@ -85,13 +99,13 @@ def _mul_monomials(m1, m2):
     while i < len(m1) and j < len(m2):
         a1, e1 = m1[i]
         a2, e2 = m2[j]
-        if a1 == a2:
+        if a1 is a2:
             e = e1 + e2
             if e:
                 out.append((a1, e))
             i += 1
             j += 1
-        elif _akey(a1) < _akey(a2):
+        elif a1._sort_key < a2._sort_key:
             out.append(m1[i])
             i += 1
         else:
@@ -100,6 +114,18 @@ def _mul_monomials(m1, m2):
     out.extend(m1[i:])
     out.extend(m2[j:])
     return tuple(out)
+
+
+def _coeff(value):
+    """``value`` in stored form: an ``int`` when integral, else a
+    ``Fraction``.  A float or any other non-rational type is refused."""
+    if value.__class__ is int:
+        return value
+    if value.__class__ is not Fraction:
+        if not isinstance(value, Rational):
+            raise TypeError(f"coefficient {value!r} is not an int or a Fraction")
+        value = Fraction(value)
+    return value if value.denominator != 1 else value.numerator
 
 
 class Expr:
@@ -114,18 +140,19 @@ class Expr:
             for mon, coeff in terms.items():
                 if any(e < 0 and not isinstance(a, Parameter) for a, e in mon):
                     raise ExprError("negative power of a non-parameter atom")
-                c = Fraction(coeff)
+                c = _coeff(coeff)
                 if c:
-                    clean[mon] = clean.get(mon, 0) + c
-            clean = {m: c for m, c in clean.items() if c}
+                    clean[mon] = c
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_cached_key", None)
 
     @classmethod
     def _trusted(cls, terms: dict) -> "Expr":
-        """Adopt ``terms`` as is: every coefficient must already be a nonzero
-        ``Fraction``.  The dict is owned by the new Expr from here on."""
+        """Adopt ``terms`` as is: every coefficient must already be in stored
+        form, a nonzero ``int`` or a ``Fraction`` with denominator other
+        than 1, and every monomial a sorted tuple of (interned atom,
+        exponent) pairs.  The dict is owned by the new Expr from here on."""
         e = object.__new__(cls)
         object.__setattr__(e, "_terms", terms)
         object.__setattr__(e, "_hash", None)
@@ -134,6 +161,9 @@ class Expr:
 
     def __setattr__(self, *a):
         raise AttributeError("Expr is immutable")
+
+    def __reduce__(self):
+        return Expr._trusted, (self._terms,)
 
     # -- constructors ------------------------------------------------------
 
@@ -148,12 +178,12 @@ class Expr:
 
     @staticmethod
     def const(value) -> "Expr":
-        c = Fraction(value)
+        c = _coeff(value)
         return Expr._trusted({(): c} if c else {})
 
     @staticmethod
     def atom(a: Atom) -> "Expr":
-        return Expr._trusted({((a, 1),): Fraction(1)})
+        return Expr._trusted({((a, 1),): 1})
 
     # -- canonical identity ------------------------------------------------
 
@@ -193,7 +223,7 @@ class Expr:
             return Fraction(0)
         if not self.is_constant():
             raise ExprError(f"not a constant: {self}")
-        return next(iter(self._terms.values()))
+        return Fraction(next(iter(self._terms.values())))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -275,25 +305,31 @@ def _coerce(v) -> Expr:
 
 def _fold(acc: dict, terms) -> None:
     """Add (monomial, coefficient) pairs into ``acc`` in place.  Monomials
-    that cancel are deleted, so ``acc`` keeps only nonzero coefficients."""
+    that cancel are deleted and integral sums stored as ``int``, so ``acc``
+    keeps only nonzero coefficients in stored form."""
     for m, c in terms:
         s = acc.get(m)
         if s is None:
             acc[m] = c
         else:
             s += c
-            if s:
+            if not s:
+                del acc[m]
+            elif s.__class__ is int or s.denominator != 1:
                 acc[m] = s
             else:
-                del acc[m]
+                acc[m] = s.numerator
 
 
 def _mul_terms(t1: dict, t2: dict):
     """The (monomial, coefficient) pairs of the product of two term dicts,
-    like terms not yet merged."""
+    like terms not yet merged, coefficients in stored form."""
     for m1, c1 in t1.items():
         for m2, c2 in t2.items():
-            yield _mul_monomials(m1, m2), c1 * c2
+            c = c1 * c2
+            if c.__class__ is not int and c.denominator == 1:
+                c = c.numerator
+            yield _mul_monomials(m1, m2), c
 
 
 # -- differentiation -------------------------------------------------------
@@ -310,7 +346,7 @@ def _chain_rule(a: OpaqueCall, derive) -> Expr:
 
 
 def _atom_partial(a: Atom, c: Coordinate) -> Expr:
-    if a == c:
+    if a is c:
         return ONE
     if isinstance(a, OpaqueCall):
         return _chain_rule(a, lambda arg: partial_derivative(arg, c))
@@ -423,7 +459,7 @@ def _div_single_term(num: Expr, den: Expr) -> Expr:
         m = _mul_monomials(mon, neg)
         if any(e < 0 and not isinstance(a, Parameter) for a, e in m):
             raise ExprError(f"division by non-constant expression: {den}")
-        terms[m] = coeff / dcoeff
+        terms[m] = _coeff(Fraction(coeff, dcoeff))
     # Distinct monomials stay distinct and no coefficient becomes zero.
     return Expr._trusted(terms)
 
@@ -440,13 +476,13 @@ def _cmp_monomials(m1, m2) -> int:
     while i < len(m1) or j < len(m2):
         a1 = m1[i] if i < len(m1) else None
         a2 = m2[j] if j < len(m2) else None
-        if a1 is not None and a2 is not None and a1[0] == a2[0]:
+        if a1 is not None and a2 is not None and a1[0] is a2[0]:
             if a1[1] != a2[1]:
                 return 1 if a1[1] > a2[1] else -1
             i += 1
             j += 1
             continue
-        if a2 is None or (a1 is not None and _akey(a1[0]) < _akey(a2[0])):
+        if a2 is None or (a1 is not None and a1[0]._sort_key < a2[0]._sort_key):
             return 1 if a1[1] > 0 else -1
         return -1 if a2[1] > 0 else 1
     return 0
@@ -488,7 +524,7 @@ def divide(num: Expr, den: Expr) -> Expr:
         qmon = _div_monomials(rmon, lead_mon)
         if qmon is None:
             raise ExprError(f"inexact division: {num} by {den}")
-        qterm = Expr({qmon: rcoeff / lead_coeff})
+        qterm = Expr({qmon: Fraction(rcoeff, lead_coeff)})
         quotient = quotient + qterm
         rem = rem - qterm * den
     return quotient

@@ -40,13 +40,12 @@ class MultiIndex(tuple):
     def order(self) -> int:
         return sum(self)
 
-    def add(self, other: "MultiIndex") -> "MultiIndex":
-        if len(self) != len(other):
-            raise ValueError("multi-index dimension mismatch")
-        return MultiIndex(a + b for a, b in zip(self, other))
-
     def bump(self, direction: int) -> "MultiIndex":
-        return self.add(MultiIndex.unit(len(self), direction))
+        """self + e_direction, built straight from the (valid) entries."""
+        if not 1 <= direction <= len(self):
+            raise ValueError(f"direction {direction} out of range 1..{len(self)}")
+        i = direction - 1
+        return tuple.__new__(MultiIndex, self[:i] + (self[i] + 1,) + self[i + 1:])
 
     def drop(self, direction: int) -> "MultiIndex | None":
         """self - e_direction, or None if the entry is already zero."""

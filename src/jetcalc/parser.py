@@ -47,6 +47,7 @@ _TOKEN_RE = re.compile(
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} at line {line}, column {col}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -82,8 +83,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Tokens:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
+    """A cursor over a token list that ends with an ``eof`` token."""
+
+    def __init__(self, toks: list[_Token]):
+        self.toks = toks
         self.i = 0
 
     def peek(self) -> _Token:
@@ -320,7 +323,12 @@ def parse_expr(text: str, problem: LagrangianProblem,
     the bound (reports legitimately contain jets above k, e.g. from total
     derivatives in the cascade).
     """
-    toks = _Tokens(text)
+    return _parse_tokens(_tokenize(text), problem, max_jet_order)
+
+
+def _parse_tokens(tokens: list[_Token], problem: LagrangianProblem,
+                  max_jet_order: int | None = None) -> Expr:
+    toks = _Tokens(tokens)
     e = _ExprParser(toks, problem, max_jet_order).parse()
     t = toks.peek()
     if t.kind != "eof":
@@ -328,18 +336,22 @@ def parse_expr(text: str, problem: LagrangianProblem,
     return e
 
 
-def _parse_stmt_expr(src: str, problem: LagrangianProblem, what: str,
-                     line: int, col: int, **kw) -> Expr:
+def _parse_stmt_expr(tokens: list[_Token], problem: LagrangianProblem,
+                     what: str) -> Expr:
+    """Parse one statement's token slice; an error keeps the location of
+    the offending token and names the statement."""
     try:
-        return parse_expr(src, problem, **kw)
+        return _parse_tokens(tokens, problem)
     except ParseError as exc:
-        msg = str(exc).rsplit(" at line ", 1)[0]
-        raise ParseError(f"{msg} (in {what} statement)", line, col) from None
+        raise ParseError(f"{exc.message} (in {what} statement)",
+                         exc.line, exc.col) from None
 
 
 def parse_problem(text: str) -> ProblemFile:
-    """Parse a full problem file."""
-    toks = _Tokens(text)
+    """Parse a full problem file.  The file is tokenized once: each
+    expression statement keeps its token slice, parsed once the
+    declarations are known."""
+    toks = _Tokens(_tokenize(text))
     n = k = None
     fields: list[str] = []
     params: list[str] = []
@@ -360,8 +372,9 @@ def parse_problem(text: str) -> ProblemFile:
                                  L if L is not None else Expr(),
                                  tuple(cons), tuple(params), dict(opaques))
 
-    def read_expr_source() -> str:
-        # capture raw text up to ';' so expressions parse after headers
+    def read_expr_tokens() -> list[_Token]:
+        # the tokens up to ';', closed by an eof at the ';', so expressions
+        # parse after the headers
         depth = 0
         parts = []
         while True:
@@ -374,8 +387,8 @@ def parse_problem(text: str) -> ProblemFile:
                 depth += 1
             if t.text in (")", "]", "}"):
                 depth -= 1
-            parts.append(toks.next().text)
-        return " ".join(parts)
+            parts.append(toks.next())
+        return parts + [_Token("eof", "", t.line, t.col)]
 
     def read_int(what: str) -> int:
         t = toks.next()
@@ -426,73 +439,71 @@ def parse_problem(text: str) -> ProblemFile:
         elif stmt == "lagrangian":
             if lagrangian is not None:
                 raise ParseError("duplicate 'lagrangian' statement", t.line, t.col)
-            lagrangian = (read_expr_source(), t.line, t.col)
+            lagrangian = read_expr_tokens()
             toks.expect(";")
         elif stmt == "constraint":
-            deferred.append(("constraint", read_expr_source(), t.line, t.col))
+            deferred.append(("constraint", read_expr_tokens(), t.line, t.col))
             toks.expect(";")
         elif stmt == "fcomponent":
-            deferred.append(("fcomponent", read_expr_source(), t.line, t.col))
+            deferred.append(("fcomponent", read_expr_tokens(), t.line, t.col))
             toks.expect(";")
         elif stmt == "poly":
             if poly_src is not None:
                 raise ParseError("duplicate 'poly' statement", t.line, t.col)
-            poly_src = (read_expr_source(), t.line, t.col)
+            poly_src = read_expr_tokens()
             toks.expect(";")
         elif stmt == "vfield":
             name = toks.next().text
             toks.expect("=")
-            deferred.append((f"vfield:{name}", read_expr_source(), t.line, t.col))
+            deferred.append((f"vfield:{name}", read_expr_tokens(), t.line, t.col))
             toks.expect(";")
         elif stmt == "section":
             toks.expect("{")
             while toks.peek().text != "}":
                 start = toks.peek()
-                lhs_parts = []
+                lhs = []
                 while toks.peek().text != "=":
                     if toks.peek().kind == "eof":
                         toks.error("unterminated section block")
-                    lhs_parts.append(toks.next().text)
-                toks.expect("=")
-                rhs = read_expr_source()
+                    lhs.append(toks.next())
+                eq = toks.expect("=")
+                lhs.append(_Token("eof", "", eq.line, eq.col))
+                rhs = read_expr_tokens()
                 toks.expect(";")
-                section_stmts.append((" ".join(lhs_parts), rhs,
-                                      start.line, start.col))
+                section_stmts.append((lhs, rhs, start.line, start.col))
             toks.expect("}")
         else:
             raise ParseError(f"unknown statement {stmt!r}", t.line, t.col)
 
     bare = problem_so_far()
-    L = (_parse_stmt_expr(lagrangian[0], bare, "lagrangian",
-                          lagrangian[1], lagrangian[2])
+    L = (_parse_stmt_expr(lagrangian, bare, "lagrangian")
          if lagrangian is not None else Expr())
-    cons = [_parse_stmt_expr(src, bare, "constraint", line, col)
+    cons = [_parse_stmt_expr(src, bare, "constraint")
             for kind, src, line, col in deferred if kind == "constraint"]
     problem = problem_so_far(L, cons)
 
     pf = ProblemFile(problem=problem)
     for kind, src, line, col in deferred:
         if kind == "fcomponent":
-            pf.fvector.append(_parse_stmt_expr(src, problem, "fcomponent",
-                                               line, col))
+            pf.fvector.append(_parse_stmt_expr(src, problem, "fcomponent"))
         elif kind.startswith("vfield:"):
             fld = kind.split(":", 1)[1]
             if fld not in problem.fields:
                 raise ParseError(f"vfield for unknown field {fld!r}", line, col)
-            pf.vfields[fld] = _parse_stmt_expr(src, problem, "vfield", line, col)
+            pf.vfields[fld] = _parse_stmt_expr(src, problem, "vfield")
     if poly_src is not None:
-        pf.poly = _parse_stmt_expr(poly_src[0], problem, "poly",
-                                   poly_src[1], poly_src[2])
+        pf.poly = _parse_stmt_expr(poly_src, problem, "poly")
     if section_stmts:
         assign = {}
-        for lhs_src, rhs_src, line, col in section_stmts:
-            lhs = _parse_stmt_expr(lhs_src, problem, "section", line, col)
+        for lhs_toks, rhs_toks, line, col in section_stmts:
+            lhs = _parse_stmt_expr(lhs_toks, problem, "section")
             atoms = lhs.atoms()
             if len(atoms) != 1 or lhs != Expr.atom(next(iter(atoms))):
+                lhs_src = " ".join(t.text for t in lhs_toks[:-1])
                 raise ParseError(f"section key must be a single slot: {lhs_src}",
                                  line, col)
-            assign[next(iter(atoms))] = _parse_stmt_expr(rhs_src, problem,
-                                                         "section", line, col)
+            assign[next(iter(atoms))] = _parse_stmt_expr(rhs_toks, problem,
+                                                         "section")
         pf.section = assign
     if pf.fvector and len(pf.fvector) != problem.n:
         end = toks.peek()

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coords import Jet, Momentum
-from .expr import Expr, ZERO, total_derivative_multi
+from .expr import Expr, ZERO, _akey, total_derivative_multi
 from .forms import VectorField
 from .multiindex import MultiIndex, multiindices_up_to
 
@@ -25,7 +25,7 @@ class VerticalField:
 
     def __post_init__(self):
         for fld, psi in self.coefficients.items():
-            for c in psi.free_coordinates():
+            for c in sorted(psi.free_coordinates(), key=_akey):
                 if isinstance(c, Momentum):
                     raise ProlongationError(
                         f"vertical field coefficient for {fld} contains {c!r}")

@@ -101,6 +101,19 @@ class TestCommands:
         assert err.startswith("error:") and err.count("\n") == 1
         assert where in err
 
+    @pytest.mark.parametrize("source,where", [
+        ("base 1;\nfield u;\norder 2;\n\nlagrangian\n  u[2]^2\n  + w*u;",
+         "unknown identifier 'w' (in lagrangian statement) at line 7, column 5"),
+        ("base 1;\nfield u;\norder 2;\nlagrangian u[2]^2;\n"
+         "section {\n  u =\n    x1 +;\n}",
+         "unexpected token '' (in section statement) at line 7, column 9"),
+    ])
+    def test_expression_error_at_offending_token(self, capsys, lagfile,
+                                                 source, where):
+        # a statement spanning lines reports the token, not its first line
+        assert run(["el", lagfile(source)]) == 2
+        assert capsys.readouterr().err == f"error: {where}\n"
+
     def test_missing_file_exit_2(self, capsys):
         assert run(["el", "/nonexistent/x.lag"]) == 2
 
@@ -224,3 +237,29 @@ class TestDeterminism:
         assert outputs == {
             "section value for u contains fibre atom u\n"
             "lagrangian depends on jet u[2] beyond order k=1\n"}
+
+    def test_momentum_refusal_independent_of_hash_seed(self):
+        # two momenta in one divergence component and in one vertical field
+        # coefficient: each refusal names the first in canonical order
+        snippet = (
+            "from jetcalc import *\n"
+            "u = Expr.atom(Jet('u', MultiIndex((0,))))\n"
+            "p = lambda *mi: Expr.atom(Momentum('u', MultiIndex(mi), 1))\n"
+            "for build in (lambda: divergence_lagrangian([p(1) * u + p(0)]),\n"
+            "              lambda: VerticalField({'u': u * p(1) + p(0)})):\n"
+            "    try:\n"
+            "        build()\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+        src = os.path.dirname(os.path.dirname(jetcalc.__file__))
+        outputs = set()
+        for seed in range(6):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+            proc = subprocess.run([sys.executable, "-c", snippet],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert outputs == {
+            "F^1 contains a momentum atom p[u;0;1]\n"
+            "vertical field coefficient for u contains p[u;0;1]\n"}

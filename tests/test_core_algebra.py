@@ -1,8 +1,10 @@
 """Core algebra: multi-indices, expressions, derivatives, parsing."""
 
+import copy
 import functools
 import itertools
 import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from jetcalc import (
     Base, Expr, ExprError, Jet, LagrangianProblem, Momentum, MultiIndex,
-    OpaqueCall, Parameter, ParseError, divide, multiindex_factor,
+    Multiplier, OpaqueCall, Parameter, ParseError, divide, multiindex_factor,
     parse_expr, partial_derivative, substitute, to_dsl, total_derivative,
     total_derivative_multi,
 )
@@ -56,6 +58,14 @@ class TestMultiIndex:
     def test_weights_sum_to_n_power_l(self, n, l):
         total = sum(mi.weight() for mi in all_multiindices(n, l))
         assert total == n ** l
+
+    def test_bump_adds_a_unit_and_checks_the_direction(self):
+        mi = MultiIndex((1, 0, 2))
+        assert mi.bump(2) == (1, 1, 2) and type(mi.bump(2)) is MultiIndex
+        assert mi.bump(3).order == 4
+        for bad in (0, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                mi.bump(bad)
 
     def test_weight_matches_enumeration(self):
         for mi in all_multiindices(2, 3):
@@ -215,7 +225,10 @@ def small_exprs(draw):
 
 def _assert_canonical(e: Expr):
     for mon, c in e._terms.items():
-        assert type(c) is Fraction and c != 0, (mon, c)
+        # stored form: an int, or a Fraction that is not integral
+        assert (type(c) is int
+                or type(c) is Fraction and c.denominator != 1), (mon, c)
+        assert c != 0, (mon, c)
         assert all(x != 0 for _, x in mon), mon
         assert all(x > 0 or isinstance(a, Parameter) for a, x in mon), mon
         keys = [_akey(a) for a, _ in mon]
@@ -269,6 +282,93 @@ def test_no_zero_or_non_fraction_coefficient_stored(a, b, lam):
               partial_derivative(a, Base(1)),
               total_derivative(a, lam), *quotients):
         _assert_canonical(e)
+
+
+# -- the representation: interned atoms, coefficients in stored form
+
+
+@st.composite
+def atom_builders(draw):
+    """A function of no arguments that builds one atom from fresh values."""
+    fld = draw(st.sampled_from(["u", "v"]))
+    mi = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    n = len(mi)
+    last = draw(st.integers(1, n))
+    derivs = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    mu = draw(st.integers(1, 4))
+    return draw(st.sampled_from([
+        lambda: Base(mu),
+        lambda: Jet(fld, MultiIndex(mi)),
+        lambda: Momentum(fld, MultiIndex(mi), last, MultiIndex(derivs)),
+        lambda: Momentum(fld, MultiIndex(mi)),
+        lambda: Multiplier(mu),
+        lambda: Parameter(fld * mu),
+        lambda: OpaqueCall("U", (0, mu), (Expr.atom(Base(mu)),
+                                          2 * Expr.atom(Jet(fld, MultiIndex(mi))))),
+    ]))
+
+
+@_KERNEL
+@given(atom_builders())
+def test_equal_construction_gives_one_atom(build):
+    a = build()
+    assert build() is a
+    assert _akey(a) == a.sort_key()
+    assert copy.copy(a) is a and copy.deepcopy(a) is a
+    assert pickle.loads(pickle.dumps(a)) is a
+
+
+@_KERNEL
+@given(st.integers(1, 3), st.data())
+def test_order_one_symmetric_momentum_is_the_slot(n, data):
+    mu = data.draw(st.integers(1, n))
+    e_mu, zero = MultiIndex.unit(n, mu), MultiIndex.zero(n)
+    slot = Momentum("u", zero, mu)
+    assert Momentum("u", e_mu) is slot
+    assert Momentum("u", e_mu, None, zero) is slot
+    assert Momentum(fld="u", mi=tuple(e_mu)) is slot
+    assert slot.mi == zero and slot.last == mu and slot.derivs == zero
+
+
+@_KERNEL
+@given(small_exprs(), small_exprs())
+def test_opaque_call_with_equal_arguments_is_one_atom(e, f):
+    def rebuilt(x):
+        # an equal expression built afresh, its terms in reverse order
+        return Expr(dict(reversed(list(x._terms.items()))))
+    a = OpaqueCall("W", (0, 1), (e, f))
+    assert OpaqueCall("W", [0, 1], [rebuilt(e), rebuilt(f)]) is a
+    assert pickle.loads(pickle.dumps(a)) is a
+    assert OpaqueCall("W", (1, 0), (e, f)) is not a
+
+
+def test_coefficients_in_stored_form():
+    half = Expr.const(Fraction(1, 2))
+    for e, want in ((half + half, 1), (half * 4, 2), (Expr.const(Fraction(6, 3)), 2)):
+        ((mon, c),) = e._terms.items()
+        assert mon == () and type(c) is int and c == want
+    assert type(Expr.const(3).as_fraction()) is Fraction
+    assert half.as_fraction() == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Expr({(): 0.5})
+    with pytest.raises(TypeError):
+        Expr.const(0.5)
+
+
+def test_quotient_step_stays_exact(monkeypatch):
+    # int / int would be a float: a/3 must come out as Fraction(1, 3), in
+    # the one quotient step that a^2 + a = (a/3)(3a + 3) takes
+    import jetcalc.expr
+    steps = []
+    real = jetcalc.expr._div_monomials
+    monkeypatch.setattr(jetcalc.expr, "_div_monomials",
+                        lambda m1, m2: steps.append(m1) or real(m1, m2))
+    a = Expr.atom(Parameter("a"))
+    q = divide(a ** 2 + a, 3 * a + 3)
+    assert q == a / 3 and len(steps) == 1
+    ((mon, c),) = q._terms.items()
+    assert mon == ((Parameter("a"), 1),)
+    assert type(c) is Fraction and c == Fraction(1, 3)
 
 
 class TestParser:
