@@ -57,12 +57,10 @@ def trivial_momenta(F, fields=None) -> MomentumAssignment:
     """The non-symmetric representative p^{mu lam} := dF^lam / dphi_mu."""
     data = divergence_lagrangian(F, fields)
     n, l = len(data.components), data.order
-    slots = {}
-    for fld in data.fields:
-        for mi in multiindices_up_to(n, l - 1):
-            for lam in range(1, n + 1):
-                slots[(fld, mi, lam)] = partial_derivative(
-                    data.components[lam - 1], Jet(fld, mi))
+    slots = {(fld, mi, lam): partial_derivative(data.components[lam - 1],
+                                                Jet(fld, mi))
+             for fld, mi, lam in MomentumAssignment.grid_keys(
+                 n, data.fields, l)}
     return MomentumAssignment(n, data.fields, l, slots)
 
 
@@ -79,8 +77,7 @@ def verify_divergence_trivial(F, fields=None) -> EquationSet:
         for mi in multiindices_up_to(n, l):
             lhs = jet_partial(data.lagrangian, fld, mi)
             if mi.order <= l - 1:
-                lhs = lhs - total_divergence(
-                    m.slot(fld, mi, lam) for lam in range(1, n + 1))
+                lhs = lhs - m.divergence(fld, mi)
             rhs = m.symmetric_part(fld, mi) if mi.order >= 1 else ZERO
             mi_s = ",".join(map(str, mi))
             rows.append(Equation(f"{fld}:residual[{mi_s}]", lhs, rhs))
@@ -104,10 +101,8 @@ def momentum_shift(m: MomentumAssignment, F, direction: str = "forward",
     order = max(m.order, l)
     sign = 1 if direction == "forward" else -1
     slots = {}
-    for fld in m.fields:
-        for mi in multiindices_up_to(m.n, order - 1):
-            for lam in range(1, m.n + 1):
-                value = m.slots.get((fld, mi, lam), ZERO)
-                delta = partial_derivative(F[lam - 1], Jet(fld, mi))
-                slots[(fld, mi, lam)] = value + (delta if sign == 1 else -delta)
+    for fld, mi, lam in MomentumAssignment.grid_keys(m.n, m.fields, order):
+        value = m.slots.get((fld, mi, lam), ZERO)
+        delta = partial_derivative(F[lam - 1], Jet(fld, mi))
+        slots[(fld, mi, lam)] = value + (delta if sign == 1 else -delta)
     return MomentumAssignment(m.n, m.fields, order, slots)

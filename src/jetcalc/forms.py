@@ -9,10 +9,11 @@ coefficients, so equality of forms is equality of coefficient tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .coords import (Base, Coordinate, Jet, Momentum, Multiplier, Parameter,
                      is_fibre)
-from .expr import (Expr, ZERO, _akey, partial_derivative, substitute,
+from .expr import (Expr, ONE, ZERO, _akey, partial_derivative, substitute,
                    total_derivative_multi)
 from .multiindex import multiindices_up_to
 
@@ -52,20 +53,31 @@ class ExteriorForm:
     __slots__ = ("degree", "terms")
 
     def __init__(self, degree: int, terms: dict | None = None):
-        canonical: dict = {}
-        for factors, coeff in (terms or {}).items():
+        """``terms`` maps factor tuples to coefficients; see :meth:`sum`."""
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "terms", ExteriorForm.sum(
+            degree, terms.items()).terms if terms else {})
+
+    @staticmethod
+    def sum(degree: int, pairs) -> "ExteriorForm":
+        """The form of degree ``degree`` summing (factors, coefficient)
+        ``pairs``.  Each factor tuple, in any order, is sorted with the sign
+        of its permutation (a repeated factor gives zero), and the
+        coefficients of one sorted tuple are added by one ``Expr.sum``."""
+        groups: dict = {}
+        for factors, coeff in pairs:
             for f in factors:
                 _check_basis(f)
             if len(factors) != degree:
                 raise FormsError("mixed-degree form rejected")
             sign, facs = _sorted_factors(factors)
-            if sign == 0:
-                continue
-            c = coeff if sign == 1 else -coeff
-            canonical[facs] = canonical.get(facs, ZERO) + c
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms",
-                           {f: c for f, c in canonical.items() if not c.is_zero()})
+            if sign:
+                groups.setdefault(facs, []).append(coeff if sign == 1 else -coeff)
+        form = ExteriorForm(degree)
+        terms = {facs: Expr.sum(cs) for facs, cs in groups.items()}
+        object.__setattr__(form, "terms",
+                           {f: c for f, c in terms.items() if not c.is_zero()})
+        return form
 
     def __setattr__(self, *a):
         raise AttributeError("ExteriorForm is immutable")
@@ -80,7 +92,7 @@ class ExteriorForm:
 
     @staticmethod
     def d_coordinate(c: Coordinate) -> "ExteriorForm":
-        return ExteriorForm(1, {(_check_basis(c),): Expr.const(1)})
+        return ExteriorForm(1, {(c,): ONE})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -95,10 +107,8 @@ class ExteriorForm:
     def __add__(self, other: "ExteriorForm") -> "ExteriorForm":
         if self.degree != other.degree:
             raise FormsError("cannot add forms of different degree")
-        terms = dict(self.terms)
-        for f, c in other.terms.items():
-            terms[f] = terms.get(f, ZERO) + c
-        return ExteriorForm(self.degree, terms)
+        return ExteriorForm.sum(self.degree, chain(self.terms.items(),
+                                                   other.terms.items()))
 
     def __neg__(self):
         return ExteriorForm(self.degree, {f: -c for f, c in self.terms.items()})
@@ -138,31 +148,24 @@ def _form_term_str(facs, coeff) -> str:
 
 def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     """Graded-antisymmetric product; degree adds."""
-    terms: dict = {}
-    for fa, ca in a.terms.items():
-        for fb, cb in b.terms.items():
-            sign, facs = _sorted_factors(fa + fb)
-            if sign == 0:
-                continue
-            c = ca * cb if sign == 1 else -(ca * cb)
-            terms[facs] = terms.get(facs, ZERO) + c
-    return ExteriorForm(a.degree + b.degree, terms)
+    return ExteriorForm.sum(a.degree + b.degree,
+                            ((fa + fb, ca * cb)
+                             for fa, ca in a.terms.items()
+                             for fb, cb in b.terms.items()))
 
 
 def exterior_derivative(a: ExteriorForm) -> ExteriorForm:
     """d in coordinates: differentials of every coordinate the coefficients
     actually depend on, wedged in front.  dd = 0."""
-    terms: dict = {}
+    pairs = []
     for facs, coeff in a.terms.items():
         for c in coeff.free_coordinates():
             if isinstance(c, (Parameter, Multiplier)):
                 continue
             dc = partial_derivative(coeff, c)
-            if dc.is_zero():
-                continue
-            key = (c,) + facs
-            terms[key] = terms.get(key, ZERO) + dc
-    return ExteriorForm(a.degree + 1, terms)
+            if not dc.is_zero():
+                pairs.append(((c,) + facs, dc))
+    return ExteriorForm.sum(a.degree + 1, pairs)
 
 
 @dataclass(frozen=True)
@@ -187,18 +190,14 @@ def interior_product(X: VectorField, a: ExteriorForm) -> ExteriorForm:
     """Contraction in the first slot with graded signs; degree drops by one."""
     if a.degree < 1:
         raise FormsError("interior product needs degree >= 1")
-    terms: dict = {}
+    pairs = []
     for facs, coeff in a.terms.items():
         for i, f in enumerate(facs):
             comp = X.component(f)
-            if comp.is_zero():
-                continue
-            rest = facs[:i] + facs[i + 1:]
-            c = coeff * comp
-            if i % 2:
-                c = -c
-            terms[rest] = terms.get(rest, ZERO) + c
-    return ExteriorForm(a.degree - 1, terms)
+            if not comp.is_zero():
+                c = coeff * comp
+                pairs.append((facs[:i] + facs[i + 1:], -c if i % 2 else c))
+    return ExteriorForm.sum(a.degree - 1, pairs)
 
 
 class SectionData:
@@ -248,23 +247,22 @@ class SectionData:
 def pullback_section(a: ExteriorForm, sigma: SectionData) -> ExteriorForm:
     """sigma^* a: substitute fibre atoms and expand fibre differentials as
     sum_lam d_lam(value) dx^lam; the result lives over the base."""
-    out = ExteriorForm.zero(a.degree)
+    pairs = []
     for facs, coeff in a.terms.items():
-        term = ExteriorForm.scalar(sigma.evaluate(coeff))
+        # the expanded wedge of the factors, a repeated dx^mu left out
+        products = [((), sigma.evaluate(coeff))]
         for f in facs:
             if isinstance(f, Base):
-                one_form = ExteriorForm.d_coordinate(f)
+                one_form = [(f, ONE)]
             else:
                 value = sigma.value(f)
-                pieces: dict = {}
-                for mu in range(1, sigma.n + 1):
-                    dv = partial_derivative(value, Base(mu))
-                    if not dv.is_zero():
-                        pieces[(Base(mu),)] = dv
-                one_form = ExteriorForm(1, pieces)
-            term = wedge(term, one_form)
-        out = out + term
-    return out
+                one_form = [(Base(mu), partial_derivative(value, Base(mu)))
+                            for mu in range(1, sigma.n + 1)]
+            products = [(bases + (b,), c * dv) for bases, c in products
+                        for b, dv in one_form
+                        if b not in bases and not dv.is_zero()]
+        pairs += products
+    return ExteriorForm.sum(a.degree, pairs)
 
 
 def holonomic_section(problem, profiles: dict, jet_order: int,

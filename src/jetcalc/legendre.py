@@ -22,10 +22,10 @@ from fractions import Fraction
 from .coords import Jet, Momentum, Parameter
 from .expr import (Expr, ExprError, ONE, ZERO, _akey, divide,
                    partial_derivative, substitute)
-from .multiindex import MultiIndex, all_multiindices, multiindices_up_to
+from .multiindex import MultiIndex, all_multiindices
 from .problem import LagrangianProblem
-from .variational import (Equation, EquationSet, _cascade_row, _slot_atom,
-                          _slot_divergence, _sym_atom, jet_partial)
+from .variational import (Equation, EquationSet, MomentumAssignment,
+                          _cascade_row, jet_partial)
 
 
 class LegendreError(ValueError):
@@ -178,12 +178,12 @@ def legendre_top(problem: LagrangianProblem) -> LegendreData:
     inversion, h = _exchange(L, sym_atoms,
                              lambda e: _check_hessian_entry(e, k))
 
+    p = MomentumAssignment.symbolic(n, problem.fields, k)
     lower = Expr.sum(
-        _slot_atom(fld, mi, lam) * Expr.atom(Jet(fld, mi.bump(lam)))
-        for fld in problem.fields
-        for mi in multiindices_up_to(n, k - 2)
-        for lam in range(1, n + 1))
-    slot_sym = {Momentum(fld, mi): _sym_atom(fld, mi)
+        p.slot(fld, mi, lam) * Expr.atom(Jet(fld, mi.bump(lam)))
+        for fld, mi, lam in MomentumAssignment.grid_keys(
+            n, problem.fields, k - 1))
+    slot_sym = {Momentum(fld, mi): p.symmetric_part(fld, mi)
                 for fld, mi in sym_atoms}
     H = substitute(h, slot_sym) + lower
     return LegendreData(h=h, hamiltonian=H, inversion=inversion)
@@ -195,6 +195,7 @@ def hamilton_equations(problem: LagrangianProblem) -> EquationSet:
     n, k = problem.n, problem.k
     data = legendre_top(problem)
     h = data.h
+    p = MomentumAssignment.symbolic(n, problem.fields, k)
     rows = []
     for fld in problem.fields:
         for mi in all_multiindices(n, k):
@@ -205,8 +206,7 @@ def hamilton_equations(problem: LagrangianProblem) -> EquationSet:
         for order in range(k - 1, -1, -1):
             for mi in all_multiindices(n, order):
                 rows.append(_cascade_row(
-                    fld, mi, -partial_derivative(h, Jet(fld, mi))
-                    - _slot_divergence(fld, mi, n)))
+                    p, fld, mi, -partial_derivative(h, Jet(fld, mi))))
     return EquationSet(rows)
 
 

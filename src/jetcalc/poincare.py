@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from .coords import Base, Jet, Momentum, Parameter
 from .expr import Expr, ZERO, divide
 from .forms import (ExteriorForm, SectionData, VectorField,
-                    exterior_derivative, interior_product, pullback_section,
-                    wedge)
+                    exterior_derivative, interior_product, pullback_section)
 from .legendre import legendre_top
 from .multiindex import MultiIndex, multiindices_up_to
 from .parser import parse_expr
 from .problem import LagrangianProblem
-from .variational import Equation, EquationSet
+from .variational import Equation, EquationSet, MomentumAssignment
 
 
 @dataclass(frozen=True)
@@ -32,19 +31,6 @@ class PCForm:
     hamiltonian: Expr
 
 
-def _volume_contraction(n: int, lam: int) -> ExteriorForm:
-    """The vector density basis element in coordinates: the volume form with
-    dx^lam removed, signed so that dx^lam wedged in front restores d^n x."""
-    facs = tuple(Base(mu) for mu in range(1, n + 1) if mu != lam)
-    form = ExteriorForm(n - 1, {facs: Expr.const(1)})
-    return form if lam % 2 == 1 else -form
-
-
-def volume_form(n: int) -> ExteriorForm:
-    return ExteriorForm(n, {tuple(Base(mu) for mu in range(1, n + 1)):
-                            Expr.const(1)})
-
-
 def pc_form(problem: LagrangianProblem,
             hamiltonian: Expr | None = None) -> PCForm:
     """Omega = sum dp^{mu lam} ^ dx^1 ^ ... ^ dphi_mu (lam-th place) ^ ...
@@ -54,15 +40,14 @@ def pc_form(problem: LagrangianProblem,
     which Omega consists of the dp-blocks alone)."""
     n, k = problem.n, problem.k
     H = legendre_top(problem).hamiltonian if hamiltonian is None else hamiltonian
-    theta = ExteriorForm.zero(n)
-    for fld in problem.fields:
-        for mi in multiindices_up_to(n, k - 1):
-            for lam in range(1, n + 1):
-                block = wedge(ExteriorForm.d_coordinate(Jet(fld, mi)),
-                              _volume_contraction(n, lam))
-                theta = theta + block.scale(
-                    Expr.atom(Momentum(fld, mi, lam)))
-    theta = theta - volume_form(n).scale(H)
+    volume = tuple(Base(mu) for mu in range(1, n + 1))
+    # dphi_mu in front of d^n x without dx^lam stands lam - 1 places left
+    # of the lam-th place: sign (-1)^(lam - 1)
+    theta = ExteriorForm.sum(n, [
+        ((Jet(fld, mi),) + volume[:lam - 1] + volume[lam:],
+         p if lam % 2 else -p)
+        for (fld, mi, lam), p in MomentumAssignment.symbolic(
+            n, problem.fields, k).slots.items()] + [(volume, -H)])
     return PCForm(omega=exterior_derivative(theta), theta=theta, hamiltonian=H)
 
 
@@ -86,12 +71,11 @@ def multisymplectic_residuals(problem: LagrangianProblem,
             X = VectorField.of({Jet(fld, mi): Expr.const(1)})
             mi_s = ",".join(map(str, mi))
             rows.append(Equation(f"dphi:{fld}[{mi_s}]", coefficient(X), ZERO))
-        for mi in multiindices_up_to(n, k - 1):
-            for lam in range(1, n + 1):
-                X = VectorField.of({Momentum(fld, mi, lam): Expr.const(1)})
-                mi_s = ",".join(map(str, mi))
-                rows.append(Equation(f"dp:{fld}[{mi_s};{lam}]",
-                                     coefficient(X), ZERO))
+        for _, mi, lam in MomentumAssignment.grid_keys(n, (fld,), k):
+            X = VectorField.of({Momentum(fld, mi, lam): Expr.const(1)})
+            mi_s = ",".join(map(str, mi))
+            rows.append(Equation(f"dp:{fld}[{mi_s};{lam}]",
+                                 coefficient(X), ZERO))
     return EquationSet(rows)
 
 

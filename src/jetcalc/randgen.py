@@ -17,12 +17,13 @@ from .multiindex import all_multiindices, multiindices_up_to
 from .problem import LagrangianProblem
 
 
-def random_polynomial(rng: random.Random, atoms, degree: int, terms: int,
-                      lo: int = -3, hi: int = 3) -> Expr:
-    """Sum of random monomials in the given atoms with integer coefficients."""
+def random_polynomial(rng: random.Random, atoms, degree: int,
+                      terms: int) -> Expr:
+    """Sum of random monomials in the given atoms with integer coefficients
+    in [-3, 3]."""
     monomials = []
     for _ in range(terms):
-        coeff = rng.randint(lo, hi)
+        coeff = rng.randint(-3, 3)
         mon = Expr.const(coeff)
         for _ in range(rng.randint(0, degree)):
             mon = mon * Expr.atom(rng.choice(atoms))
@@ -30,11 +31,10 @@ def random_polynomial(rng: random.Random, atoms, degree: int, terms: int,
     return Expr.sum(monomials)
 
 
-def jet_atoms(n: int, order: int, fld: str = "u", include_base: bool = True):
-    atoms = [Jet(fld, mi) for mi in multiindices_up_to(n, order)]
-    if include_base:
-        atoms += [Base(mu) for mu in range(1, n + 1)]
-    return atoms
+def jet_atoms(n: int, order: int):
+    """The jets of the field u up to ``order``, then the base coordinates."""
+    return ([Jet("u", mi) for mi in multiindices_up_to(n, order)]
+            + [Base(mu) for mu in range(1, n + 1)])
 
 
 def random_lagrangian(rng: random.Random, n: int, k: int,

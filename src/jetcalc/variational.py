@@ -7,15 +7,20 @@ of the prefix, which makes the total symmetrization a plain sum:
 
     S[sigma] = sum_lam slot[sigma - e_lam, lam],      1 <= |sigma| <= k.
 
-The cascade, the currents and the gauge propagation below are all written in
-this storage; the weights from ``multiindex_factor`` enter exactly where the
-symmetric-list formulas require them.
+``MomentumAssignment`` owns this convention: it walks the slot grid
+(``grid_keys``), forms S (``symmetric_part``) and the slot-row divergence
+sum_lam D_lam slot[mu, lam] (``divergence``), and ``symbolic`` gives the
+slots as the momentum atoms p^{mu|lam} themselves, so the cascade, the
+currents and the Legendre and Poincare-Cartan modules never spell out the
+storage.  The one weighted descent, slot[nu, lam] = weight(nu) * V[nu + e_lam],
+serves both the canonical momenta and the gauge propagation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .coords import Base, Jet, Momentum, Multiplier
 from .expr import (Expr, ZERO, partial_derivative, substitute,
@@ -59,9 +64,10 @@ class EquationSet:
                 return r
         raise KeyError(label)
 
-    def residuals(self, skip_definitional: bool = True):
+    def residuals(self):
+        """(label, lhs - rhs) for every row but the definitional ``def:`` rows."""
         return [(r.label, r.residual()) for r in self.rows
-                if not (skip_definitional and r.label.startswith("def:"))]
+                if not r.label.startswith("def:")]
 
     def all_zero(self) -> bool:
         return all(res.is_zero() for _, res in self.residuals())
@@ -83,16 +89,22 @@ class MomentumAssignment:
         self.slots = dict(slots)
 
     @staticmethod
-    def grid_keys(n: int, fields, order: int):
-        for fld in fields:
-            for mi in multiindices_up_to(n, order - 1):
-                for lam in range(1, n + 1):
-                    yield (fld, mi, lam)
+    def grid_keys(n: int, fields, order: int) -> tuple:
+        """Every slot key (fld, mu, lam), 0 <= |mu| <= order - 1, in grid
+        order."""
+        return _grid_keys(n, tuple(fields), order)
 
     @classmethod
     def zero(cls, n: int, fields, order: int) -> "MomentumAssignment":
         return cls(n, fields, order,
                    {key: ZERO for key in cls.grid_keys(n, fields, order)})
+
+    @classmethod
+    def symbolic(cls, n: int, fields, order: int) -> "MomentumAssignment":
+        """Every slot (fld, mu, lam) holds the momentum atom p^{mu|lam}."""
+        return cls(n, fields, order,
+                   {key: Expr.atom(Momentum(*key))
+                    for key in cls.grid_keys(n, fields, order)})
 
     def slot(self, fld: str, mi: MultiIndex, lam: int) -> Expr:
         return self.slots[(fld, mi, lam)]
@@ -105,11 +117,26 @@ class MomentumAssignment:
         return Expr.sum(self.slot(fld, mi.drop(lam), lam)
                         for lam in mi.directions())
 
+    def divergence(self, fld: str, mi: MultiIndex) -> Expr:
+        """sum_lam D_lam slot[mi, lam], the divergence of the slot row mi."""
+        return total_divergence(self.slot(fld, mi, lam)
+                                for lam in range(1, self.n + 1))
+
     def __eq__(self, other):
         return (isinstance(other, MomentumAssignment)
                 and (self.n, self.fields, self.order) ==
                     (other.n, other.fields, other.order)
                 and self.slots == other.slots)
+
+
+@lru_cache(maxsize=256)
+def _grid_keys(n: int, fields: tuple, order: int) -> tuple:
+    # cached: every slot loop walks the grid, and rebuilding its validated
+    # multi-indices on each walk showed in profiles of the small verify-all
+    # draws
+    return tuple((fld, mi, lam) for fld in fields
+                 for mi in multiindices_up_to(n, order - 1)
+                 for lam in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -127,56 +154,53 @@ class CurrentTable:
         return isinstance(other, CurrentTable) and self.table == other.table
 
 
-def _slot_atom(fld: str, mi: MultiIndex, lam: int) -> Expr:
-    return Expr.atom(Momentum(fld, mi, lam))
-
-
-def _sym_atom(fld: str, mi: MultiIndex) -> Expr:
-    """Symbolic totally symmetric momentum of order |mi| as a slot-atom sum."""
-    return Expr.sum(_slot_atom(fld, mi.drop(lam), lam)
-                    for lam in mi.directions())
-
-
-def _slot_divergence(fld: str, mi: MultiIndex, n: int) -> Expr:
-    """sum_lam D_lam of the symbolic slot atoms p^{mi|lam}."""
-    return total_divergence(_slot_atom(fld, mi, lam) for lam in range(1, n + 1))
-
-
 def jet_partial(L: Expr, fld: str, mi: MultiIndex) -> Expr:
     return partial_derivative(L, Jet(fld, mi))
 
 
 def canonical_momenta(problem: LagrangianProblem,
                       order_cap: int = 12) -> MomentumAssignment:
-    """The symmetric representative of the canonical momenta (gauge r = 0).
-
-    Descending recursion on the common symmetric value V[mu]:
-        V[mu] = dL/dphi_mu / weight(mu)                      for |mu| = k,
-        V[mu] = dL/dphi_mu / weight(mu) - sum_lam D_lam V[mu+lam]   below,
-    with slot[nu, lam] = weight(nu) * V[nu + e_lam].
-    """
+    """The symmetric representative of the canonical momenta (gauge r = 0):
+    the weighted descent from the top order k with source dL/dphi_mu."""
     if problem.constraints:
         raise VariationalError(
             "problem has constraints; use constrained_generating_family")
     n, k, L = problem.n, problem.k, problem.lagrangian
     slots = {}
     for fld in problem.fields:
-        V: dict = {}
-        for order in range(k, 0, -1):
-            for mi in all_multiindices(n, order):
-                value = divide_weight(jet_partial(L, fld, mi), mi)
-                if order < k:
-                    value = value - total_divergence(
-                        V[mi.bump(lam)] for lam in range(1, n + 1))
-                if value.max_jet_order() > order_cap:
-                    raise VariationalError(
-                        f"momentum cascade exceeded the jet order cap {order_cap}")
-                V[mi] = value
-        for mi in multiindices_up_to(n, k - 1):
-            w = mi.weight()
-            for lam in range(1, n + 1):
-                slots[(fld, mi, lam)] = Expr.const(w) * V[mi.bump(lam)]
+        slots.update(_weighted_descent(
+            fld, n, k, {}, lambda mi: jet_partial(L, fld, mi), order_cap))
     return MomentumAssignment(n, problem.fields, k, slots)
+
+
+def _weighted_descent(fld: str, n: int, order: int, rows: dict, source,
+                      order_cap: int | None = None) -> dict:
+    """The slots below prefix order ``order`` from the rows at that order
+    (``rows`` maps (fld, mu, lam) with |mu| = order to values; empty when
+    there are none).  For |mu| = order down to 1, the common symmetric value
+
+        V[mu] = (source(mu) - sum_lam D_lam row[mu, lam]) / weight(mu)
+
+    fills the rows one order lower, slot[nu, lam] = weight(nu) * V[nu + e_lam].
+    A V beyond ``order_cap`` jets (when given) is refused."""
+    out = {}
+    for level in range(order, 0, -1):
+        V = {}
+        for mi in all_multiindices(n, level):
+            value = source(mi)
+            if rows:
+                value = value - total_divergence(
+                    rows[(fld, mi, lam)] for lam in range(1, n + 1))
+            value = divide_weight(value, mi)
+            if order_cap is not None and value.max_jet_order() > order_cap:
+                raise VariationalError(
+                    f"momentum cascade exceeded the jet order cap {order_cap}")
+            V[mi] = value
+        rows = {(fld, nu, lam): Expr.const(nu.weight()) * V[nu.bump(lam)]
+                for nu in all_multiindices(n, level - 1)
+                for lam in range(1, n + 1)}
+        out.update(rows)
+    return out
 
 
 def divide_weight(e: Expr, mi: MultiIndex) -> Expr:
@@ -192,8 +216,7 @@ def currents(problem: LagrangianProblem, m: MomentumAssignment) -> CurrentTable:
         for mi in multiindices_up_to(n, k):
             parts = [m.symmetric_part(fld, mi)] if mi.order >= 1 else []
             if mi.order <= k - 1:
-                parts.append(total_divergence(
-                    m.slot(fld, mi, lam) for lam in range(1, n + 1)))
+                parts.append(m.divergence(fld, mi))
             table[(fld, mi)] = Expr.sum(parts)
     return CurrentTable(n, k, table)
 
@@ -206,23 +229,24 @@ def cascade_equations(problem: LagrangianProblem) -> EquationSet:
         raise VariationalError(
             "problem has constraints; use constrained_generating_family")
     n, k, L = problem.n, problem.k, problem.lagrangian
+    p = MomentumAssignment.symbolic(n, problem.fields, k)
     rows = []
     for fld in problem.fields:
         for order in range(k, -1, -1):
             for mi in all_multiindices(n, order):
-                rhs = jet_partial(L, fld, mi)
-                if order < k:
-                    rhs = rhs - _slot_divergence(fld, mi, n)
-                rows.append(_cascade_row(fld, mi, rhs))
+                rows.append(_cascade_row(p, fld, mi, jet_partial(L, fld, mi)))
     return EquationSet(rows)
 
 
-def _cascade_row(fld: str, mi: MultiIndex, rhs: Expr) -> Equation:
-    """The row for the momentum of order |mi|, or the field equation at
-    mi = 0."""
+def _cascade_row(p: MomentumAssignment, fld: str, mi: MultiIndex,
+                 source: Expr) -> Equation:
+    """S[mi] = source - p.divergence(mi), the divergence absent at the top
+    order; at mi = 0 the field equation 0 = source - p.divergence(0)."""
+    rhs = source if mi.order == p.order else source - p.divergence(fld, mi)
     if mi.order == 0:
         return Equation(f"{fld}:euler", ZERO, rhs)
-    return Equation(f"{fld}:p[{','.join(map(str, mi))}]", _sym_atom(fld, mi), rhs)
+    return Equation(f"{fld}:p[{','.join(map(str, mi))}]",
+                    p.symmetric_part(fld, mi), rhs)
 
 
 def euler_lagrange(problem: LagrangianProblem, order_cap: int = 12) -> dict:
@@ -272,21 +296,17 @@ def holonomy_residual(problem: LagrangianProblem, sigma) -> EquationSet:
     definitional top rows (labelled ``def:``) that set the order-k jets."""
     n, k = problem.n, problem.k
     rows = []
-    for fld in problem.fields:
-        for mi in multiindices_up_to(n, k - 1):
-            src = sigma.value(Jet(fld, mi))
-            for lam in range(1, n + 1):
-                d = partial_derivative(src, Base(lam))
-                target = mi.bump(lam)
-                mi_s = ",".join(map(str, mi))
-                if mi.order <= k - 2:
-                    rows.append(Equation(
-                        f"{fld}:d{lam}:phi[{mi_s}]",
-                        d, sigma.value(Jet(fld, target))))
-                else:
-                    rows.append(Equation(
-                        f"def:{fld}:phi[{','.join(map(str, target))}]:d{lam}",
-                        Expr.atom(Jet(fld, target)), d))
+    for fld, mi, lam in MomentumAssignment.grid_keys(n, problem.fields, k):
+        d = partial_derivative(sigma.value(Jet(fld, mi)), Base(lam))
+        target = mi.bump(lam)
+        if mi.order <= k - 2:
+            rows.append(Equation(
+                f"{fld}:d{lam}:phi[{','.join(map(str, mi))}]",
+                d, sigma.value(Jet(fld, target))))
+        else:
+            rows.append(Equation(
+                f"def:{fld}:phi[{','.join(map(str, target))}]:d{lam}",
+                Expr.atom(Jet(fld, target)), d))
     return EquationSet(rows)
 
 
@@ -294,13 +314,12 @@ def gauge_part(m: MomentumAssignment, level: int) -> dict:
     """The non-symmetric part r of the level's slots: slot minus the
     weighted symmetric-group average; its total symmetrization vanishes."""
     out = {}
-    for fld in m.fields:
-        for mi in all_multiindices(m.n, level - 1):
-            for lam in range(1, m.n + 1):
-                target = mi.bump(lam)
-                avg = m.symmetric_part(fld, target) * Expr.const(
-                    Fraction(mi.weight(), target.weight()))
-                out[(fld, mi, lam)] = m.slot(fld, mi, lam) - avg
+    for fld, mi, lam in MomentumAssignment.grid_keys(m.n, m.fields, m.order):
+        if mi.order == level - 1:
+            target = mi.bump(lam)
+            avg = m.symmetric_part(fld, target) * Expr.const(
+                Fraction(mi.weight(), target.weight()))
+            out[(fld, mi, lam)] = m.slot(fld, mi, lam) - avg
     return out
 
 
@@ -340,43 +359,26 @@ def apply_momentum_gauge(m: MomentumAssignment, chi: dict) -> MomentumAssignment
     level = prefix_order + 1
     if level > m.order:
         raise VariationalError("gauge level exceeds the momentum grid")
-
-    def chi_at(fld, mi, lam):
-        return chi.get((fld, mi, lam), ZERO)
+    gauge = MomentumAssignment(
+        n, m.fields, m.order,
+        {key: chi.get(key, ZERO)
+         for key in MomentumAssignment.grid_keys(n, m.fields, m.order)})
 
     for fld in m.fields:
         for sigma in all_multiindices(n, level):
-            s = Expr.sum(chi_at(fld, sigma.drop(lam), lam)
-                         for lam in sigma.directions())
-            if not s.is_zero():
+            if not gauge.symmetric_part(fld, sigma).is_zero():
                 raise VariationalError(
                     f"gauge table has nonzero symmetrization at {sigma}")
 
     slots = dict(m.slots)
-
-    def add(fld, mi, lam, value):
-        slots[(fld, mi, lam)] = slots[(fld, mi, lam)] + value
-
     for fld in m.fields:
-        cur = {(mi, lam): chi_at(fld, mi, lam)
-               for mi in all_multiindices(n, prefix_order)
-               for lam in range(1, n + 1)}
-        for (mi, lam), v in cur.items():
-            add(fld, mi, lam, v)
-        for v_order in range(prefix_order, 0, -1):
-            # divergence of the current level, distributed symmetrically below
-            G = {}
-            for mu in all_multiindices(n, v_order):
-                g = total_divergence(cur[(mu, lam)] for lam in range(1, n + 1))
-                G[mu] = divide_weight(-g, mu)
-            nxt = {}
-            for nu in all_multiindices(n, v_order - 1):
-                w = nu.weight()
-                for lam in range(1, n + 1):
-                    nxt[(nu, lam)] = Expr.const(w) * G[nu.bump(lam)]
-            for (nu, lam), v in nxt.items():
-                add(fld, nu, lam, v)
-            cur = nxt
+        top = {key: v for key, v in gauge.slots.items()
+               if key[0] == fld and key[1].order == prefix_order}
+        # the divergence of each level, distributed symmetrically below
+        top.update(_weighted_descent(fld, n, prefix_order, top,
+                                     lambda mi: ZERO))
+        for key, v in top.items():
+            slots[key] = slots[key] + v
     return MomentumAssignment(m.n, m.fields, m.order, slots)
 
 
@@ -399,14 +401,15 @@ def constrained_generating_family(problem: LagrangianProblem) -> EquationSet:
     if problem.k != 1:
         raise VariationalError("constrained cascade is stated at first order")
     n = problem.n
+    p = MomentumAssignment.symbolic(n, problem.fields, 1)
     rows = []
     zero_mi = MultiIndex.zero(n)
     for fld in problem.fields:
         for lam in range(1, n + 1):
             rows.append(Equation(
-                f"{fld}:p[{lam}]", _slot_atom(fld, zero_mi, lam),
+                f"{fld}:p[{lam}]", p.slot(fld, zero_mi, lam),
                 _with_multipliers(problem, fld, MultiIndex.unit(n, lam))))
-        rows.append(Equation(f"{fld}:euler", _slot_divergence(fld, zero_mi, n),
+        rows.append(Equation(f"{fld}:euler", p.divergence(fld, zero_mi),
                              _with_multipliers(problem, fld, zero_mi)))
     return EquationSet(rows)
 

@@ -114,6 +114,19 @@ class TestCommands:
         assert run(["el", lagfile(source)]) == 2
         assert capsys.readouterr().err == f"error: {where}\n"
 
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_momentum_order_cap_exit_2(self, capsys, lagfile, cap):
+        # V[2] = u[2] passes cap 2 but not 1; V[1] = -u[3] passes neither
+        path = lagfile(BEAM)
+        assert run(["momenta", path, "--order-cap", str(cap)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: momentum cascade exceeded the jet order cap {cap}\n"
+
+    def test_momentum_order_cap_3_passes(self, capsys, lagfile):
+        code, doc = invoke(capsys, "momenta", lagfile(BEAM), "--order-cap", "3")
+        assert code == 0
+        assert doc["result"] == {"p[u;0;1]": "-u[3]", "p[u;1;1]": "u[2]"}
+
     def test_missing_file_exit_2(self, capsys):
         assert run(["el", "/nonexistent/x.lag"]) == 2
 

@@ -1,11 +1,14 @@
 """Exterior algebra: wedge, d, contraction, pullback."""
 
+import functools
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetcalc import Base, Expr, Jet, Momentum, MultiIndex, OpaqueCall, Parameter
-from jetcalc.expr import divide
+from jetcalc.expr import ZERO, divide
 from jetcalc.forms import (ExteriorForm, FormsError, SectionData, VectorField,
                            exterior_derivative, interior_product,
                            pullback_section, wedge)
@@ -155,3 +158,44 @@ class TestConstruction:
 
     def test_repeated_factor_dropped(self):
         assert ExteriorForm(2, {(T, T): Expr.const(5)}).is_zero()
+
+
+# -- the one form builder against pairwise addition
+
+_FACTORS = (T, Base(2), Q, Jet("q", MultiIndex((1,))), P)
+_COEFFS = (Expr.const(1), Expr.const(-1), Expr.const(2), Expr.atom(Q),
+           -Expr.atom(Q), Expr.atom(T) * Expr.atom(P))
+
+
+def _reference_terms(pairs) -> dict:
+    """Sort by counting inversions, drop repeats, add coefficients one by one."""
+    acc: dict = {}
+    for factors, coeff in pairs:
+        if len(set(factors)) < len(factors):
+            continue
+        keys = [f.sort_key() for f in factors]
+        inversions = sum(keys[i] > keys[j] for i in range(len(keys))
+                         for j in range(i + 1, len(keys)))
+        facs = tuple(sorted(factors, key=lambda f: f.sort_key()))
+        acc[facs] = acc.get(facs, ZERO) + (-coeff if inversions % 2 else coeff)
+    return {f: c for f, c in acc.items() if not c.is_zero()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3), st.data())
+def test_sum_matches_pairwise_addition(degree, data):
+    pairs = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        factors = tuple(data.draw(st.lists(st.sampled_from(_FACTORS),
+                                           min_size=degree, max_size=degree)))
+        coeff = data.draw(st.sampled_from(_COEFFS))
+        pairs.append((factors, coeff))
+        # the same factors again, permuted, with the opposite coefficient
+        if data.draw(st.booleans()):
+            pairs.append((tuple(data.draw(st.permutations(factors))), -coeff))
+    got = ExteriorForm.sum(degree, pairs)
+    assert got == functools.reduce(
+        operator.add, (ExteriorForm(degree, {f: c}) for f, c in pairs),
+        ExteriorForm.zero(degree))
+    assert got.degree == degree
+    assert got.terms == _reference_terms(pairs)

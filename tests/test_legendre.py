@@ -17,11 +17,21 @@ from jetcalc.legendre import (LegendreError, SingularLegendreError,
 from jetcalc.multiindex import all_multiindices, multiindices_up_to
 from jetcalc.randgen import (_int_det, jet_atoms, random_polynomial,
                              random_quadratic_lagrangian)
-from jetcalc.variational import (_slot_atom, _sym_atom, canonical_momenta,
-                                 cascade_equations, evaluate_on_momenta,
-                                 jet_partial)
+from jetcalc.variational import (canonical_momenta, cascade_equations,
+                                 evaluate_on_momenta, jet_partial)
 
 MI = MultiIndex
+
+
+def _slot_atom(fld, mi, lam):
+    """Reference: the symbolic slot p^{mi|lam}."""
+    return Expr.atom(Momentum(fld, mi, lam))
+
+
+def _sym_atom(fld, mi):
+    """Reference: the symbolic symmetric momentum S[mi] as a slot-atom sum."""
+    return Expr.sum(_slot_atom(fld, mi.drop(lam), lam)
+                    for lam in mi.directions())
 
 
 def beam():
@@ -220,7 +230,6 @@ class TestThetaTableIdentity:
         # The delta-phi / delta-p coefficient tables of theta^I and theta^H
         # differ exactly by the vertical gradient of the top pairing sum.
         from jetcalc.multiindex import all_multiindices
-        from jetcalc.variational import _slot_atom, _sym_atom
         from jetcalc import total_derivative
 
         fld = "u"

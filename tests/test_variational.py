@@ -10,6 +10,7 @@ from jetcalc import (Base, Expr, Jet, LagrangianProblem, Momentum, MultiIndex,
                      total_derivative)
 from jetcalc.expr import ZERO
 from jetcalc.forms import SectionData
+from jetcalc.multiindex import multiindices_up_to
 from jetcalc.randgen import random_gauge_table, random_lagrangian
 from jetcalc.variational import (MomentumAssignment, VariationalError,
                                  apply_momentum_gauge, canonical_momenta,
@@ -52,6 +53,31 @@ class TestCanonicalMomenta:
         prob = LagrangianProblem(1, ("u",), 2, Expr.const(7))
         m = canonical_momenta(prob)
         assert all(v.is_zero() for v in m.slots.values())
+
+
+class TestSymbolicSlots:
+    """The symbolic assignment against the slot-atom formulas it replaces."""
+
+    @staticmethod
+    def slot_atom(fld, mi, lam):
+        return Expr.atom(Momentum(fld, mi, lam))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_symmetric_part_and_divergence(self, n, k):
+        fields = ("u", "v")
+        p = MomentumAssignment.symbolic(n, fields, k)
+        assert set(p.slots) == set(MomentumAssignment.grid_keys(n, fields, k))
+        for fld in fields:
+            for mi in multiindices_up_to(n, k):
+                if mi.order >= 1:
+                    assert p.symmetric_part(fld, mi) == Expr.sum(
+                        self.slot_atom(fld, mi.drop(lam), lam)
+                        for lam in mi.directions())
+                if mi.order <= k - 1:
+                    assert p.divergence(fld, mi) == Expr.sum(
+                        total_derivative(self.slot_atom(fld, mi, lam), lam)
+                        for lam in range(1, n + 1))
 
 
 class TestCurrents:
@@ -204,8 +230,22 @@ class TestGauge:
                ("u", MI((0, 1)), 1): Expr.const(1),
                ("u", MI((1, 0)), 1): ZERO,
                ("u", MI((0, 1)), 2): ZERO}
-        with pytest.raises(VariationalError, match="symmetrization"):
+        with pytest.raises(VariationalError) as info:
             apply_momentum_gauge(m, chi)
+        assert str(info.value) == \
+            "gauge table has nonzero symmetrization at MultiIndex((1, 1))"
+
+    @pytest.mark.parametrize("chi,message", [
+        ({("u", MI((1, 0)), 1): ZERO, ("u", MI((0, 0)), 1): ZERO},
+         "gauge table must live at a single level"),
+        ({("u", MI((2, 0)), 1): ZERO},
+         "gauge level exceeds the momentum grid"),
+    ])
+    def test_level_refusals(self, chi, message):
+        m = canonical_momenta(two_dim_problem())
+        with pytest.raises(VariationalError) as info:
+            apply_momentum_gauge(m, chi)
+        assert str(info.value) == message
 
     def test_currents_invariant_under_gauge_and_symmetrization(self):
         rng = random.Random(4)
