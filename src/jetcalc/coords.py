@@ -8,7 +8,8 @@ deterministic.
 
 Atoms are interned: constructing an atom twice gives the same object, so
 equality and hashing are the identity versions inherited from ``object``,
-and each atom computes its ``sort_key()`` once, when it is first built.
+and each atom computes its ``sort_key()`` and its DSL string (``_dsl``,
+what ``repr`` gives) once, when it is first built.
 """
 
 from __future__ import annotations
@@ -58,10 +59,10 @@ class Interned(type):
 
 
 class AtomBase:
-    """Behaviour shared by the interned atom classes: the stored sort key,
-    and a reduction to the canonical field values, so that copies and
-    pickles rebuild through the intern table and return the interned
-    instance."""
+    """Behaviour shared by the interned atom classes: the stored sort key
+    and DSL string, and a reduction to the canonical field values, so that
+    copies and pickles rebuild through the intern table and return the
+    interned instance."""
 
     @classmethod
     def _canonical(cls, *args, **kwargs):
@@ -70,6 +71,7 @@ class AtomBase:
 
     def __post_init__(self):
         object.__setattr__(self, "_sort_key", self._make_sort_key())
+        object.__setattr__(self, "_dsl", self.__repr__())
 
     def sort_key(self):
         return self._sort_key

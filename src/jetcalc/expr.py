@@ -13,10 +13,13 @@ coefficients goes through ``Fraction`` (never ``int / int``).
 
 Atoms are the coordinates of :mod:`jetcalc.coords` plus opaque function
 applications.  They are interned (one object per value), so monomials
-compare atoms by identity and order them by the sort key each atom stored
-when it was built.  Parameters may carry negative exponents (they are
-symbolic constants, so 1/m is legal); every other atom is restricted to a
-plain polynomial role.
+compare atoms by identity, order them by the sort key each atom stored
+when it was built and print them with the DSL string stored next to it.
+Parameters may carry negative exponents (they are symbolic constants, so
+1/m is legal); every other atom is restricted to a plain polynomial role.
+
+Building an ``Expr`` sets only its term dict.  Its canonical sort key and
+its hash are computed on first use (the first ``hash`` or ``==``) and kept.
 """
 
 from __future__ import annotations
@@ -143,9 +146,7 @@ class Expr:
                 c = _coeff(coeff)
                 if c:
                     clean[mon] = c
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_cached_key", None)
+        _set_terms(self, clean)
 
     @classmethod
     def _trusted(cls, terms: dict) -> "Expr":
@@ -154,9 +155,7 @@ class Expr:
         than 1, and every monomial a sorted tuple of (interned atom,
         exponent) pairs.  The dict is owned by the new Expr from here on."""
         e = object.__new__(cls)
-        object.__setattr__(e, "_terms", terms)
-        object.__setattr__(e, "_hash", None)
-        object.__setattr__(e, "_cached_key", None)
+        _set_terms(e, terms)
         return e
 
     def __setattr__(self, *a):
@@ -188,8 +187,9 @@ class Expr:
     # -- canonical identity ------------------------------------------------
 
     def _key(self):
-        k = self._cached_key
-        if k is None:
+        try:
+            return self._cached_key
+        except AttributeError:
             k = tuple(
                 sorted(
                     ((tuple((_akey(a), e) for a, e in m),
@@ -198,7 +198,7 @@ class Expr:
                 )
             )
             object.__setattr__(self, "_cached_key", k)
-        return k
+            return k
 
     def __eq__(self, other):
         if not isinstance(other, Expr):
@@ -206,11 +206,12 @@ class Expr:
         return self._key() == other._key()
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = hash(self._key())
             object.__setattr__(self, "_hash", h)
-        return h
+            return h
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -291,6 +292,9 @@ class Expr:
         return max(orders, default=0)
 
 
+# The slot's own setter, past the immutability guard of ``__setattr__``.
+_set_terms = Expr._terms.__set__
+
 ZERO = Expr()
 ONE = Expr.const(1)
 
@@ -370,16 +374,21 @@ def _atom_total(a: Atom, lam: int) -> Expr:
 
 
 def _derive(e: Expr, atom_rule) -> Expr:
-    """Extend a derivation defined on atoms to the whole algebra (Leibniz)."""
+    """Extend a derivation defined on atoms to the whole algebra (Leibniz).
+    ``atom_rule`` runs once per distinct atom; its results are kept by
+    (interned) atom and only looked up, so no order depends on hashing."""
     acc: dict = {}
+    rules: dict = {}
     for mon, coeff in e._terms.items():
         for i, (a, exp) in enumerate(mon):
-            da = atom_rule(a)
-            if da.is_zero():
+            da = rules.get(a)
+            if da is None:
+                da = rules[a] = atom_rule(a)._terms
+            if not da:
                 continue
             rest = mon[:i] + ((a, exp - 1),) if exp != 1 else mon[:i]
             rest += mon[i + 1:]
-            _fold(acc, _mul_terms({rest: coeff * exp}, da._terms))
+            _fold(acc, _mul_terms({rest: coeff * exp}, da))
     return Expr._trusted(acc)
 
 
@@ -403,15 +412,25 @@ def total_divergence(row) -> Expr:
 
 
 def total_derivative_multi(e: Expr, mi, order_cap: int = 12) -> Expr:
-    """Composed total derivative D_mi (directions commute, order immaterial)."""
+    """Composed total derivative D_mi (directions commute, order immaterial).
+
+    Refuses at the first step whose result has a jet above ``order_cap``.
+    A step raises no jet order by more than one, opaque arguments included,
+    so the order is recomputed only when that bound could pass the cap."""
+    if not any(mi):
+        return e
     out = e
+    bound = e.max_jet_order()
     for direction, count in enumerate(mi, start=1):
         for _ in range(count):
             out = total_derivative(out, direction)
-            if out.max_jet_order() > order_cap:
-                raise ExprError(
-                    f"jet order exceeded cap {order_cap} during iterated total derivative"
-                )
+            bound += 1
+            if bound > order_cap:
+                bound = out.max_jet_order()
+                if bound > order_cap:
+                    raise ExprError(
+                        f"jet order exceeded cap {order_cap} during iterated total derivative"
+                    )
     return out
 
 
@@ -552,8 +571,7 @@ def _display_sorted(mon):
 
 
 def _factor_str(a: Atom, e: int) -> str:
-    s = repr(a)
-    return s if e == 1 else f"{s}^{e}"
+    return a._dsl if e == 1 else f"{a._dsl}^{e}"
 
 
 def _join_terms(e: Expr, render) -> str:
@@ -576,16 +594,16 @@ def to_dsl(e: Expr) -> str:
 
 
 def _term_dsl(mon, coeff) -> str:
-    pos = [(a, x) for a, x in _display_sorted(mon) if x > 0]
-    neg = [(a, -x) for a, x in _display_sorted(mon) if x < 0]
-    num_parts = []
-    if abs(coeff.numerator) != 1 or not pos:
-        num_parts.append(str(abs(coeff.numerator)))
-    num_parts.extend(_factor_str(a, x) for a, x in pos)
-    den_parts = []
+    num_parts, den_parts = [], []
+    for a, x in _display_sorted(mon):
+        if x > 0:
+            num_parts.append(_factor_str(a, x))
+        elif x < 0:
+            den_parts.append(_factor_str(a, -x))
+    if abs(coeff.numerator) != 1 or not num_parts:
+        num_parts.insert(0, str(abs(coeff.numerator)))
     if coeff.denominator != 1:
-        den_parts.append(str(coeff.denominator))
-    den_parts.extend(_factor_str(a, x) for a, x in neg)
+        den_parts.insert(0, str(coeff.denominator))
     s = "*".join(num_parts)
     if den_parts:
         s += "/" + (den_parts[0] if len(den_parts) == 1

@@ -1,8 +1,13 @@
-"""Multi-indices over the base directions, and the symmetric-list correspondence."""
+"""Multi-indices over the base directions, and the symmetric-list correspondence.
+
+The grids ``all_multiindices(n, order)`` are tuples memoized per (n, order)
+and shared by every caller; ``multiindices_up_to`` chains them.
+"""
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import factorial
 
 
@@ -49,11 +54,12 @@ class MultiIndex(tuple):
 
     def drop(self, direction: int) -> "MultiIndex | None":
         """self - e_direction, or None if the entry is already zero."""
-        if self[direction - 1] == 0:
+        if not 1 <= direction <= len(self):
+            raise ValueError(f"direction {direction} out of range 1..{len(self)}")
+        i = direction - 1
+        if self[i] == 0:
             return None
-        return MultiIndex(
-            e - 1 if i == direction - 1 else e for i, e in enumerate(self)
-        )
+        return tuple.__new__(MultiIndex, self[:i] + (self[i] - 1,) + self[i + 1:])
 
     def weight(self) -> int:
         """Number of distinct index arrangements, |mu|! / (mu_1! ... mu_n!)."""
@@ -85,14 +91,19 @@ def multiindex_factor(indices, n: int) -> tuple[MultiIndex, int]:
     return mi, mi.weight()
 
 
-def all_multiindices(n: int, order: int):
-    """All multi-indices with n entries and total order exactly ``order``."""
+@lru_cache(maxsize=256)
+def all_multiindices(n: int, order: int) -> tuple:
+    """All multi-indices with n entries and total order exactly ``order``,
+    highest first entry first; empty for a negative order.  The tuple is
+    memoized per (n, order) and shared by every caller."""
+    if order < 0:
+        return ()
     if n == 1:
-        yield MultiIndex((order,))
-        return
-    for head in range(order, -1, -1):
-        for tail in all_multiindices(n - 1, order - head):
-            yield MultiIndex((head,) + tuple(tail))
+        return (tuple.__new__(MultiIndex, (order,)),)
+    # (head,) + tail is a plain tuple of valid entries: wrap it unvalidated
+    return tuple(tuple.__new__(MultiIndex, (head,) + tail)
+                 for head in range(order, -1, -1)
+                 for tail in all_multiindices(n - 1, order - head))
 
 
 def multiindices_up_to(n: int, order: int):

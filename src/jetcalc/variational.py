@@ -131,9 +131,8 @@ class MomentumAssignment:
 
 @lru_cache(maxsize=256)
 def _grid_keys(n: int, fields: tuple, order: int) -> tuple:
-    # cached: every slot loop walks the grid, and rebuilding its validated
-    # multi-indices on each walk showed in profiles of the small verify-all
-    # draws
+    # cached: every slot loop walks the grid, and rebuilding its key
+    # triples on each walk showed in profiles of the small verify-all draws
     return tuple((fld, mi, lam) for fld in fields
                  for mi in multiindices_up_to(n, order - 1)
                  for lam in range(1, n + 1))

@@ -45,6 +45,10 @@ section { u = x1; u[1] = 1; p[u;;1] = 0; p[u;1;1] = 7; }
 """
 
 
+CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "corpus")
+
+
 @pytest.fixture
 def lagfile(tmp_path):
     def write(text, name="prob.lag"):
@@ -127,6 +131,20 @@ class TestCommands:
         assert code == 0
         assert doc["result"] == {"p[u;0;1]": "-u[3]", "p[u;1;1]": "u[2]"}
 
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_iterated_derivative_cap_exit_2(self, capsys, cap):
+        # D_11 of dL/du[2] = u[2] reaches u[3] after one step, u[4] after two
+        path = os.path.join(CORPUS, "beam.lag")
+        assert run(["el", path, "--order-cap", str(cap)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: jet order exceeded cap {cap} during iterated total derivative\n")
+
+    def test_iterated_derivative_cap_4_passes(self, capsys):
+        code, doc = invoke(capsys, "el", os.path.join(CORPUS, "beam.lag"),
+                           "--order-cap", "4")
+        assert code == 0
+        assert doc["result"] == {"euler_lagrange": {"u": "u[4]"}}
+
     def test_missing_file_exit_2(self, capsys):
         assert run(["el", "/nonexistent/x.lag"]) == 2
 
@@ -205,6 +223,32 @@ class TestDeterminism:
         code1, doc1 = invoke(capsys, "verify-all", "--seed", "5")
         code2, doc2 = invoke(capsys, "verify-all", "--seed", "5")
         assert (code1, doc1) == (code2, doc2)
+
+    def test_stdout_independent_of_hash_seed(self):
+        # the kernel keys dicts by identity-hashed atoms; no printed order
+        # may depend on that hashing
+        argvs = [["verify-all", "--seed", "0"]] + [
+            [cmd, os.path.join(CORPUS, name)]
+            for name in ("mechanics.lag", "coupled.lag")
+            for cmd in ("el", "legendre", "pc-form")]
+        snippet = (
+            "import contextlib, io, sys\n"
+            "from jetcalc.cli import run\n"
+            f"for argv in {argvs!r}:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = run(argv)\n"
+            "    sys.stdout.write(f'{argv} exit {code}\\n' + out.getvalue())\n")
+        src = os.path.dirname(os.path.dirname(jetcalc.__file__))
+        outputs = []
+        for seed in (0, 1):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+            proc = subprocess.run([sys.executable, "-c", snippet],
+                                  capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b" exit 0\n") == len(argvs)
 
     def test_error_text_independent_of_hash_seed(self, lagfile):
         # every Hessian entry holds several offending coordinates; the

@@ -17,7 +17,7 @@ from jetcalc import (
     total_derivative_multi,
 )
 from jetcalc.expr import ONE, ZERO, _akey
-from jetcalc.multiindex import all_multiindices
+from jetcalc.multiindex import all_multiindices, multiindices_up_to
 
 
 def problem(n=1, k=2, fields=("u",), params=(), opaques=None, L=None):
@@ -36,6 +36,17 @@ def mom(fld, mi, last=None, derivs=None):
     n = len(mi)
     return Expr.atom(Momentum(fld, MultiIndex(mi), last,
                               MultiIndex(derivs) if derivs else None))
+
+
+def _reference_grid(n, order):
+    """The multi-indices of n entries and total ``order`` as plain tuples,
+    highest first entry first; none for a negative order."""
+    if order < 0:
+        return []
+    if n == 1:
+        return [(order,)]
+    return [(head,) + tail for head in range(order, -1, -1)
+            for tail in _reference_grid(n - 1, order - head)]
 
 
 class TestMultiIndex:
@@ -66,6 +77,26 @@ class TestMultiIndex:
         for bad in (0, 4):
             with pytest.raises(ValueError, match="out of range"):
                 mi.bump(bad)
+
+    def test_drop_removes_a_unit_and_checks_the_direction(self):
+        mi = MultiIndex((1, 0, 2))
+        assert mi.drop(3) == (1, 0, 1) and type(mi.drop(3)) is MultiIndex
+        assert mi.drop(2) is None
+        for bad in (0, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                mi.drop(bad)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_grids_match_reference_recursion(self, n):
+        for order in range(-1, 7):
+            grid = all_multiindices(n, order)
+            assert type(grid) is tuple
+            assert [tuple(mi) for mi in grid] == _reference_grid(n, order)
+            assert all(type(mi) is MultiIndex for mi in grid)
+            # memoized: a repeat call returns the same shared tuple
+            assert all_multiindices(n, order) is grid
+        assert list(multiindices_up_to(n, 3)) == [
+            mi for order in range(4) for mi in all_multiindices(n, order)]
 
     def test_weight_matches_enumeration(self):
         for mi in all_multiindices(2, 3):
@@ -282,6 +313,88 @@ def test_no_zero_or_non_fraction_coefficient_stored(a, b, lam):
               partial_derivative(a, Base(1)),
               total_derivative(a, lam), *quotients):
         _assert_canonical(e)
+
+
+_DIRECTIONS = st.lists(st.integers(0, 3), min_size=2, max_size=2)
+
+
+@st.composite
+def jet_polynomials(draw):
+    """Up to four monomials in n = 2 over jets of order 0-3, x1 and, when
+    drawn, an opaque call whose argument holds a jet of order 0-3."""
+    atoms = [Jet("u", MultiIndex(mi)) for o in range(4)
+             for mi in all_multiindices(2, o)] + [Base(1)]
+    if draw(st.booleans()):
+        inner = draw(st.sampled_from(atoms))
+        atoms.append(OpaqueCall("U", (0, 0), (Expr.atom(Base(1)),
+                                              Expr.atom(inner))))
+    parts = []
+    for _ in range(draw(st.integers(0, 4))):
+        term = Expr.const(draw(st.integers(-3, 3)))
+        for a in draw(st.lists(st.sampled_from(atoms), max_size=3)):
+            term = term * Expr.atom(a)
+        parts.append(term)
+    return Expr.sum(parts)
+
+
+def _reference_multi(e, mi, cap):
+    """D_mi step by step, checking the jet order after every step; None
+    where the cap is exceeded."""
+    out = e
+    for direction, count in enumerate(mi, start=1):
+        for _ in range(count):
+            out = total_derivative(out, direction)
+            if out.max_jet_order() > cap:
+                return None
+    return out
+
+
+@_KERNEL
+@given(jet_polynomials(), _DIRECTIONS, st.integers(0, 7))
+def test_iterated_derivative_refuses_exactly_when_a_step_passes_the_cap(
+        e, mi, cap):
+    want = _reference_multi(e, mi, cap)
+    if want is None:
+        with pytest.raises(ExprError) as info:
+            total_derivative_multi(e, MultiIndex(mi), order_cap=cap)
+        assert str(info.value) == (
+            f"jet order exceeded cap {cap} during iterated total derivative")
+    else:
+        assert total_derivative_multi(e, MultiIndex(mi), order_cap=cap) == want
+
+
+# -- the lazy hash: the hash and the sort key are computed on first use
+
+_BUILDS = {
+    "Expr(terms)": lambda a, b: Expr(dict(reversed(list((a + b)._terms.items())))),
+    "Expr.sum": lambda a, b: Expr.sum([a, b]),
+    "+": lambda a, b: a + b,
+    "*": lambda a, b: a * b,
+    "partial_derivative": lambda a, b: partial_derivative(
+        a * b, Jet("u", MultiIndex((1, 0)))),
+    "substitute": lambda a, b: substitute(a, {Base(1): b}),
+    "pickle": lambda a, b: pickle.loads(pickle.dumps(a * b)),
+    "deepcopy": lambda a, b: copy.deepcopy(a + b),
+}
+
+
+@_KERNEL
+@given(small_exprs(), small_exprs(), st.sampled_from(sorted(_BUILDS)))
+def test_lazy_hash_agrees_with_equality(a, b, name):
+    build = _BUILDS[name]
+    first, second = build(a, b), build(a, b)
+    # a fresh expression has no hash yet; pickling it does not compute one
+    assert not hasattr(first, "_hash") and not hasattr(first, "_cached_key")
+    clone = pickle.loads(pickle.dumps(first))
+    assert not hasattr(first, "_hash")
+    assert first == second == clone
+    assert hash(first) == hash(second) == hash(clone) == hash(first)
+    copied = copy.deepcopy(first)
+    assert copied == first and hash(copied) == hash(first)
+    for x in (first, clone, copied):
+        for slot in ("_terms", "_hash", "_cached_key"):
+            with pytest.raises(AttributeError, match="Expr is immutable"):
+                setattr(x, slot, None)
 
 
 # -- the representation: interned atoms, coefficients in stored form
