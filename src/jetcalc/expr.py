@@ -562,12 +562,15 @@ def _div_monomials(m1, m2):
 
 # -- canonical DSL printing -------------------------------------------------
 
-_DISPLAY_RANK = {Parameter: 0, Base: 1, Jet: 2, Momentum: 3, Multiplier: 4,
-                 OpaqueCall: 5}
-
-
 def _display_sorted(mon):
-    return sorted(mon, key=lambda p: (_DISPLAY_RANK[type(p[0])], _akey(p[0])))
+    """The factors of a monomial in display order: the parameters first,
+    then the other atoms.  The stored order (Base < Jet < Momentum <
+    Multiplier < Parameter < opaque call) is the display order apart from
+    the parameters, so a stable partition gives it."""
+    params = [f for f in mon if f[0].__class__ is Parameter]
+    if not params:
+        return mon
+    return params + [f for f in mon if f[0].__class__ is not Parameter]
 
 
 def _factor_str(a: Atom, e: int) -> str:

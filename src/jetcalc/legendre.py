@@ -6,6 +6,11 @@ admissible Lagrangians are quadratic in the top jets with a
 parameter-constant Hessian block.  The solve is exact: one fraction-free
 Bareiss elimination and back-substitution give the Cramer numerators and
 the determinant, with parameter monomials the only permitted denominators.
+Since A is parameter-constant, the solve is a computation in the
+coefficient ring: the right-hand side b is split into one column per
+parameter-free monomial, and the elimination of [A | columns] keeps every
+constant entry as a Python int or Fraction, an Expr only where a parameter
+remains.
 L is never expanded on the inversion.  Once every Hessian entry is checked
 free of the exchanged jets x, L = L0 + b.x + 1/2 x.A x exactly, so
 p.x - L = 1/2 (p - b).x - L0.  Since L holds no momenta, H is h with each
@@ -20,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coords import Jet, Momentum, Parameter
-from .expr import (Expr, ExprError, ONE, ZERO, _akey, divide,
-                   partial_derivative, substitute)
+from .expr import (Expr, ExprError, ONE, ZERO, _akey, _coerce, _fold,
+                   _mul_terms, divide, partial_derivative, substitute)
 from .multiindex import MultiIndex, all_multiindices
 from .problem import LagrangianProblem
 from .variational import (Equation, EquationSet, MomentumAssignment,
@@ -46,34 +51,64 @@ class LegendreData:
     inversion: dict
 
 
+def _entry(e):
+    """``e`` as an elimination entry: a constant ``Expr`` becomes its
+    ``int`` or ``Fraction`` value, anything else is kept.  So a zero entry
+    is the number 0 and an ``Expr`` entry is never zero."""
+    if e.__class__ is Expr and e.is_constant():
+        return next(iter(e._terms.values()), 0)
+    return e
+
+
+def _quotient(num, den):
+    """The exact quotient of two entries, as an entry: ``divmod`` for two
+    ints, ``Fraction`` for other numbers, ``divide`` only when an operand
+    is an ``Expr``."""
+    if num.__class__ is Expr or den.__class__ is Expr:
+        return _entry(divide(num, den))
+    if num.__class__ is int and den.__class__ is int:
+        q, r = divmod(num, den)
+        if not r:
+            return q
+    q = Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q
+
+
 def _eliminate(M) -> int:
     """Fraction-free Gaussian elimination (Bareiss, Math. Comp. 1968) of the
-    rows ``M`` in place.  Pivots come from the leading square block; any
+    rows ``M`` in place.  Every entry is an ``int``, a ``Fraction`` or a
+    non-constant ``Expr`` (see ``_entry``), and the loop runs on numbers
+    wherever it can.  Pivots come from the leading square block; any
     further columns ride along.  Afterwards ``M[i][i]`` is the i-th leading
     minor of the row-permuted block.  Returns the sign of the row
     permutation, or 0 when a column has no pivot."""
     dim = len(M)
     sign = 1
-    prev = ONE
+    prev = 1
     for j in range(dim - 1):
-        piv = next((r for r in range(j, dim) if not M[r][j].is_zero()), None)
+        # A zero entry is the number 0; an Expr entry, never zero, is true.
+        piv = next((r for r in range(j, dim) if M[r][j]), None)
         if piv is None:
             return 0
         if piv != j:
             M[j], M[piv] = M[piv], M[j]
             sign = -sign
-        for r in range(j + 1, dim):
-            for c in range(j + 1, len(M[r])):
-                M[r][c] = divide(M[r][c] * M[j][j] - M[r][j] * M[j][c], prev)
-            M[r][j] = ZERO
-        prev = M[j][j]
+        top = M[j]
+        pivot = top[j]
+        for row in M[j + 1:]:
+            lead = row[j]
+            for c in range(j + 1, len(row)):
+                row[c] = _quotient(row[c] * pivot - lead * top[c], prev)
+            row[j] = 0
+        prev = pivot
     return sign
 
 
 def _bareiss_det(M) -> Expr:
-    """Exact determinant of a square Expr matrix (fraction-free Bareiss)."""
-    M = [row[:] for row in M]
-    return _eliminate(M) * M[-1][-1] if M else ONE
+    """Exact determinant of a square matrix of Exprs or numbers
+    (fraction-free Bareiss)."""
+    M = [[_entry(e) for e in row] for row in M]
+    return _coerce(_eliminate(M) * M[-1][-1] if M else 1)
 
 
 def _clearing_monomial(entries) -> Expr:
@@ -88,32 +123,68 @@ def _clearing_monomial(entries) -> Expr:
     return math.prod((Expr.atom(a) ** -x for a, x in low.items()), start=ONE)
 
 
+def _split_columns(b):
+    """Split the entries of ``b`` along their parameter-free monomials.
+    Returns those monomials (the columns, in first-seen order) and, for
+    each entry, its row of coefficients on them: parameter polynomials,
+    stored as entries."""
+    columns: dict = {}
+    rows = []
+    for e in b:
+        row: dict = {}
+        for mon, c in e._terms.items():
+            col = tuple(f for f in mon if f[0].__class__ is not Parameter)
+            par = tuple(f for f in mon if f[0].__class__ is Parameter)
+            row.setdefault(col, {})[par] = c
+            columns.setdefault(col, None)
+        rows.append(row)
+    return list(columns), [
+        [_entry(Expr._trusted(row[col])) if col in row else 0
+         for col in columns] for row in rows]
+
+
+def _assemble(columns, coefficients) -> Expr:
+    """sum_c coefficients[c] * columns[c], the inverse of the split."""
+    acc: dict = {}
+    for mon, v in zip(columns, coefficients):
+        if v:
+            terms = v._terms if v.__class__ is Expr else {(): v}
+            _fold(acc, _mul_terms({mon: 1}, terms))
+    return Expr._trusted(acc)
+
+
 def _solve_linear(A, b):
-    """Solve A x = b exactly: one Bareiss elimination of [A | b], then
-    fraction-free back-substitution for the Cramer numerators det(A) x_i.
-    Raises on a singular matrix or a quotient that leaves the
-    parameter-Laurent ring."""
+    """Solve A x = b exactly.  Each entry of b is split along its
+    parameter-free monomials, so b = B.mu for a column vector mu of jet,
+    momentum and base monomials and a matrix B of parameter polynomials.
+    One Bareiss elimination of [A | B], on numbers wherever the entries are
+    constant, and a fraction-free back-substitution per column give the
+    Cramer numerators det(A) x_i, assembled once as Exprs.  Raises on a
+    singular matrix or a quotient that leaves the parameter-Laurent ring."""
     dim = len(A)
-    M = [row + [rhs] for row, rhs in zip(A, b)]
     # Scaling by a parameter monomial that clears every negative power
     # makes each division in the elimination and the back-substitution an
     # exact division of polynomials, which ``divide`` always carries out.
-    m = _clearing_monomial(e for row in M for e in row)
-    M = [[m * e for e in row] for row in M]
+    m = _clearing_monomial(e for row in (*A, b) for e in row)
+    columns, B = _split_columns([m * e for e in b])
+    M = [[_entry(m * e) for e in row] + Brow for row, Brow in zip(A, B)]
     scale = m ** dim
     sign = _eliminate(M)
-    # The last diagonal entry: M[-1][-1] is the eliminated b.
+    # The last diagonal entry: M[-1][dim:] is the eliminated B.
     pivot = M[dim - 1][dim - 1]
     det = divide(sign * pivot, scale)
     if det.is_zero():
         raise SingularLegendreError("singular Legendre: top Hessian block degenerate")
     try:
-        # y[i] = pivot * x_i, so sign * y[i] / scale = det(A_i).
-        y = [ZERO] * (dim - 1) + [M[dim - 1][dim]]
+        # Y[i] = pivot * X_i, so sign * (Y[i].mu) / scale = det(A_i).
+        Y = [None] * (dim - 1) + [M[dim - 1][dim:]]
         for i in range(dim - 2, -1, -1):
-            y[i] = divide(pivot * M[i][dim] - Expr.sum(
-                M[i][c] * y[c] for c in range(i + 1, dim)), M[i][i])
-        return [divide(divide(sign * yi, scale), det) for yi in y]
+            row = M[i]
+            Y[i] = [_quotient(pivot * row[dim + c] - sum(
+                row[k] * Y[k][c] for k in range(i + 1, dim)), row[i])
+                for c in range(len(columns))]
+        return [divide(divide(sign * _assemble(columns, y), scale), det)
+                for y in Y]
     except ExprError as exc:
         raise LegendreError(
             f"Legendre inversion not representable: {exc}") from None

@@ -94,12 +94,15 @@ def multiindex_factor(indices, n: int) -> tuple[MultiIndex, int]:
 @lru_cache(maxsize=256)
 def all_multiindices(n: int, order: int) -> tuple:
     """All multi-indices with n entries and total order exactly ``order``,
-    highest first entry first; empty for a negative order.  The tuple is
-    memoized per (n, order) and shared by every caller."""
+    highest first entry first; empty for a negative order.  With n = 0 the
+    one multi-index is the empty one, of order 0.  The tuple is memoized
+    per (n, order) and shared by every caller."""
+    if n < 0:
+        raise ValueError(f"number of base directions must be >= 0, got {n}")
     if order < 0:
         return ()
-    if n == 1:
-        return (tuple.__new__(MultiIndex, (order,)),)
+    if n == 0:
+        return (tuple.__new__(MultiIndex, ()),) if order == 0 else ()
     # (head,) + tail is a plain tuple of valid entries: wrap it unvalidated
     return tuple(tuple.__new__(MultiIndex, (head,) + tail)
                  for head in range(order, -1, -1)

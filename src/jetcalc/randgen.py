@@ -74,8 +74,7 @@ def random_quadratic_lagrangian(rng: random.Random, n: int, k: int) -> Lagrangia
 def _int_det(H) -> int:
     """Exact determinant of a square integer matrix by the fraction-free
     elimination of the Legendre solver, O(dim^3)."""
-    det = _bareiss_det([[Expr.const(x) for x in row] for row in H])
-    return int(det.as_fraction())
+    return int(_bareiss_det(H).as_fraction())
 
 
 def random_gauge_table(rng: random.Random, problem: LagrangianProblem,

@@ -16,7 +16,7 @@ from jetcalc import (
     parse_expr, partial_derivative, substitute, to_dsl, total_derivative,
     total_derivative_multi,
 )
-from jetcalc.expr import ONE, ZERO, _akey
+from jetcalc.expr import ONE, ZERO, _akey, _display_sorted
 from jetcalc.multiindex import all_multiindices, multiindices_up_to
 
 
@@ -40,9 +40,12 @@ def mom(fld, mi, last=None, derivs=None):
 
 def _reference_grid(n, order):
     """The multi-indices of n entries and total ``order`` as plain tuples,
-    highest first entry first; none for a negative order."""
+    highest first entry first; none for a negative order, and only the
+    empty tuple for n = 0 and order 0."""
     if order < 0:
         return []
+    if n == 0:
+        return [()] if order == 0 else []
     if n == 1:
         return [(order,)]
     return [(head,) + tail for head in range(order, -1, -1)
@@ -86,8 +89,13 @@ class TestMultiIndex:
             with pytest.raises(ValueError, match="out of range"):
                 mi.drop(bad)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 4])
     def test_grids_match_reference_recursion(self, n):
+        if n < 0:
+            for order in range(-1, 3):
+                with pytest.raises(ValueError, match="base directions"):
+                    all_multiindices(n, order)
+            return
         for order in range(-1, 7):
             grid = all_multiindices(n, order)
             assert type(grid) is tuple
@@ -453,6 +461,31 @@ def test_opaque_call_with_equal_arguments_is_one_atom(e, f):
     assert OpaqueCall("W", [0, 1], [rebuilt(e), rebuilt(f)]) is a
     assert pickle.loads(pickle.dumps(a)) is a
     assert OpaqueCall("W", (1, 0), (e, f)) is not a
+
+
+# The printers' factor order as the key sort that the stable partition in
+# ``_display_sorted`` replaced: parameters first, then atom kind, then key.
+_DISPLAY_RANK = {Parameter: 0, Base: 1, Jet: 2, Momentum: 3, Multiplier: 4,
+                 OpaqueCall: 5}
+
+
+def _display_sorted_by_key(mon):
+    return sorted(mon, key=lambda p: (_DISPLAY_RANK[type(p[0])], _akey(p[0])))
+
+
+@_KERNEL
+@given(st.lists(st.tuples(atom_builders(), st.integers(1, 3), st.booleans()),
+                max_size=8))
+def test_display_order_matches_the_key_sort(factors):
+    term = Expr.const(3)
+    for build, exp, negative in factors:
+        a = build()
+        if negative and isinstance(a, Parameter):
+            term = divide(term, Expr.atom(a) ** exp)
+        else:
+            term = term * Expr.atom(a) ** exp
+    ((mon, _),) = term._terms.items()
+    assert list(_display_sorted(mon)) == _display_sorted_by_key(mon)
 
 
 def test_coefficients_in_stored_form():

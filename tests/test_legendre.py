@@ -1,5 +1,9 @@
 """Legendre transforms and Hamiltonian cascades."""
 
+import collections
+import functools
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -8,7 +12,7 @@ import pytest
 from jetcalc import (Base, Expr, Jet, LagrangianProblem, Momentum, MultiIndex,
                      OpaqueCall, Parameter, parse_expr, partial_derivative,
                      substitute)
-from jetcalc.expr import ZERO, ExprError, divide
+from jetcalc.expr import ONE, ZERO, ExprError, divide
 from jetcalc.legendre import (LegendreError, SingularLegendreError,
                               _bareiss_det, _check_hessian_entry,
                               _check_time_entry, _solve_linear,
@@ -366,6 +370,45 @@ class TestExactSolver:
             agreed += 1
         assert agreed == 200
 
+    def test_solver_matches_cramer_reference_beyond_dim_4(self):
+        # dims 5-10, integer entries, with some halves and thirds in every
+        # other group of four draws.  Every fourth draw is numeric; the
+        # others scale a row by a (solvable: det(A) is a times a number),
+        # add a or -a to one entry (det(A) then rarely divides the
+        # numerators) or repeat a row (singular).  Right-hand sides mix
+        # momenta, u[1], x1, a*u and u/a.
+        rng = random.Random(13)
+        a = Expr.atom(Parameter("a"))
+        inv_a = divide(ONE, a)
+        u, u1, x = (Expr.atom(Jet("u", MI((0,)))),
+                    Expr.atom(Jet("u", MI((1,)))), Expr.atom(Base(1)))
+        outcomes = collections.Counter()
+        for draw in range(100):
+            dim = rng.randint(5, 10)
+            dens = (1, 1, 1, 2, 3) if draw // 4 % 2 else (1,)
+            A = [[Expr.const(Fraction(rng.randint(-3, 3), rng.choice(dens)))
+                  for _ in range(dim)] for _ in range(dim)]
+            kind = draw % 4
+            if kind == 1:
+                r = rng.randrange(dim)
+                A[r] = [a * e for e in A[r]]
+            elif kind == 2:
+                r, c = rng.randrange(dim), rng.randrange(dim)
+                A[r][c] = A[r][c] + rng.choice((-1, 1)) * a
+            elif kind == 3:
+                A[-1] = list(A[rng.randrange(dim - 1)])
+            rhs = [Expr.atom(Momentum("u", MI((i,))))
+                   + rng.randint(-1, 1) * u1 + rng.randint(-1, 1) * x
+                   + rng.randint(-1, 1) * a * u + rng.randint(-1, 1) * inv_a * u
+                   for i in range(dim)]
+            got = _outcome(_solve_linear, A, rhs)
+            assert got == _outcome(_cramer_reference, A, rhs), f"draw {draw}"
+            outcomes[got[0] if got[0] == "ok" else got[0].__name__] += 1
+        assert sum(outcomes.values()) == 100
+        assert outcomes["ok"] >= 40
+        assert outcomes["LegendreError"] >= 15
+        assert outcomes["SingularLegendreError"] >= 25
+
     def test_solver_on_laurent_systems(self):
         # entries and right-hand sides with 1/a: whenever the Cramer
         # reference finds the solution, the solver finds the same one, and
@@ -402,17 +445,35 @@ class TestExactSolver:
 
 
 def _cramer_reference(A, b):
-    """x_i = det(A_i) / det(A) with dim + 1 Bareiss determinants."""
-    det = _bareiss_det(A)
+    """x_i = det(A_i) / det(A), each det(A_i) expanded along its column b:
+    sum_r (-1)^(r+i) b_r det(A without row r and column i).  Each
+    determinant of A or of a minor is taken as det(m M) / m^size, m the
+    product of the least powers of the parameters that clear every negative
+    exponent in A, so that no elimination divides by a Laurent polynomial."""
+    low: dict = {}
+    for e in itertools.chain(*A):
+        for mon in e._terms:
+            for atom, x in mon:
+                low[atom] = min(low.get(atom, 0), x)
+    m = functools.reduce(operator.mul,
+                         (Expr.atom(atom) ** -x for atom, x in low.items()), ONE)
+    mA = [[m * e for e in row] for row in A]
+
+    def determinant(M):   # det(M / m) for a square part M of mA
+        return divide(_bareiss_det(M), m ** len(M))
+
+    det = determinant(mA)
     if det.is_zero():
         raise SingularLegendreError(
             "singular Legendre: top Hessian block degenerate")
     out = []
     for i in range(len(A)):
-        Ai = [[b[r] if c == i else entry for c, entry in enumerate(row)]
-              for r, row in enumerate(A)]
+        numerator = Expr.sum(
+            (-1) ** (r + i) * b[r] * determinant(
+                [row[:i] + row[i + 1:] for k, row in enumerate(mA) if k != r])
+            for r in range(len(A)))
         try:
-            out.append(divide(_bareiss_det(Ai), det))
+            out.append(divide(numerator, det))
         except ExprError as exc:
             raise LegendreError(
                 f"Legendre inversion not representable: {exc}") from None
@@ -428,12 +489,32 @@ def _outcome(fn, *args):
 def test_int_det_matches_sympy():
     import sympy
     rng = random.Random(7)
-    for dim in range(1, 9):
+    for dim in range(1, 13):
         for _ in range(6):
             H = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
             if rng.random() < 0.3:
                 H[-1] = list(H[0])  # a singular draw now and then
             assert _int_det(H) == int(sympy.Matrix(H).det())
+
+
+def test_solve_divides_only_for_the_cramer_quotients(monkeypatch):
+    # An integer Hessian of dim 10: the elimination and the back-substitution
+    # run on ints, so ``divide`` runs once for det(A) and twice for each of
+    # the dim unknowns, and no Expr division comes back into the loop.
+    import jetcalc.legendre as legendre
+    calls = []
+    real = legendre.divide
+
+    def counted(num, den):
+        calls.append(1)
+        return real(num, den)
+
+    problem = random_quadratic_lagrangian(random.Random(4), 3, 3)
+    dim = len(all_multiindices(3, 3))
+    assert dim == 10
+    monkeypatch.setattr(legendre, "divide", counted)
+    legendre_top(problem)
+    assert len(calls) <= 2 * dim + 1
 
 
 # -- the transforms by substitution, the reference for the identities -------
