@@ -3,14 +3,20 @@
 The top-order transform exchanges the order-k jets for the symmetric top
 momenta by solving the top cascade rows, which are linear because the
 admissible Lagrangians are quadratic in the top jets with a
-parameter-constant Hessian block.  The solve is exact: one fraction-free
-Bareiss elimination and back-substitution give the Cramer numerators and
-the determinant, with parameter monomials the only permitted denominators.
-Since A is parameter-constant, the solve is a computation in the
-coefficient ring: the right-hand side b is split into one column per
-parameter-free monomial, and the elimination of [A | columns] keeps every
-constant entry as a Python int or Fraction, an Expr only where a parameter
-remains.
+parameter-constant Hessian block.  One pass over the terms of L reads off
+L0 (L at x = 0), b (dL/dx at x = 0) and the Hessian A in the exchanged
+jets x by exponent arithmetic; a term whose opaque call has an argument
+depending on x is derived with ``partial_derivative`` instead, so every
+entry is exactly the second derivative of L.
+The solve is exact: one fraction-free Bareiss elimination and
+back-substitution give the Cramer numerators and the determinant, with
+parameter monomials the only permitted denominators.  A and b are first
+scaled by one factor that clears the negative parameter powers and the
+coefficient denominators (the products are skipped when it is 1).  Since A
+is parameter-constant, the solve is a computation in the coefficient ring:
+the right-hand side b is split into one column per parameter-free
+monomial, and the elimination of [A | columns] keeps every constant entry
+as a Python int or Fraction, an Expr only where a parameter remains.
 L is never expanded on the inversion.  Once every Hessian entry is checked
 free of the exchanged jets x, L = L0 + b.x + 1/2 x.A x exactly, so
 p.x - L = 1/2 (p - b).x - L0.  Since L holds no momenta, H is h with each
@@ -25,12 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coords import Jet, Momentum, Parameter
-from .expr import (Expr, ExprError, ONE, ZERO, _akey, _coerce, _fold,
-                   _mul_terms, divide, partial_derivative, substitute)
+from .expr import (Expr, ExprError, ONE, OpaqueCall, ZERO, _akey, _coerce,
+                   _fold, _mul_terms, divide, partial_derivative, substitute)
 from .multiindex import MultiIndex, all_multiindices
 from .problem import LagrangianProblem
 from .variational import (Equation, EquationSet, MomentumAssignment,
-                          _cascade_row, jet_partial)
+                          _cascade_row)
 
 
 class LegendreError(ValueError):
@@ -111,16 +117,22 @@ def _bareiss_det(M) -> Expr:
     return _coerce(_eliminate(M) * M[-1][-1] if M else 1)
 
 
-def _clearing_monomial(entries) -> Expr:
+def _clearing_factor(entries) -> Expr:
     """The least parameter monomial whose product with each of ``entries``
-    has no negative power."""
+    has no negative power, times the least common multiple of their
+    coefficients' denominators; ``ONE`` itself when there is nothing to
+    clear."""
     low: dict = {}
+    den = 1
     for e in entries:
-        for mon in e._terms:
+        for mon, c in e._terms.items():
+            if c.__class__ is Fraction:
+                den = math.lcm(den, c.denominator)
             for a, x in mon:
                 if x < low.get(a, 0):
                     low[a] = x
-    return math.prod((Expr.atom(a) ** -x for a, x in low.items()), start=ONE)
+    m = math.prod((Expr.atom(a) ** -x for a, x in low.items()), start=ONE)
+    return m if den == 1 else m * den
 
 
 def _split_columns(b):
@@ -164,11 +176,16 @@ def _solve_linear(A, b):
     dim = len(A)
     # Scaling by a parameter monomial that clears every negative power
     # makes each division in the elimination and the back-substitution an
-    # exact division of polynomials, which ``divide`` always carries out.
-    m = _clearing_monomial(e for row in (*A, b) for e in row)
-    columns, B = _split_columns([m * e for e in b])
-    M = [[_entry(m * e) for e in row] + Brow for row, Brow in zip(A, B)]
-    scale = m ** dim
+    # exact division of polynomials, which ``divide`` always carries out;
+    # clearing the denominators as well keeps number entries ints.
+    s = _clearing_factor(e for row in (*A, b) for e in row)
+    scale = ONE
+    if s is not ONE:
+        A = [[s * e for e in row] for row in A]
+        b = [s * e for e in b]
+        scale = s ** dim
+    columns, B = _split_columns(b)
+    M = [[_entry(e) for e in row] + Brow for row, Brow in zip(A, B)]
     sign = _eliminate(M)
     # The last diagonal entry: M[-1][dim:] is the eliminated B.
     pivot = M[dim - 1][dim - 1]
@@ -190,30 +207,90 @@ def _solve_linear(A, b):
             f"Legendre inversion not representable: {exc}") from None
 
 
+def _quadratic_split(L: Expr, x: dict):
+    """Read L0 = L at x = 0, b_i = dL/dx_i at x = 0 and the Hessian
+    A_ij = d^2 L/dx_i dx_j off the terms of L in one pass, for the jets
+    ``x`` given as {atom: index}.  Each term goes to L0, to one b_i or to
+    entries of A by its exponents in x.  The terms whose opaque call has an
+    argument depending on x are derived with ``partial_derivative`` and
+    evaluated at x = 0 with ``substitute``, so every value equals the one
+    the derivatives of all of L give.  Returns L0, the list b and A as a
+    list of rows of Exprs."""
+    dim = len(x)
+    L0: dict = {}
+    b = [{} for _ in range(dim)]
+    upper: dict = {}        # (i, j) with i <= j -> term dict of A_ij
+    through: dict = {}      # the terms with an opaque call depending on x
+    seen: dict = {}
+
+    def depends(a) -> bool:
+        dep = seen.get(a)
+        if dep is None:
+            dep = seen[a] = any(y in x for arg in a.args
+                                for y in arg.free_coordinates())
+        return dep
+
+    for mon, c in L._terms.items():
+        if any(a.__class__ is OpaqueCall and depends(a) for a, _ in mon):
+            through[mon] = c
+            continue
+        # mon is rest * x^alpha with one rest per alpha, so no two terms
+        # give the same monomial of L0, of a b_i or of an A_ij
+        xf = [f for f in mon if f[0] in x]
+        if not xf:
+            L0[mon] = c
+        elif len(xf) == 1 and xf[0][1] == 1:
+            b[x[xf[0][0]]][tuple(f for f in mon if f is not xf[0])] = c
+        else:
+            for p, (ai, ei) in enumerate(xf):
+                for aj, ej in xf[p:]:
+                    if aj is not ai:
+                        k, drop = ei * ej, {ai: 1, aj: 1}
+                    elif ei > 1:
+                        k, drop = ei * (ei - 1), {ai: 2}
+                    else:
+                        continue
+                    rest = tuple((a, e - drop.get(a, 0)) for a, e in mon
+                                 if e != drop.get(a, 0))
+                    v = c * k
+                    if v.__class__ is not int and v.denominator == 1:
+                        v = v.numerator
+                    i, j = sorted((x[ai], x[aj]))
+                    upper.setdefault((i, j), {})[rest] = v
+    A = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            A[i][j] = A[j][i] = Expr._trusted(upper.get((i, j), {}))
+    L0 = Expr._trusted(L0)
+    b = [Expr._trusted(t) for t in b]
+    if through:
+        T = Expr._trusted(through)
+        kill = {a: ZERO for a in x}
+        dT = [partial_derivative(T, a) for a in x]
+        A = [[A[i][j] + partial_derivative(dT[i], a)
+              for j, a in enumerate(x)] for i in range(dim)]
+        b = [bi + substitute(d, kill) for bi, d in zip(b, dT)]
+        L0 = L0 + substitute(T, kill)
+    return L0, b, A
+
+
 def _exchange(L: Expr, momenta: dict, check):
     """Exchange the jets x = phi_mu named by the keys (fld, mu) of ``momenta``
     for those momenta p: solve dL/dx = p.  ``check`` vets each entry of the
-    Hessian A of L in x; one that passes is free of x, so L = L0 + b.x +
-    1/2 x.A x exactly (L0 and b = dL/dx at x = 0), the rows read A x = p - b,
-    and p.x - L = 1/2 (p - b).x - L0 on the inversion.  Returns the
-    inversion {(fld, mu): Expr} and that value."""
+    Hessian A of L in x, in row-major order; one that passes is free of x,
+    so L = L0 + b.x + 1/2 x.A x exactly (L0 and b = dL/dx at x = 0), the
+    rows read A x = p - b, and p.x - L = 1/2 (p - b).x - L0 on the
+    inversion.  Returns the inversion {(fld, mu): Expr} and that value."""
     unknowns = list(momenta)
-    kill = {Jet(fld, mi): ZERO for fld, mi in unknowns}
-    A = []
-    rhs = []
-    for fld, mi in unknowns:
-        dL = jet_partial(L, fld, mi)
-        row = []
-        for fld2, mi2 in unknowns:
-            entry = partial_derivative(dL, Jet(fld2, mi2))
+    L0, b, A = _quadratic_split(
+        L, {Jet(fld, mi): i for i, (fld, mi) in enumerate(unknowns)})
+    for row in A:
+        for entry in row:
             check(entry)
-            row.append(entry)
-        A.append(row)
-        rhs.append(momenta[(fld, mi)] - substitute(dL, kill))
+    rhs = [momenta[key] - bi for key, bi in zip(unknowns, b)]
     x = _solve_linear(A, rhs)
     return dict(zip(unknowns, x)), (
-        Fraction(1, 2) * Expr.sum(r * xi for r, xi in zip(rhs, x))
-        - substitute(L, kill))
+        Fraction(1, 2) * Expr.sum(r * xi for r, xi in zip(rhs, x)) - L0)
 
 
 def _check_hessian_entry(e: Expr, order: int):

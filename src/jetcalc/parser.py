@@ -16,6 +16,14 @@ n = 1 ``u[j]`` means j derivatives), ``x1..xn`` for base coordinates,
 optional derivative block), ``p[u;2,0]`` for symmetrized momenta,
 ``lam[a]`` for multipliers and ``U_{,12}(...)`` for opaque derivative
 markers.  The printer in :mod:`jetcalc.expr` emits exactly this grammar.
+
+The input is read once.  One ``finditer`` pass gives one match per token,
+the whitespace and comments before it included.  A token is a plain
+``(kind, text, offset)`` tuple; its line and column are computed from the
+offset only when a ``ParseError`` is built.  Each expression statement is
+parsed from its slice of the token list once the declarations are known.
+Numeric literals stay Python ints and Fractions through products, quotients
+and powers: an ``Expr`` is built at the first factor that is not a number.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ from fractions import Fraction
 
 from .coords import Base, Jet, Momentum, Multiplier, Parameter
 from .expr import Expr, OpaqueCall, divide
-from .multiindex import MultiIndex
 from .problem import LagrangianProblem
 
 _RESERVED = {"p", "lam", "base", "field", "order", "param", "opaque",
@@ -34,14 +41,19 @@ _RESERVED = {"p", "lam", "base", "field", "order", "param", "opaque",
              "poly"}
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+|\#[^\n]*)
-      | (?P<int>\d+)
-      | (?P<marker>[A-Za-z_]\w*_\{,\d+\})
-      | (?P<ident>[A-Za-z_]\w*)
-      | (?P<op>[-+*/^(){};,=\[\]])
+    r"""(?:\s+|\#[^\n]*)*                  # whitespace and comments before it
+      (?: (?P<int>\d+)
+        | (?P<marker>[A-Za-z_]\w*_\{,\d+\})
+        | (?P<ident>[A-Za-z_]\w*)
+        | (?P<op>[-+*/^(){};,=\[\]])
+        | (?P<eof>\Z)
+        | (?P<bad>[\s\S]+)                  # a bad character and the rest
+      )
     """,
     re.VERBOSE,
 )
+
+_BASE_NAME = re.compile(r"x(\d+)")
 
 
 class ParseError(ValueError):
@@ -52,60 +64,62 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+def _error(src: str, message: str, tok) -> ParseError:
+    """A ``ParseError`` at token ``tok`` of ``src``: the line counts the
+    newlines before it, the column runs from the last of them."""
+    pos = tok[2]
+    return ParseError(message, src.count("\n", 0, pos) + 1,
+                      pos - src.rfind("\n", 0, pos))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        raw = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, raw, line, col))
-        newlines = raw.count("\n")
-        if newlines:
-            line += newlines
-            col = len(raw) - raw.rfind("\n")
-        else:
-            col += len(raw)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _tokenize(src: str) -> list:
+    """The tokens of ``src``, as (kind, text, offset) tuples ending with
+    one ``eof`` token."""
+    toks = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+            for m in _TOKEN_RE.finditer(src)]
+    # After trailing whitespace the end matches twice: as the end of that
+    # whitespace and as an empty match.
+    if len(toks) > 1 and toks[-2][0] == "eof":
+        toks.pop()
+    if len(toks) > 1 and toks[-2][0] == "bad":
+        raise _error(src, f"unexpected character {toks[-2][1][0]!r}", toks[-2])
+    return toks
 
 
 class _Tokens:
-    """A cursor over a token list that ends with an ``eof`` token."""
+    """A cursor over a token list that ends with an ``eof`` token, which
+    ``next`` never passes."""
 
-    def __init__(self, toks: list[_Token]):
+    def __init__(self, src: str, toks: list):
+        self.src = src
         self.toks = toks
         self.i = 0
 
-    def peek(self) -> _Token:
+    def peek(self):
         return self.toks[self.i]
 
-    def next(self) -> _Token:
+    def next(self):
         t = self.toks[self.i]
-        self.i += 1
+        if t[0] != "eof":
+            self.i += 1
         return t
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str):
         t = self.next()
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
+        if t[1] != text:
+            raise self.error(f"expected {text!r}, found {t[1]!r}", t)
         return t
 
-    def error(self, message: str):
-        t = self.peek()
-        raise ParseError(message, t.line, t.col)
+    def error(self, message: str, tok=None) -> ParseError:
+        """A ``ParseError`` at ``tok``, by default the next token."""
+        return _error(self.src, message, self.peek() if tok is None else tok)
+
+    def int_value(self, tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:      # beyond the interpreter's digit limit
+            raise self.error(f"integer literal too long ({len(tok[1])} digits)",
+                             tok) from None
 
 
 @dataclass
@@ -119,149 +133,185 @@ class ProblemFile:
     poly: Expr | None = None
 
 
-class _ExprParser:
-    """Recursive-descent expression parser against a declaration context."""
+class _ExprParser(_Tokens):
+    """Recursive-descent expression parser against a declaration context.
+    A product, quotient or power of numbers is an ``int`` or a
+    ``Fraction``; ``parse`` returns an ``Expr``."""
 
-    def __init__(self, toks: _Tokens, problem: LagrangianProblem,
+    def __init__(self, src: str, toks: list, problem: LagrangianProblem,
                  max_jet_order: int | None):
-        self.toks = toks
+        super().__init__(src, toks)
         self.problem = problem
         self.max_jet = problem.k if max_jet_order is None else max_jet_order
 
     def parse(self) -> Expr:
-        return self._sum()
+        e = self._sum()
+        t = self.peek()
+        if t[0] != "eof":
+            raise self.error(f"trailing input {t[1]!r}", t)
+        return e
 
     def _sum(self) -> Expr:
         terms = [self._term()]
-        while self.toks.peek().text in ("+", "-"):
-            op = self.toks.next().text
-            rhs = self._term()
-            terms.append(rhs if op == "+" else -rhs)
-        return Expr.sum(terms)
-
-    def _term(self) -> Expr:
-        e = self._factor()
-        while self.toks.peek().text in ("*", "/"):
-            op = self.toks.next().text
-            rhs = self._factor()
-            if op == "*":
-                e = e * rhs
+        toks = self.toks
+        while True:
+            op = toks[self.i][1]
+            if op == "+":
+                self.i += 1
+                terms.append(self._term())
+            elif op == "-":
+                self.i += 1
+                terms.append(-self._term())
             else:
-                t = self.toks.peek()
-                try:
-                    e = divide(e, rhs)
-                except Exception as exc:
-                    raise ParseError(str(exc), t.line, t.col) from None
-        return e
+                return Expr.sum(terms)
 
-    def _factor(self) -> Expr:
-        sign = 1
-        while self.toks.peek().text in ("+", "-"):
-            if self.toks.next().text == "-":
-                sign = -sign
+    def _term(self):
+        e = self._factor()
+        toks = self.toks
+        while True:
+            op = toks[self.i][1]
+            if op == "*":
+                self.i += 1
+                rhs = self._factor()
+                e = rhs if e.__class__ is int and e == 1 else e * rhs
+            elif op == "/":
+                self.i += 1
+                e = self._quotient(e, self._factor())
+            else:
+                return e
+
+    def _quotient(self, num, den):
+        """num / den, a number when both are; a failure is reported at the
+        token after the divisor."""
+        if num.__class__ is Expr or den.__class__ is Expr:
+            try:
+                return divide(num, den)
+            except Exception as exc:
+                raise self.error(str(exc)) from None
+        if not den:
+            raise self.error("division by zero")
+        q = Fraction(num, den)
+        return q.numerator if q.denominator == 1 else q
+
+    def _factor(self):
+        toks = self.toks
+        negative = False
+        op = toks[self.i][1]
+        while op == "+" or op == "-":
+            negative ^= op == "-"
+            self.i += 1
+            op = toks[self.i][1]
         e = self._primary()
-        if self.toks.peek().text == "^":
-            self.toks.next()
-            t = self.toks.next()
-            if t.kind != "int":
-                raise ParseError("exponent must be a non-negative integer",
-                                 t.line, t.col)
-            e = e ** int(t.text)
-        return e * sign
+        if toks[self.i][1] == "^":
+            t = toks[self.i + 1]
+            self.i += 2
+            if t[0] != "int":
+                raise self.error("exponent must be a non-negative integer", t)
+            e = e ** self.int_value(t)
+        return -e if negative else e
 
-    def _primary(self) -> Expr:
-        t = self.toks.peek()
-        if t.text == "(":
-            self.toks.next()
-            e = self._sum()
-            self.toks.expect(")")
-            return e
-        if t.kind == "int":
-            self.toks.next()
-            return Expr.const(Fraction(t.text))
-        if t.kind == "marker":
-            return self._opaque_marker()
-        if t.kind == "ident":
+    def _primary(self):
+        t = self.toks[self.i]
+        kind = t[0]
+        if kind == "int":
+            self.i += 1
+            return self.int_value(t)
+        if kind == "ident":
             return self._atomref()
-        self.toks.error(f"unexpected token {t.text!r}")
+        if t[1] == "(":
+            self.i += 1
+            e = self._sum()
+            self.expect(")")
+            return e
+        if kind == "marker":
+            return self._opaque_marker()
+        raise self.error(f"unexpected token {t[1]!r}", t)
 
     # -- atoms ------------------------------------------------------------
 
     def _intlist(self) -> list[int]:
         out = []
+        toks = self.toks
         while True:
-            t = self.toks.next()
-            if t.kind != "int":
-                raise ParseError("expected an integer", t.line, t.col)
-            out.append(int(t.text))
-            if self.toks.peek().text != ",":
-                break
-            self.toks.next()
-        return out
+            t = toks[self.i]
+            if t[0] != "int":
+                raise self.error("expected an integer", t)
+            out.append(self.int_value(t))
+            self.i += 1
+            if toks[self.i][1] != ",":
+                return out
+            self.i += 1
 
-    def _multiindex(self, entries: list[int], where: _Token) -> MultiIndex:
+    def _multiindex(self, entries: list[int], where) -> tuple[int, ...]:
+        """The entries of a multi-index, checked against n; the atoms'
+        interning tables know a multi-index by its plain entries too."""
         n = self.problem.n
         if len(entries) != n:
-            raise ParseError(
-                f"expected {n} multi-index entries, found {len(entries)}",
-                where.line, where.col)
-        return MultiIndex(entries)
+            raise self.error(
+                f"expected {n} multi-index entries, found {len(entries)}", where)
+        return tuple(entries)
 
     def _atomref(self) -> Expr:
-        t = self.toks.next()
-        name = t.text
-        nxt = self.toks.peek().text
+        t = self.next()
+        name = t[1]
+        nxt = self.toks[self.i][1]
         if name == "p" and nxt == "[":
             return self._momentum(t)
         if name == "lam" and nxt == "[":
-            self.toks.next()
-            (a,) = self._intlist()
-            self.toks.expect("]")
-            return Expr.atom(Multiplier(a))
+            self.i += 1
+            a = self.next()
+            if a[0] != "int":
+                raise self.error("expected an integer", a)
+            self.expect("]")
+            return Expr.atom(Multiplier(self.int_value(a)))
         if nxt == "(":
             return self._opaque_call(t, ())
-        if name in self.problem.fields:
+        problem = self.problem
+        if name in problem.fields:
             if nxt == "[":
-                self.toks.next()
+                self.i += 1
                 mi = self._multiindex(self._intlist(), t)
-                self.toks.expect("]")
-                if mi.order > self.max_jet:
-                    raise ParseError(
-                        f"jet order {mi.order} of {name} exceeds k={self.max_jet}",
-                        t.line, t.col)
+                self.expect("]")
+                if sum(mi) > self.max_jet:
+                    raise self.error(
+                        f"jet order {sum(mi)} of {name} exceeds k={self.max_jet}", t)
                 return Expr.atom(Jet(name, mi))
-            return Expr.atom(Jet(name, MultiIndex.zero(self.problem.n)))
-        if name in self.problem.params:
+            return Expr.atom(Jet(name, (0,) * problem.n))
+        if name in problem.params:
             return Expr.atom(Parameter(name))
-        m = re.fullmatch(r"x(\d+)", name)
-        if m and 1 <= int(m.group(1)) <= self.problem.n:
-            return Expr.atom(Base(int(m.group(1))))
-        raise ParseError(f"unknown identifier {name!r}", t.line, t.col)
+        m = _BASE_NAME.fullmatch(name)
+        if m:
+            try:
+                mu = int(m[1])
+            except ValueError:  # beyond the digit limit, so not in 1..n
+                mu = 0
+            if 1 <= mu <= problem.n:
+                return Expr.atom(Base(mu))
+        raise self.error(f"unknown identifier {name!r}", t)
 
-    def _momentum(self, t: _Token) -> Expr:
-        self.toks.expect("[")
-        fld_tok = self.toks.peek()
-        if fld_tok.kind != "ident":
+    def _momentum(self, t) -> Expr:
+        self.expect("[")
+        fld_tok = self.peek()
+        if fld_tok[0] != "ident":
             # p[ints] would be a jet of a field named p; no such field here
-            raise ParseError("momentum atom expects a field name", fld_tok.line,
-                             fld_tok.col)
-        fld = self.toks.next().text
+            raise self.error("momentum atom expects a field name", fld_tok)
+        fld = self.next()[1]
         if fld not in self.problem.fields:
-            raise ParseError(f"unknown field {fld!r}", fld_tok.line, fld_tok.col)
+            raise self.error(f"unknown field {fld!r}", fld_tok)
         segments: list[list[int]] = []
-        while self.toks.peek().text == ";":
-            self.toks.next()
-            if self.toks.peek().text in (";", "]"):
+        while self.peek()[1] == ";":
+            self.i += 1
+            if self.peek()[1] in (";", "]"):
                 segments.append([])
             else:
                 segments.append(self._intlist())
-        self.toks.expect("]")
+        self.expect("]")
         n = self.problem.n
-        zero = MultiIndex.zero(n)
+        zero = (0,) * n
         if len(segments) == 1:
             mi = self._multiindex(segments[0], t) if segments[0] else zero
-            if mi.order < 1:
-                raise ParseError("symmetric momentum needs order >= 1", t.line, t.col)
+            if sum(mi) < 1:
+                raise self.error("symmetric momentum needs order >= 1", t)
             return Expr.atom(Momentum(fld, mi))
         if len(segments) in (2, 3):
             mi = self._multiindex(segments[0], t) if segments[0] else zero
@@ -269,48 +319,45 @@ class _ExprParser:
             last = None
             if last_seg:
                 if len(last_seg) != 1 or not 1 <= last_seg[0] <= n:
-                    raise ParseError("bad last index", t.line, t.col)
+                    raise self.error("bad last index", t)
                 last = last_seg[0]
             derivs = zero
             if len(segments) == 3 and segments[2]:
                 derivs = self._multiindex(segments[2], t)
             if last is None:
-                if mi.order < 2:
-                    raise ParseError("symmetric momentum needs order >= 2 here",
-                                     t.line, t.col)
+                if sum(mi) < 2:
+                    raise self.error("symmetric momentum needs order >= 2 here", t)
                 return Expr.atom(Momentum(fld, mi, None, derivs))
             return Expr.atom(Momentum(fld, mi, last, derivs))
-        raise ParseError("malformed momentum atom", t.line, t.col)
+        raise self.error("malformed momentum atom", t)
 
     def _opaque_marker(self) -> Expr:
-        t = self.toks.next()
-        name, digits = t.text.split("_{,")
-        digits = digits[:-1]
-        return self._opaque_call(_Token("ident", name, t.line, t.col),
-                                 tuple(int(d) for d in digits))
+        t = self.next()
+        name, digits = t[1].split("_{,")
+        return self._opaque_call(("ident", name, t[2]),
+                                 tuple(int(d) for d in digits[:-1]))
 
-    def _opaque_call(self, t: _Token, marker: tuple[int, ...]) -> Expr:
-        name = t.text
+    def _opaque_call(self, t, marker: tuple[int, ...]) -> Expr:
+        name = t[1]
         if name not in self.problem.opaques:
-            raise ParseError(f"unknown function {name!r}", t.line, t.col)
+            raise self.error(f"unknown function {name!r}", t)
         arity = self.problem.opaques[name]
-        self.toks.expect("(")
+        self.expect("(")
         args = []
-        if self.toks.peek().text != ")":
+        if self.peek()[1] != ")":
             while True:
                 args.append(self._sum())
-                if self.toks.peek().text != ",":
+                if self.peek()[1] != ",":
                     break
-                self.toks.next()
-        self.toks.expect(")")
+                self.i += 1
+        self.expect(")")
         if len(args) != arity:
-            raise ParseError(
-                f"{name} takes {arity} argument(s), found {len(args)}",
-                t.line, t.col)
+            raise self.error(
+                f"{name} takes {arity} argument(s), found {len(args)}", t)
         derivs = [0] * arity
         for d in marker:
             if not 1 <= d <= arity:
-                raise ParseError(f"marker slot {d} out of range", t.line, t.col)
+                raise self.error(f"marker slot {d} out of range", t)
             derivs[d - 1] += 1
         return Expr.atom(OpaqueCall(name, tuple(derivs), tuple(args)))
 
@@ -323,25 +370,15 @@ def parse_expr(text: str, problem: LagrangianProblem,
     the bound (reports legitimately contain jets above k, e.g. from total
     derivatives in the cascade).
     """
-    return _parse_tokens(_tokenize(text), problem, max_jet_order)
+    return _ExprParser(text, _tokenize(text), problem, max_jet_order).parse()
 
 
-def _parse_tokens(tokens: list[_Token], problem: LagrangianProblem,
-                  max_jet_order: int | None = None) -> Expr:
-    toks = _Tokens(tokens)
-    e = _ExprParser(toks, problem, max_jet_order).parse()
-    t = toks.peek()
-    if t.kind != "eof":
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    return e
-
-
-def _parse_stmt_expr(tokens: list[_Token], problem: LagrangianProblem,
+def _parse_stmt_expr(src: str, tokens: list, problem: LagrangianProblem,
                      what: str) -> Expr:
     """Parse one statement's token slice; an error keeps the location of
     the offending token and names the statement."""
     try:
-        return _parse_tokens(tokens, problem)
+        return _ExprParser(src, tokens, problem, None).parse()
     except ParseError as exc:
         raise ParseError(f"{exc.message} (in {what} statement)",
                          exc.line, exc.col) from None
@@ -351,7 +388,9 @@ def parse_problem(text: str) -> ProblemFile:
     """Parse a full problem file.  The file is tokenized once: each
     expression statement keeps its token slice, parsed once the
     declarations are known."""
-    toks = _Tokens(_tokenize(text))
+    toks = _Tokens(text, _tokenize(text))
+    tokens = toks.toks
+    texts = [t[1] for t in tokens]
     n = k = None
     fields: list[str] = []
     params: list[str] = []
@@ -363,151 +402,155 @@ def parse_problem(text: str) -> ProblemFile:
 
     def problem_so_far(L=None, cons=()):
         if n is None:
-            toks.error("missing 'base' declaration")
+            raise toks.error("missing 'base' declaration")
         if k is None:
-            toks.error("missing 'order' declaration")
+            raise toks.error("missing 'order' declaration")
         if not fields:
-            toks.error("missing 'field' declaration")
+            raise toks.error("missing 'field' declaration")
         return LagrangianProblem(n, tuple(fields), k,
                                  L if L is not None else Expr(),
                                  tuple(cons), tuple(params), dict(opaques))
 
-    def read_expr_tokens() -> list[_Token]:
-        # the tokens up to ';', closed by an eof at the ';', so expressions
-        # parse after the headers
+    def slice_to(j: int) -> list:
+        # the tokens from the cursor up to token j, closed by an eof there;
+        # the cursor moves to token j
+        part = tokens[toks.i:j]
+        part.append(("eof", "", tokens[j][2]))
+        toks.i = j
+        return part
+
+    def read_expr_tokens() -> list:
+        # up to the first ';' outside brackets, so that expressions parse
+        # after the headers
         depth = 0
-        parts = []
+        seg = j = toks.i
         while True:
-            t = toks.peek()
-            if t.kind == "eof":
-                toks.error("unterminated statement")
-            if t.text == ";" and depth == 0:
-                break
-            if t.text in ("(", "[", "{"):
-                depth += 1
-            if t.text in (")", "]", "}"):
-                depth -= 1
-            parts.append(toks.next())
-        return parts + [_Token("eof", "", t.line, t.col)]
+            try:
+                j = texts.index(";", j)
+            except ValueError:
+                raise toks.error("unterminated statement", tokens[-1]) from None
+            part = texts[seg:j]
+            depth += (part.count("(") + part.count("[") + part.count("{")
+                      - part.count(")") - part.count("]") - part.count("}"))
+            if not depth:
+                return slice_to(j)
+            seg = j
+            j += 1
 
     def read_int(what: str) -> int:
         t = toks.next()
-        if t.kind != "int":
-            raise ParseError(f"{what} must be an integer, found {t.text!r}",
-                             t.line, t.col)
-        return int(t.text)
+        if t[0] != "int":
+            raise toks.error(f"{what} must be an integer, found {t[1]!r}", t)
+        return toks.int_value(t)
 
-    def declare(name: str, tok):
+    def declare():
+        tok = toks.next()
+        name = tok[1]
+        if tok[0] != "ident":
+            raise toks.error(f"expected a name, found {name!r}", tok)
         if name in _RESERVED or re.fullmatch(r"x\d+", name):
-            raise ParseError(f"{name!r} is reserved", tok.line, tok.col)
+            raise toks.error(f"{name!r} is reserved", tok)
         if name in fields or name in params or name in opaques:
-            raise ParseError(f"{name!r} already declared", tok.line, tok.col)
+            raise toks.error(f"{name!r} already declared", tok)
+        return tok
 
-    while toks.peek().kind != "eof":
+    while toks.peek()[0] != "eof":
         t = toks.next()
-        stmt = t.text
+        stmt = t[1]
         if stmt == "base":
             if n is not None:
-                raise ParseError("duplicate 'base' declaration", t.line, t.col)
+                raise toks.error("duplicate 'base' declaration", t)
             n = read_int("base dimension")
             toks.expect(";")
         elif stmt == "order":
             if k is not None:
-                raise ParseError("duplicate 'order' declaration", t.line, t.col)
+                raise toks.error("duplicate 'order' declaration", t)
             k = read_int("order")
             toks.expect(";")
         elif stmt == "field":
-            name = toks.next()
-            declare(name.text, name)
-            fields.append(name.text)
+            fields.append(declare()[1])
             toks.expect(";")
         elif stmt == "param":
-            name = toks.next()
-            declare(name.text, name)
-            params.append(name.text)
+            params.append(declare()[1])
             toks.expect(";")
         elif stmt == "opaque":
-            name = toks.next()
-            declare(name.text, name)
+            name = declare()
             toks.expect("(")
             arity = read_int("opaque arity")
             toks.expect(")")
             toks.expect(";")
             if not 1 <= arity <= 9:
-                raise ParseError("opaque arity must be 1..9", name.line, name.col)
-            opaques[name.text] = arity
+                raise toks.error("opaque arity must be 1..9", name)
+            opaques[name[1]] = arity
         elif stmt == "lagrangian":
             if lagrangian is not None:
-                raise ParseError("duplicate 'lagrangian' statement", t.line, t.col)
+                raise toks.error("duplicate 'lagrangian' statement", t)
             lagrangian = read_expr_tokens()
             toks.expect(";")
         elif stmt == "constraint":
-            deferred.append(("constraint", read_expr_tokens(), t.line, t.col))
+            deferred.append(("constraint", read_expr_tokens(), t))
             toks.expect(";")
         elif stmt == "fcomponent":
-            deferred.append(("fcomponent", read_expr_tokens(), t.line, t.col))
+            deferred.append(("fcomponent", read_expr_tokens(), t))
             toks.expect(";")
         elif stmt == "poly":
             if poly_src is not None:
-                raise ParseError("duplicate 'poly' statement", t.line, t.col)
+                raise toks.error("duplicate 'poly' statement", t)
             poly_src = read_expr_tokens()
             toks.expect(";")
         elif stmt == "vfield":
-            name = toks.next().text
+            name = toks.next()[1]
             toks.expect("=")
-            deferred.append((f"vfield:{name}", read_expr_tokens(), t.line, t.col))
+            deferred.append((f"vfield:{name}", read_expr_tokens(), t))
             toks.expect(";")
         elif stmt == "section":
             toks.expect("{")
-            while toks.peek().text != "}":
+            while toks.peek()[1] != "}":
                 start = toks.peek()
-                lhs = []
-                while toks.peek().text != "=":
-                    if toks.peek().kind == "eof":
-                        toks.error("unterminated section block")
-                    lhs.append(toks.next())
-                eq = toks.expect("=")
-                lhs.append(_Token("eof", "", eq.line, eq.col))
+                try:
+                    lhs = slice_to(texts.index("=", toks.i))
+                except ValueError:
+                    raise toks.error("unterminated section block",
+                                     tokens[-1]) from None
+                toks.expect("=")
                 rhs = read_expr_tokens()
                 toks.expect(";")
-                section_stmts.append((lhs, rhs, start.line, start.col))
+                section_stmts.append((lhs, rhs, start))
             toks.expect("}")
         else:
-            raise ParseError(f"unknown statement {stmt!r}", t.line, t.col)
+            raise toks.error(f"unknown statement {stmt!r}", t)
 
     bare = problem_so_far()
-    L = (_parse_stmt_expr(lagrangian, bare, "lagrangian")
+    L = (_parse_stmt_expr(text, lagrangian, bare, "lagrangian")
          if lagrangian is not None else Expr())
-    cons = [_parse_stmt_expr(src, bare, "constraint")
-            for kind, src, line, col in deferred if kind == "constraint"]
+    cons = [_parse_stmt_expr(text, src, bare, "constraint")
+            for kind, src, _ in deferred if kind == "constraint"]
     problem = problem_so_far(L, cons)
 
     pf = ProblemFile(problem=problem)
-    for kind, src, line, col in deferred:
+    for kind, src, t in deferred:
         if kind == "fcomponent":
-            pf.fvector.append(_parse_stmt_expr(src, problem, "fcomponent"))
+            pf.fvector.append(_parse_stmt_expr(text, src, problem, "fcomponent"))
         elif kind.startswith("vfield:"):
             fld = kind.split(":", 1)[1]
             if fld not in problem.fields:
-                raise ParseError(f"vfield for unknown field {fld!r}", line, col)
-            pf.vfields[fld] = _parse_stmt_expr(src, problem, "vfield")
+                raise toks.error(f"vfield for unknown field {fld!r}", t)
+            pf.vfields[fld] = _parse_stmt_expr(text, src, problem, "vfield")
     if poly_src is not None:
-        pf.poly = _parse_stmt_expr(poly_src, problem, "poly")
+        pf.poly = _parse_stmt_expr(text, poly_src, problem, "poly")
     if section_stmts:
         assign = {}
-        for lhs_toks, rhs_toks, line, col in section_stmts:
-            lhs = _parse_stmt_expr(lhs_toks, problem, "section")
+        for lhs_toks, rhs_toks, start in section_stmts:
+            lhs = _parse_stmt_expr(text, lhs_toks, problem, "section")
             atoms = lhs.atoms()
             if len(atoms) != 1 or lhs != Expr.atom(next(iter(atoms))):
-                lhs_src = " ".join(t.text for t in lhs_toks[:-1])
-                raise ParseError(f"section key must be a single slot: {lhs_src}",
-                                 line, col)
-            assign[next(iter(atoms))] = _parse_stmt_expr(rhs_toks, problem,
-                                                         "section")
+                lhs_src = " ".join(t[1] for t in lhs_toks[:-1])
+                raise toks.error(
+                    f"section key must be a single slot: {lhs_src}", start)
+            assign[next(iter(atoms))] = _parse_stmt_expr(text, rhs_toks,
+                                                         problem, "section")
         pf.section = assign
     if pf.fvector and len(pf.fvector) != problem.n:
-        end = toks.peek()
-        raise ParseError(
-            f"expected {problem.n} fcomponent statements, found {len(pf.fvector)}",
-            end.line, end.col)
+        raise toks.error(
+            f"expected {problem.n} fcomponent statements, found {len(pf.fvector)}")
     return pf

@@ -118,6 +118,47 @@ class TestCommands:
         assert run(["el", lagfile(source)]) == 2
         assert capsys.readouterr().err == f"error: {where}\n"
 
+    @pytest.mark.parametrize("source,where", [
+        ("base 1;\nfield u;\norder 1;\nlagrangian lam[1,2];",
+         "expected ']', found ',' (in lagrangian statement) at line 4, column 17"),
+        ("base 1;\nfield 3;\norder 1;\nlagrangian 0;",
+         "expected a name, found '3' at line 2, column 7"),
+        ("base 1;\nfield u;\nparam (;\norder 1;\nlagrangian 0;",
+         "expected a name, found '(' at line 3, column 7"),
+        ("base 1;\nfield u;\norder 1;\nlagrangian " + "1" * 5000 + "*u;",
+         "integer literal too long (5000 digits) (in lagrangian statement)"
+         " at line 4, column 12"),
+        ("base 1;\norder 1;\nfield", "expected a name, found '' at line 3, column 6"),
+    ], ids=["lam-two-indices", "field-int", "param-paren", "long-literal",
+            "field-at-end"])
+    def test_input_once_accepted_or_crashing_exit_2(self, capsys, lagfile,
+                                                    source, where):
+        # each of these exited 0 with a bogus declaration, or 3
+        assert run(["el", lagfile(source)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {where}\n"
+
+    @pytest.mark.parametrize("name,command,message", [
+        ("beam", "energy", "energy transform is a first-order construction"),
+        ("beam", "check-divergence", "problem file has no fcomponent statements"),
+        ("mechanics", "ms-check", "problem file has no section block"),
+        ("plate", "legendre", "singular Legendre: top Hessian block degenerate"),
+        ("plate", "hamilton", "singular Legendre: top Hessian block degenerate"),
+        ("plate", "pc-form", "singular Legendre: top Hessian block degenerate"),
+        ("plate", "energy", "energy transform is a first-order construction"),
+        ("coupled", "prolong", "problem file has no vfield statements"),
+        ("vfield_poly", "shift", "problem file has no fcomponent statements"),
+    ])
+    @pytest.mark.parametrize("latex", [(), ("--latex",)])
+    def test_corpus_refusals_keep_their_text(self, capsys, name, command,
+                                             message, latex):
+        # the refusals of the textbook benchmark workload, stderr pinned
+        path = os.path.join(CORPUS, f"{name}.lag")
+        assert run([command, path, *latex]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("cap", [1, 2])
     def test_momentum_order_cap_exit_2(self, capsys, lagfile, cap):
         # V[2] = u[2] passes cap 2 but not 1; V[1] = -u[3] passes neither

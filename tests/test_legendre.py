@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetcalc import (Base, Expr, Jet, LagrangianProblem, Momentum, MultiIndex,
                      OpaqueCall, Parameter, parse_expr, partial_derivative,
@@ -15,7 +16,8 @@ from jetcalc import (Base, Expr, Jet, LagrangianProblem, Momentum, MultiIndex,
 from jetcalc.expr import ONE, ZERO, ExprError, divide
 from jetcalc.legendre import (LegendreError, SingularLegendreError,
                               _bareiss_det, _check_hessian_entry,
-                              _check_time_entry, _solve_linear,
+                              _check_time_entry, _quadratic_split,
+                              _solve_linear,
                               energy_legendre, field_hamiltonian_first_order,
                               hamilton_equations, legendre_top)
 from jetcalc.multiindex import all_multiindices, multiindices_up_to
@@ -647,3 +649,146 @@ class TestIdentityAgainstSubstitution:
                 assert got == _outcome(_reference_energy, prob, t), (source, t)
                 solved += got[0] == "ok"
         assert solved >= 5
+
+
+# -- the Hessian split against the derivatives of all of L -------------------
+
+def _reference_split(L, unknowns):
+    """(L0, b, A) the way the exchange assembled them before the split:
+    one derivative of L per unknown, one more per entry, and x = 0
+    substituted into L and each row."""
+    kill = {Jet(fld, mi): ZERO for fld, mi in unknowns}
+    A, b = [], []
+    for fld, mi in unknowns:
+        dL = jet_partial(L, fld, mi)
+        A.append([partial_derivative(dL, Jet(fld2, mi2))
+                  for fld2, mi2 in unknowns])
+        b.append(substitute(dL, kill))
+    return substitute(L, kill), b, A
+
+
+def _split(L, unknowns):
+    return _quadratic_split(
+        L, {Jet(fld, mi): i for i, (fld, mi) in enumerate(unknowns)})
+
+
+def _tops(n, k, fields=("u",)):
+    return [(fld, mi) for fld in fields for mi in all_multiindices(n, k)]
+
+
+def _time_jets(n, t, fields=("u",)):
+    return [(fld, MI.unit(n, t)) for fld in fields]
+
+
+@pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (2, 3), (3, 2)])
+def test_split_of_random_quadratics(n, k):
+    for seed in range(4):
+        rng = random.Random(900 + 10 * n + k + 100 * seed)
+        prob = random_quadratic_lagrangian(rng, n, k)
+        lower = random_polynomial(rng, jet_atoms(n, k - 1), 2, 3)
+        L = prob.lagrangian + Expr.sum(
+            Expr.atom(Jet("u", mi)) * lower
+            for mi in all_multiindices(n, k) if rng.random() < 0.5)
+        for lag in (prob.lagrangian, L):
+            assert _split(lag, _tops(n, k)) == _reference_split(lag, _tops(n, k))
+
+
+def test_split_of_cubic_and_quartic_polynomials():
+    for seed in range(12):
+        rng = random.Random(1200 + seed)
+        n, k = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
+        degree = 3 + seed % 2
+        L = random_polynomial(rng, jet_atoms(n, k), degree, 8)
+        for unknowns in (_tops(n, k), _time_jets(n, n)):
+            assert _split(L, unknowns) == _reference_split(L, unknowns)
+
+
+_PROB = LagrangianProblem(2, ("u", "v"), 2, Expr(), (), ("a", "b"),
+                          {"U": 2, "F": 1})
+_ATOMS_TOP = ["u[2,0]", "u[1,1]", "v[0,2]", "u[1,0]", "v[0,1]", "F(u[2,0])"]
+_ATOMS_LOW = ["u", "v", "x1", "x2", "a", "1/a", "b^2/a", "F(x1)"]
+
+
+@st.composite
+def _lagrangians(draw):
+    """Sums of up to six terms of degree up to four in top and lower jets,
+    parameters with negative powers, and opaque calls whose arguments do or
+    do not hold a top jet, some of them inside another call."""
+    def polynomial(atoms, terms, degree):
+        out = []
+        for _ in range(draw(st.integers(1, terms))):
+            factors = draw(st.lists(st.sampled_from(atoms), max_size=degree))
+            out.append("*".join([str(draw(st.integers(-3, 3)))] + factors))
+        return " + ".join(out)
+
+    atoms = _ATOMS_TOP + _ATOMS_LOW
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        factors = draw(st.lists(st.sampled_from(atoms), max_size=4))
+        if draw(st.booleans()):
+            arg_atoms = draw(st.sampled_from([_ATOMS_LOW, atoms]))
+            name, marker = draw(st.sampled_from(
+                [("U", ""), ("U", "_{,1}"), ("U", "_{,12}"), ("F", "")]))
+            args = [polynomial(arg_atoms, 2, 2)
+                    for _ in range(_PROB.opaques[name])]
+            factors.append(f"{name}{marker}({', '.join(args)})")
+        terms.append("*".join([f"{draw(st.integers(-4, 4))}/"
+                               f"{draw(st.integers(1, 3))}"] + factors))
+    return parse_expr(" + ".join(terms), _PROB)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_lagrangians())
+def test_split_matches_the_derivatives_of_all_of_L(L):
+    for unknowns in (_tops(2, 2, ("u", "v")), _time_jets(2, 1, ("u", "v")),
+                     _time_jets(2, 2, ("u", "v"))):
+        assert _split(L, unknowns) == _reference_split(L, unknowns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lagrangians(), st.booleans())
+def test_transforms_match_the_reference_on_any_lagrangian(L, first_order):
+    # mostly refusals (cubic terms, state-dependent or opaque entries): the
+    # same text, from the check on the same entries in the same order
+    if first_order:
+        L = substitute(L, {Jet(f, mi): ZERO for f in ("u", "v")
+                           for mi in all_multiindices(2, 2)})
+        prob = LagrangianProblem(2, ("u", "v"), 1, L, (), ("a", "b"),
+                                 {"U": 2, "F": 1})
+        for t in (1, 2):
+            assert _outcome(energy_legendre, prob, t) == \
+                _outcome(_reference_energy, prob, t)
+    else:
+        prob = LagrangianProblem(2, ("u", "v"), 2, L, (), ("a", "b"),
+                                 {"U": 2, "F": 1})
+    assert _outcome(_top, prob) == _outcome(_reference_top, prob)
+
+
+def test_transforms_through_opaque_calls_match_the_reference():
+    # an opaque call without a top-jet argument is a coefficient; with one,
+    # the check refuses with the text of its first entry in row-major order
+    sources = [
+        ("1/2*u[1,0]^2 + 1/2*v[1,0]^2 - 1/2*u[0,1]^2 + v[0,1]^2"
+         " + u[0,1]*v[1,0] + U(u, x1)*u[1,0] + F(a*x1)*v[0,1] + u*v[0,1]/a",
+         "ok"),
+        ("1/2*F(a)*u[1,0]^2 + 1/2*v[1,0]^2 - 1/2*u[0,1]^2 + v[0,1]^2",
+         "not representable"),
+        ("1/2*u[1,0]^2 + v[1,0]^2 - 1/2*u[0,1]^2 + v[0,1]^2 + U(u[1,0], v)",
+         "not quadratic"),
+        ("1/2*u[1,0]^2 + 1/2*v[1,0]^2 + U_{,1}(u, u[0,1]*v[0,1])",
+         "not quadratic"),
+        ("u[1,0]*U(u, x1)^2 + 1/2*u[1,0]^2*F(u) + v[1,0]^2 + u[0,1]^2"
+         " + v[0,1]^2", "parameter-constant (found u in an entry)"),
+    ]
+    declared = LagrangianProblem(2, ("u", "v"), 1, Expr(), (), ("a", "b"),
+                                 {"U": 2, "F": 1})
+    for source, outcome in sources:
+        prob = LagrangianProblem(2, ("u", "v"), 1, parse_expr(source, declared),
+                                 (), ("a", "b"), {"U": 2, "F": 1})
+        got = _outcome(_top, prob)
+        assert got == _outcome(_reference_top, prob), source
+        assert got[0] == "ok" if outcome == "ok" else outcome in got[1], \
+            (source, got)
+        for t in (1, 2):
+            assert _outcome(energy_legendre, prob, t) == \
+                _outcome(_reference_energy, prob, t), (source, t)

@@ -1,0 +1,784 @@
+"""Parser: differential and fuzz tests against the reference parser.
+
+The reference below is the tokenizer and parser as they were before the
+tokenizer became one ``finditer`` pass and numeric literals started to fold
+as numbers: a per-token ``match`` loop with line and column counted as it
+goes, and every number an ``Expr``.  The parser must give an equal
+``ProblemFile`` or the same ``ParseError`` message, line and column.  The
+only differences allowed are the inputs the reference let through or
+crashed on:
+
+- a declaration whose name is not an identifier (``field 3;``), which the
+  reference accepted;
+- inputs on which the reference raised something other than ``ParseError``
+  or ``ProblemError`` (``lam[1,2]``, an integer literal beyond the
+  interpreter's digit limit, a file that ends right after ``field``),
+  where the parser must raise a ``ParseError``.
+"""
+
+import importlib.util
+import os
+import re
+import string
+import sys
+from dataclasses import dataclass
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from jetcalc import (Base, Expr, Jet, LagrangianProblem, Momentum, Multiplier,
+                     MultiIndex, OpaqueCall, Parameter, ParseError,
+                     ProblemError, ProblemFile, divide, parse_expr,
+                     parse_problem, to_dsl)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CORPUS = os.path.join(ROOT, "perfbench", "corpus")
+
+
+# -- the reference: tokenizer and parser before the single-pass rewrite -----
+
+_REF_RESERVED = {"p", "lam", "base", "field", "order", "param", "opaque",
+                 "lagrangian", "constraint", "section", "fcomponent", "vfield",
+                 "poly"}
+
+_REF_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+|\#[^\n]*)
+      | (?P<int>\d+)
+      | (?P<marker>[A-Za-z_]\w*_\{,\d+\})
+      | (?P<ident>[A-Za-z_]\w*)
+      | (?P<op>[-+*/^(){};,=\[\]])
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass
+class _RefToken:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def ref_tokenize(text: str) -> list[_RefToken]:
+    tokens = []
+    pos, line, col = 0, 1, 1
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        raw = m.group()
+        if kind != "ws":
+            tokens.append(_RefToken(kind, raw, line, col))
+        newlines = raw.count("\n")
+        if newlines:
+            line += newlines
+            col = len(raw) - raw.rfind("\n")
+        else:
+            col += len(raw)
+        pos = m.end()
+    tokens.append(_RefToken("eof", "", line, col))
+    return tokens
+
+
+class _RefTokens:
+    """A cursor over a token list that ends with an ``eof`` token."""
+
+    def __init__(self, toks: list[_RefToken]):
+        self.toks = toks
+        self.i = 0
+
+    def peek(self) -> _RefToken:
+        return self.toks[self.i]
+
+    def next(self) -> _RefToken:
+        t = self.toks[self.i]
+        self.i += 1
+        return t
+
+    def expect(self, text: str) -> _RefToken:
+        t = self.next()
+        if t.text != text:
+            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
+        return t
+
+    def error(self, message: str):
+        t = self.peek()
+        raise ParseError(message, t.line, t.col)
+
+
+class _RefExprParser:
+    """Recursive-descent expression parser against a declaration context."""
+
+    def __init__(self, toks: _RefTokens, problem: LagrangianProblem,
+                 max_jet_order: int | None):
+        self.toks = toks
+        self.problem = problem
+        self.max_jet = problem.k if max_jet_order is None else max_jet_order
+
+    def parse(self) -> Expr:
+        return self._sum()
+
+    def _sum(self) -> Expr:
+        terms = [self._term()]
+        while self.toks.peek().text in ("+", "-"):
+            op = self.toks.next().text
+            rhs = self._term()
+            terms.append(rhs if op == "+" else -rhs)
+        return Expr.sum(terms)
+
+    def _term(self) -> Expr:
+        e = self._factor()
+        while self.toks.peek().text in ("*", "/"):
+            op = self.toks.next().text
+            rhs = self._factor()
+            if op == "*":
+                e = e * rhs
+            else:
+                t = self.toks.peek()
+                try:
+                    e = divide(e, rhs)
+                except Exception as exc:
+                    raise ParseError(str(exc), t.line, t.col) from None
+        return e
+
+    def _factor(self) -> Expr:
+        sign = 1
+        while self.toks.peek().text in ("+", "-"):
+            if self.toks.next().text == "-":
+                sign = -sign
+        e = self._primary()
+        if self.toks.peek().text == "^":
+            self.toks.next()
+            t = self.toks.next()
+            if t.kind != "int":
+                raise ParseError("exponent must be a non-negative integer",
+                                 t.line, t.col)
+            e = e ** int(t.text)
+        return e * sign
+
+    def _primary(self) -> Expr:
+        t = self.toks.peek()
+        if t.text == "(":
+            self.toks.next()
+            e = self._sum()
+            self.toks.expect(")")
+            return e
+        if t.kind == "int":
+            self.toks.next()
+            return Expr.const(Fraction(t.text))
+        if t.kind == "marker":
+            return self._opaque_marker()
+        if t.kind == "ident":
+            return self._atomref()
+        self.toks.error(f"unexpected token {t.text!r}")
+
+    # -- atoms ------------------------------------------------------------
+
+    def _intlist(self) -> list[int]:
+        out = []
+        while True:
+            t = self.toks.next()
+            if t.kind != "int":
+                raise ParseError("expected an integer", t.line, t.col)
+            out.append(int(t.text))
+            if self.toks.peek().text != ",":
+                break
+            self.toks.next()
+        return out
+
+    def _multiindex(self, entries: list[int], where: _RefToken) -> MultiIndex:
+        n = self.problem.n
+        if len(entries) != n:
+            raise ParseError(
+                f"expected {n} multi-index entries, found {len(entries)}",
+                where.line, where.col)
+        return MultiIndex(entries)
+
+    def _atomref(self) -> Expr:
+        t = self.toks.next()
+        name = t.text
+        nxt = self.toks.peek().text
+        if name == "p" and nxt == "[":
+            return self._momentum(t)
+        if name == "lam" and nxt == "[":
+            self.toks.next()
+            (a,) = self._intlist()
+            self.toks.expect("]")
+            return Expr.atom(Multiplier(a))
+        if nxt == "(":
+            return self._opaque_call(t, ())
+        if name in self.problem.fields:
+            if nxt == "[":
+                self.toks.next()
+                mi = self._multiindex(self._intlist(), t)
+                self.toks.expect("]")
+                if mi.order > self.max_jet:
+                    raise ParseError(
+                        f"jet order {mi.order} of {name} exceeds k={self.max_jet}",
+                        t.line, t.col)
+                return Expr.atom(Jet(name, mi))
+            return Expr.atom(Jet(name, MultiIndex.zero(self.problem.n)))
+        if name in self.problem.params:
+            return Expr.atom(Parameter(name))
+        m = re.fullmatch(r"x(\d+)", name)
+        if m and 1 <= int(m.group(1)) <= self.problem.n:
+            return Expr.atom(Base(int(m.group(1))))
+        raise ParseError(f"unknown identifier {name!r}", t.line, t.col)
+
+    def _momentum(self, t: _RefToken) -> Expr:
+        self.toks.expect("[")
+        fld_tok = self.toks.peek()
+        if fld_tok.kind != "ident":
+            # p[ints] would be a jet of a field named p; no such field here
+            raise ParseError("momentum atom expects a field name", fld_tok.line,
+                             fld_tok.col)
+        fld = self.toks.next().text
+        if fld not in self.problem.fields:
+            raise ParseError(f"unknown field {fld!r}", fld_tok.line, fld_tok.col)
+        segments: list[list[int]] = []
+        while self.toks.peek().text == ";":
+            self.toks.next()
+            if self.toks.peek().text in (";", "]"):
+                segments.append([])
+            else:
+                segments.append(self._intlist())
+        self.toks.expect("]")
+        n = self.problem.n
+        zero = MultiIndex.zero(n)
+        if len(segments) == 1:
+            mi = self._multiindex(segments[0], t) if segments[0] else zero
+            if mi.order < 1:
+                raise ParseError("symmetric momentum needs order >= 1", t.line, t.col)
+            return Expr.atom(Momentum(fld, mi))
+        if len(segments) in (2, 3):
+            mi = self._multiindex(segments[0], t) if segments[0] else zero
+            last_seg = segments[1]
+            last = None
+            if last_seg:
+                if len(last_seg) != 1 or not 1 <= last_seg[0] <= n:
+                    raise ParseError("bad last index", t.line, t.col)
+                last = last_seg[0]
+            derivs = zero
+            if len(segments) == 3 and segments[2]:
+                derivs = self._multiindex(segments[2], t)
+            if last is None:
+                if mi.order < 2:
+                    raise ParseError("symmetric momentum needs order >= 2 here",
+                                     t.line, t.col)
+                return Expr.atom(Momentum(fld, mi, None, derivs))
+            return Expr.atom(Momentum(fld, mi, last, derivs))
+        raise ParseError("malformed momentum atom", t.line, t.col)
+
+    def _opaque_marker(self) -> Expr:
+        t = self.toks.next()
+        name, digits = t.text.split("_{,")
+        digits = digits[:-1]
+        return self._opaque_call(_RefToken("ident", name, t.line, t.col),
+                                 tuple(int(d) for d in digits))
+
+    def _opaque_call(self, t: _RefToken, marker: tuple[int, ...]) -> Expr:
+        name = t.text
+        if name not in self.problem.opaques:
+            raise ParseError(f"unknown function {name!r}", t.line, t.col)
+        arity = self.problem.opaques[name]
+        self.toks.expect("(")
+        args = []
+        if self.toks.peek().text != ")":
+            while True:
+                args.append(self._sum())
+                if self.toks.peek().text != ",":
+                    break
+                self.toks.next()
+        self.toks.expect(")")
+        if len(args) != arity:
+            raise ParseError(
+                f"{name} takes {arity} argument(s), found {len(args)}",
+                t.line, t.col)
+        derivs = [0] * arity
+        for d in marker:
+            if not 1 <= d <= arity:
+                raise ParseError(f"marker slot {d} out of range", t.line, t.col)
+            derivs[d - 1] += 1
+        return Expr.atom(OpaqueCall(name, tuple(derivs), tuple(args)))
+
+
+def ref_parse_expr(text: str, problem: LagrangianProblem,
+               max_jet_order: int | None = None) -> Expr:
+    """Parse a single expression against a problem's declarations.
+
+    Jets are bounded by the problem order k unless ``max_jet_order`` lifts
+    the bound (reports legitimately contain jets above k, e.g. from total
+    derivatives in the cascade).
+    """
+    return _ref_parse_tokens(ref_tokenize(text), problem, max_jet_order)
+
+
+def _ref_parse_tokens(tokens: list[_RefToken], problem: LagrangianProblem,
+                  max_jet_order: int | None = None) -> Expr:
+    toks = _RefTokens(tokens)
+    e = _RefExprParser(toks, problem, max_jet_order).parse()
+    t = toks.peek()
+    if t.kind != "eof":
+        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+    return e
+
+
+def _ref_parse_stmt_expr(tokens: list[_RefToken], problem: LagrangianProblem,
+                     what: str) -> Expr:
+    """Parse one statement's token slice; an error keeps the location of
+    the offending token and names the statement."""
+    try:
+        return _ref_parse_tokens(tokens, problem)
+    except ParseError as exc:
+        raise ParseError(f"{exc.message} (in {what} statement)",
+                         exc.line, exc.col) from None
+
+
+def ref_parse_problem(text: str) -> ProblemFile:
+    """Parse a full problem file.  The file is tokenized once: each
+    expression statement keeps its token slice, parsed once the
+    declarations are known."""
+    toks = _RefTokens(ref_tokenize(text))
+    n = k = None
+    fields: list[str] = []
+    params: list[str] = []
+    opaques: dict[str, int] = {}
+    lagrangian = None
+    section_stmts: list[tuple] = []
+    deferred: list[tuple] = []
+    poly_src = None
+
+    def problem_so_far(L=None, cons=()):
+        if n is None:
+            toks.error("missing 'base' declaration")
+        if k is None:
+            toks.error("missing 'order' declaration")
+        if not fields:
+            toks.error("missing 'field' declaration")
+        return LagrangianProblem(n, tuple(fields), k,
+                                 L if L is not None else Expr(),
+                                 tuple(cons), tuple(params), dict(opaques))
+
+    def read_expr_tokens() -> list[_RefToken]:
+        # the tokens up to ';', closed by an eof at the ';', so expressions
+        # parse after the headers
+        depth = 0
+        parts = []
+        while True:
+            t = toks.peek()
+            if t.kind == "eof":
+                toks.error("unterminated statement")
+            if t.text == ";" and depth == 0:
+                break
+            if t.text in ("(", "[", "{"):
+                depth += 1
+            if t.text in (")", "]", "}"):
+                depth -= 1
+            parts.append(toks.next())
+        return parts + [_RefToken("eof", "", t.line, t.col)]
+
+    def read_int(what: str) -> int:
+        t = toks.next()
+        if t.kind != "int":
+            raise ParseError(f"{what} must be an integer, found {t.text!r}",
+                             t.line, t.col)
+        return int(t.text)
+
+    def declare(name: str, tok):
+        if name in _REF_RESERVED or re.fullmatch(r"x\d+", name):
+            raise ParseError(f"{name!r} is reserved", tok.line, tok.col)
+        if name in fields or name in params or name in opaques:
+            raise ParseError(f"{name!r} already declared", tok.line, tok.col)
+
+    while toks.peek().kind != "eof":
+        t = toks.next()
+        stmt = t.text
+        if stmt == "base":
+            if n is not None:
+                raise ParseError("duplicate 'base' declaration", t.line, t.col)
+            n = read_int("base dimension")
+            toks.expect(";")
+        elif stmt == "order":
+            if k is not None:
+                raise ParseError("duplicate 'order' declaration", t.line, t.col)
+            k = read_int("order")
+            toks.expect(";")
+        elif stmt == "field":
+            name = toks.next()
+            declare(name.text, name)
+            fields.append(name.text)
+            toks.expect(";")
+        elif stmt == "param":
+            name = toks.next()
+            declare(name.text, name)
+            params.append(name.text)
+            toks.expect(";")
+        elif stmt == "opaque":
+            name = toks.next()
+            declare(name.text, name)
+            toks.expect("(")
+            arity = read_int("opaque arity")
+            toks.expect(")")
+            toks.expect(";")
+            if not 1 <= arity <= 9:
+                raise ParseError("opaque arity must be 1..9", name.line, name.col)
+            opaques[name.text] = arity
+        elif stmt == "lagrangian":
+            if lagrangian is not None:
+                raise ParseError("duplicate 'lagrangian' statement", t.line, t.col)
+            lagrangian = read_expr_tokens()
+            toks.expect(";")
+        elif stmt == "constraint":
+            deferred.append(("constraint", read_expr_tokens(), t.line, t.col))
+            toks.expect(";")
+        elif stmt == "fcomponent":
+            deferred.append(("fcomponent", read_expr_tokens(), t.line, t.col))
+            toks.expect(";")
+        elif stmt == "poly":
+            if poly_src is not None:
+                raise ParseError("duplicate 'poly' statement", t.line, t.col)
+            poly_src = read_expr_tokens()
+            toks.expect(";")
+        elif stmt == "vfield":
+            name = toks.next().text
+            toks.expect("=")
+            deferred.append((f"vfield:{name}", read_expr_tokens(), t.line, t.col))
+            toks.expect(";")
+        elif stmt == "section":
+            toks.expect("{")
+            while toks.peek().text != "}":
+                start = toks.peek()
+                lhs = []
+                while toks.peek().text != "=":
+                    if toks.peek().kind == "eof":
+                        toks.error("unterminated section block")
+                    lhs.append(toks.next())
+                eq = toks.expect("=")
+                lhs.append(_RefToken("eof", "", eq.line, eq.col))
+                rhs = read_expr_tokens()
+                toks.expect(";")
+                section_stmts.append((lhs, rhs, start.line, start.col))
+            toks.expect("}")
+        else:
+            raise ParseError(f"unknown statement {stmt!r}", t.line, t.col)
+
+    bare = problem_so_far()
+    L = (_ref_parse_stmt_expr(lagrangian, bare, "lagrangian")
+         if lagrangian is not None else Expr())
+    cons = [_ref_parse_stmt_expr(src, bare, "constraint")
+            for kind, src, line, col in deferred if kind == "constraint"]
+    problem = problem_so_far(L, cons)
+
+    pf = ProblemFile(problem=problem)
+    for kind, src, line, col in deferred:
+        if kind == "fcomponent":
+            pf.fvector.append(_ref_parse_stmt_expr(src, problem, "fcomponent"))
+        elif kind.startswith("vfield:"):
+            fld = kind.split(":", 1)[1]
+            if fld not in problem.fields:
+                raise ParseError(f"vfield for unknown field {fld!r}", line, col)
+            pf.vfields[fld] = _ref_parse_stmt_expr(src, problem, "vfield")
+    if poly_src is not None:
+        pf.poly = _ref_parse_stmt_expr(poly_src, problem, "poly")
+    if section_stmts:
+        assign = {}
+        for lhs_toks, rhs_toks, line, col in section_stmts:
+            lhs = _ref_parse_stmt_expr(lhs_toks, problem, "section")
+            atoms = lhs.atoms()
+            if len(atoms) != 1 or lhs != Expr.atom(next(iter(atoms))):
+                lhs_src = " ".join(t.text for t in lhs_toks[:-1])
+                raise ParseError(f"section key must be a single slot: {lhs_src}",
+                                 line, col)
+            assign[next(iter(atoms))] = _ref_parse_stmt_expr(rhs_toks, problem,
+                                                         "section")
+        pf.section = assign
+    if pf.fvector and len(pf.fvector) != problem.n:
+        end = toks.peek()
+        raise ParseError(
+            f"expected {problem.n} fcomponent statements, found {len(pf.fvector)}",
+            end.line, end.col)
+    return pf
+
+
+# -- comparing outcomes --------------------------------------------------------
+
+def _outcome(parse, *args):
+    try:
+        return ("ok", parse(*args))
+    except ParseError as exc:
+        return ("ParseError", exc.message, exc.line, exc.col)
+    except ProblemError as exc:
+        return ("ProblemError", str(exc))
+    except Exception as exc:    # a fault, not an input error
+        return ("fault", type(exc).__name__)
+
+
+def _non_identifier_declaration(text, line, col):
+    """True when the token at (line, col) is the name of a field, param or
+    opaque declaration and not an identifier: the reference took it as a
+    name."""
+    toks = ref_tokenize(text)
+    return any((t.line, t.col) == (line, col) and t.kind != "ident"
+               and prev.text in ("field", "param", "opaque")
+               for prev, t in zip(toks, toks[1:]))
+
+
+def _assert_same_or_allowed(text):
+    ref = _outcome(ref_parse_problem, text)
+    new = _outcome(parse_problem, text)
+    assert new[0] != "fault", (text, new)
+    if new == ref:
+        return
+    if ref[0] == "fault":
+        assert new[0] == "ParseError", (text, ref, new)
+        return
+    assert new[0] == "ParseError" and new[1].startswith("expected a name, found ") \
+        and _non_identifier_declaration(text, new[2], new[3]), (text, ref, new)
+
+
+def _corpus_texts():
+    out = {}
+    for name in sorted(os.listdir(CORPUS)):
+        with open(os.path.join(CORPUS, name), encoding="utf-8") as fh:
+            out[name] = fh.read()
+    return out
+
+
+CORPUS_TEXTS = _corpus_texts()
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+# -- fixed inputs --------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(CORPUS_TEXTS))
+def test_corpus_parses_as_the_reference(name):
+    text = CORPUS_TEXTS[name]
+    got = _outcome(parse_problem, text)
+    assert got[0] == "ok"
+    assert got == _outcome(ref_parse_problem, text)
+
+
+def test_generated_inputs_parse_as_the_reference(tmp_path):
+    workloads = _workloads()
+    files = set()
+    for seed in (0, 5, 23):
+        for make in (workloads.legendre_solve, workloads.dense_el):
+            files.update(job.argv[1] for job in make(seed, str(tmp_path)))
+    assert len(files) == 14
+    for path in sorted(files):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        got = _outcome(parse_problem, text)
+        assert got[0] == "ok"
+        assert got == _outcome(ref_parse_problem, text), path
+
+
+@pytest.mark.parametrize("text", [
+    "base 1; field u; order 1; lagrangian 2/2*u[1]^2 - -3*u/6 + (1/2)^3*x1;",
+    "base 1; field u; order 1; lagrangian 0^0*u + 2^10*u[1] - 3/(1/2)*x1*u;",
+    "base 1; field u; order 1; param a; lagrangian 4/a/2*u + a/(2*a)*u[1];",
+    "base 1; field u; order 1; lagrangian 1/0*u;",
+    "base 1; field u; order 1; lagrangian u/0;",
+    "base 1; field u; order 1; lagrangian (1-1)/(2-2)*u;",
+    "base 1; field u; order 1; lagrangian 3/u;",
+    "base 1; field u; order 1; lagrangian (u^2-1)/(u+1) + u^2/(u+2);",
+    "base 1; field u; order 1; lagrangian u^x1;",
+    "# head\nbase 1;  # tail\n\tfield u;\r\norder 1;\nlagrangian u\n  + w;",
+    "base 1; field u; order 1; lagrangian u; # no newline at the end",
+    "base 1; field u; order 1; lagrangian u @ 3;",
+    "base 1;\nfield u; é",
+    "base 1; field u; order 1; lagrangian u[1]^2",
+    "base 1; field u; order 1; section { u = 1; p[u;;1] ",
+    "base 1; field u; order 1; section { u = x1; u[1] = 1; p[u;;1] = x1; }",
+    "base 1; field u; order 1; section { u + 1 = 2; }",
+    "base 1; field u; order 1; lagrangian x01*u + x99999999999999999999;",
+    "base 1; field u; order 1; opaque U(2); lagrangian U_{,12}(u, x1) + U_{,3}(u, u);",
+    "base 2; field u; order 1; lagrangian 0; fcomponent u;",
+    "base 1; field u; order 1; vfield w = u;",
+    "base 1; field u; order 1; vfield 3 = u;",
+    "base 1; field u; order 1; lagrangian p[3];",
+    "",
+    "   \n  ",
+])
+def test_edge_inputs_parse_as_the_reference(text):
+    got = _outcome(parse_problem, text)
+    assert got == _outcome(ref_parse_problem, text)
+
+
+@pytest.mark.parametrize("text,message,where", [
+    ("base 1; field u; order 1; lagrangian lam[1,2];",
+     "expected ']', found ',' (in lagrangian statement)", (1, 43)),
+    ("base 1;\nfield 3;", "expected a name, found '3'", (2, 7)),
+    ("base 1;\nparam (;", "expected a name, found '('", (2, 7)),
+    ("base 1; order 1; opaque U_{,1}(1);",
+     "expected a name, found 'U_{,1}'", (1, 25)),
+    ("base 1; order 1; field", "expected a name, found ''", (1, 23)),
+    ("base 1; order 1; field u; vfield", "expected '=', found ''", (1, 33)),
+    ("base 1; field u; order 1; lagrangian " + "7" * 5000 + "*u;",
+     "integer literal too long (5000 digits) (in lagrangian statement)",
+     (1, 38)),
+    ("base 1; field u; order 1; lagrangian u^" + "7" * 5000 + ";",
+     "integer literal too long (5000 digits) (in lagrangian statement)",
+     (1, 40)),
+    ("base " + "7" * 5000 + ";", "integer literal too long (5000 digits)",
+     (1, 6)),
+    ("base 1; field u; order 1; lagrangian u[" + "7" * 5000 + "];",
+     "integer literal too long (5000 digits) (in lagrangian statement)",
+     (1, 40)),
+], ids=["lam-two-indices", "field-int", "param-paren", "opaque-marker",
+        "field-at-end", "vfield-at-end", "long-literal", "long-exponent",
+        "long-declaration", "long-index"])
+def test_input_the_reference_let_through_is_a_parse_error(text, message, where):
+    with pytest.raises(ParseError) as info:
+        parse_problem(text)
+    assert (info.value.message, info.value.line, info.value.col) == \
+        (message, *where)
+    _assert_same_or_allowed(text)
+
+
+def test_base_name_beyond_the_digit_limit_is_unknown():
+    name = "x" + "1" * 5000
+    with pytest.raises(ParseError) as info:
+        parse_problem(f"base 1; field u; order 1; lagrangian {name};")
+    assert info.value.message == \
+        f"unknown identifier {name!r} (in lagrangian statement)"
+
+
+def test_tokens_carry_offsets_and_one_eof():
+    from jetcalc.parser import _tokenize
+    text = "a  # c\n u[1]\t+2 "
+    assert _tokenize(text) == [
+        ("ident", "a", 0), ("ident", "u", 8), ("op", "[", 9), ("int", "1", 10),
+        ("op", "]", 11), ("op", "+", 13), ("int", "2", 14), ("eof", "", 16)]
+    for text in ("", "  ", "# only", "u", "u # c", "u\n"):
+        toks = _tokenize(text)
+        assert [t[0] for t in toks].count("eof") == 1 == (toks[-1][0] == "eof")
+        assert [(t[0], t[1]) for t in toks] == \
+            [(t.kind, t.text) for t in ref_tokenize(text)]
+
+
+# -- Hypothesis: printer output, token soup, edited corpus files --------------
+
+_PROBLEM = LagrangianProblem(2, ("u", "v"), 3, Expr(), (), ("a", "b"),
+                             {"U": 2, "F": 1})
+_HEADER = "base 2; field u; field v; order 3; param a; param b; " \
+          "opaque U(2); opaque F(1);\n"
+
+
+@st.composite
+def _mis(draw, low=0, high=3):
+    return MultiIndex(draw(st.lists(st.integers(0, 2), min_size=2,
+                                    max_size=2)
+                           .filter(lambda m: low <= sum(m) <= high)))
+
+
+@st.composite
+def _atoms(draw, depth):
+    kind = draw(st.sampled_from(
+        ["jet", "jet", "base", "param", "momentum", "multiplier", "opaque"]
+        if depth else ["jet", "base", "param"]))
+    fld = draw(st.sampled_from(["u", "v"]))
+    if kind == "jet":
+        return Jet(fld, draw(_mis()))
+    if kind == "base":
+        return Base(draw(st.integers(1, 2)))
+    if kind == "param":
+        return Parameter(draw(st.sampled_from(["a", "b"])))
+    if kind == "momentum":
+        form = draw(st.integers(0, 2))
+        if form == 0:
+            return Momentum(fld, draw(_mis(1)))
+        if form == 1:
+            return Momentum(fld, draw(_mis(0, 2)), draw(st.integers(1, 2)),
+                            draw(_mis(0, 1)))
+        return Momentum(fld, draw(_mis(2)), None, draw(_mis(1, 1)))
+    if kind == "multiplier":
+        return Multiplier(draw(st.integers(1, 3)))
+    name = draw(st.sampled_from(["U", "F"]))
+    arity = _PROBLEM.opaques[name]
+    args = tuple(draw(_exprs(depth - 1)) for _ in range(arity))
+    return OpaqueCall(name, tuple(draw(st.lists(st.integers(0, 2),
+                                                min_size=arity,
+                                                max_size=arity))), args)
+
+
+@st.composite
+def _exprs(draw, depth=1):
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        mon = {}
+        for _ in range(draw(st.integers(0, 3))):
+            atom = draw(_atoms(depth))
+            low = -2 if atom.__class__ is Parameter else 1
+            mon[atom] = draw(st.integers(low, 3)) or 1
+        key = tuple(sorted(mon.items(), key=lambda f: f[0].sort_key()))
+        terms[key] = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+    return Expr(terms)
+
+
+_TOKENS = ["base", "field", "order", "param", "opaque", "lagrangian",
+           "constraint", "section", "fcomponent", "vfield", "poly", "p",
+           "lam", "u", "v", "w", "a", "x1", "x2", "x0", "U", "F", "U_{,12}",
+           "F_{,1}", "0", "1", "2", "3", "12", "007", "+", "-", "*", "/",
+           "^", "(", ")", "{", "}", "[", "]", ";", ";", ",", "=", " ", " ",
+           "\n", "\t", "# note\n", "@", "é"]
+
+_EDIT_CHARS = string.digits + "uvxpa;,[](){}+-*/^=# \n\té@_"
+
+_SLOW = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+@_SLOW
+@given(_exprs(depth=2))
+def test_printer_output_parses_as_the_reference(e):
+    text = to_dsl(e)
+    got = _outcome(parse_expr, text, _PROBLEM, 6)
+    assert got == ("ok", e)
+    assert got == _outcome(ref_parse_expr, text, _PROBLEM, 6)
+    for stmt in ("poly", "lagrangian", "constraint"):
+        _assert_same_or_allowed(f"{_HEADER}{stmt} {text};")
+
+
+@_SLOW
+@given(st.lists(st.sampled_from(_TOKENS), max_size=40),
+       st.sampled_from(["", _HEADER, _HEADER + "poly "]))
+def test_token_soup_parses_as_the_reference(tokens, header):
+    _assert_same_or_allowed(header + " ".join(tokens))
+    _assert_same_or_allowed(header + "".join(tokens))
+
+
+@_SLOW
+@given(st.sampled_from(sorted(CORPUS_TEXTS)), st.data())
+def test_edited_corpus_parses_as_the_reference(name, data):
+    text = CORPUS_TEXTS[name]
+    for _ in range(data.draw(st.integers(1, 3))):
+        pos = data.draw(st.integers(0, len(text)))
+        if data.draw(st.booleans()) and pos < len(text):
+            text = text[:pos] + text[pos + 1:]
+        else:
+            text = text[:pos] + data.draw(st.sampled_from(_EDIT_CHARS)) + text[pos:]
+    _assert_same_or_allowed(text)
+
+
+@_SLOW
+@given(st.one_of(
+    st.text(max_size=60),
+    st.text(alphabet=_EDIT_CHARS, max_size=60),
+    st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join)))
+def test_arbitrary_text_is_an_input_error_or_a_problem(text):
+    try:
+        parse_problem(text)
+    except (ParseError, ProblemError):
+        pass
