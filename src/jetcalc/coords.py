@@ -6,15 +6,13 @@ momenta), Lagrange multipliers and named parameters.  The fixed total order
 Base < Jet < Momentum < Multiplier < Parameter makes canonical forms
 deterministic.
 
-Atoms are interned: constructing an atom twice gives the same object, so
-equality and hashing are the identity versions inherited from ``object``,
-and each atom computes its ``sort_key()`` and its DSL string (``_dsl``,
-what ``repr`` gives) once, when it is first built.
+Atoms are interned (``AtomBase``): constructing an atom twice gives the
+same object, so equality and hashing are the identity versions inherited
+from ``object``, and each atom computes its ``sort_key()`` and its DSL
+string (``_dsl``, what ``repr`` gives) once, when it is first built.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, fields
 
 from .multiindex import MultiIndex
 
@@ -24,22 +22,25 @@ _RANK_MOMENTUM = 2
 _RANK_MULTIPLIER = 3
 _RANK_PARAMETER = 4
 
+_set = object.__setattr__
 
-class Interned(type):
-    """Metaclass of the atoms: one instance per value.
 
-    ``cls._canonical(*args, **kwargs)`` maps constructor arguments to the
-    canonical field values.  The table is keyed by those values and, as
-    aliases, by the positional arguments as given, so a repeated
-    construction costs one dict lookup.  It grows with the number of
-    distinct atoms built.
-    """
+class AtomBase:
+    """The base of the atom classes, one instance per value.  A subclass
+    names its fields in ``__slots__``; ``cls._canonical(*args, **kwargs)``
+    maps constructor arguments to the canonical field values.  Each
+    subclass has its own table, keyed by those values and, as aliases, by
+    the positional arguments as given, so a repeated construction costs one
+    dict lookup.  The table grows with the number of distinct atoms built.
+    Atoms refuse attribute assignment, and reduce to their field values, so
+    copies and pickles return the interned instance."""
 
-    def __init__(cls, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    __slots__ = ("_sort_key", "_dsl")
+
+    def __init_subclass__(cls):
         cls._interned = {}
 
-    def __call__(cls, *args, **kwargs):
+    def __new__(cls, *args, **kwargs):
         table = cls._interned
         if not kwargs:
             try:
@@ -49,7 +50,12 @@ class Interned(type):
         values = cls._canonical(*args, **kwargs)
         atom = table.get(values)
         if atom is None:
-            atom = table[values] = super().__call__(*values)
+            atom = object.__new__(cls)
+            for name, value in zip(cls.__slots__, values):
+                _set(atom, name, value)
+            _set(atom, "_sort_key", atom._make_sort_key())
+            _set(atom, "_dsl", atom.__repr__())
+            table[values] = atom
         if not kwargs:
             try:
                 table[args] = atom
@@ -57,34 +63,31 @@ class Interned(type):
                 pass
         return atom
 
-
-class AtomBase:
-    """Behaviour shared by the interned atom classes: the stored sort key
-    and DSL string, and a reduction to the canonical field values, so that
-    copies and pickles rebuild through the intern table and return the
-    interned instance."""
-
     @classmethod
     def _canonical(cls, *args, **kwargs):
-        names = [f.name for f in fields(cls)]
-        return args + tuple(kwargs[name] for name in names[len(args):])
+        names = cls.__slots__
+        values = args + tuple(kwargs.pop(name) for name in names[len(args):]
+                              if name in kwargs)
+        if kwargs or len(values) != len(names):
+            raise TypeError(f"{cls.__name__} takes {names}")
+        return values
 
-    def __post_init__(self):
-        object.__setattr__(self, "_sort_key", self._make_sort_key())
-        object.__setattr__(self, "_dsl", self.__repr__())
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def sort_key(self):
         return self._sort_key
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-@dataclass(frozen=True, eq=False)
-class Base(AtomBase, metaclass=Interned):
+class Base(AtomBase):
     """Base coordinate x^mu, 1-based direction."""
 
-    mu: int
+    __slots__ = ("mu",)
 
     def _make_sort_key(self):
         return (_RANK_BASE, "", (self.mu,), (), 0, ())
@@ -93,12 +96,10 @@ class Base(AtomBase, metaclass=Interned):
         return f"x{self.mu}"
 
 
-@dataclass(frozen=True, eq=False)
-class Jet(AtomBase, metaclass=Interned):
+class Jet(AtomBase):
     """Jet coordinate phi_mi of a named field; mi = () order means the field."""
 
-    fld: str
-    mi: MultiIndex
+    __slots__ = ("fld", "mi")
 
     @classmethod
     def _canonical(cls, fld, mi):
@@ -111,8 +112,7 @@ class Jet(AtomBase, metaclass=Interned):
         return f"{self.fld}[{','.join(map(str, self.mi))}]" if self.mi.order else self.fld
 
 
-@dataclass(frozen=True, eq=False)
-class Momentum(AtomBase, metaclass=Interned):
+class Momentum(AtomBase):
     """Momentum slot p^{mi|last} of a field, optionally a symmetrized slot.
 
     ``last is None`` denotes the totally symmetric representative p^mi (used
@@ -122,10 +122,7 @@ class Momentum(AtomBase, metaclass=Interned):
     identified with the plain slot p^{()|mu}.
     """
 
-    fld: str
-    mi: MultiIndex
-    last: int | None = None
-    derivs: MultiIndex = None  # type: ignore[assignment]
+    __slots__ = ("fld", "mi", "last", "derivs")
 
     @classmethod
     def _canonical(cls, fld, mi, last=None, derivs=None):
@@ -157,11 +154,10 @@ class Momentum(AtomBase, metaclass=Interned):
         return "p[" + ";".join(parts) + "]"
 
 
-@dataclass(frozen=True, eq=False)
-class Multiplier(AtomBase, metaclass=Interned):
+class Multiplier(AtomBase):
     """Lagrange multiplier lam[a] attached to the a-th constraint, 1-based."""
 
-    a: int
+    __slots__ = ("a",)
 
     def _make_sort_key(self):
         return (_RANK_MULTIPLIER, "", (self.a,), (), 0, ())
@@ -170,11 +166,10 @@ class Multiplier(AtomBase, metaclass=Interned):
         return f"lam[{self.a}]"
 
 
-@dataclass(frozen=True, eq=False)
-class Parameter(AtomBase, metaclass=Interned):
+class Parameter(AtomBase):
     """A named symbolic constant."""
 
-    name: str
+    __slots__ = ("name",)
 
     def _make_sort_key(self):
         return (_RANK_PARAMETER, self.name, (), (), 0, ())

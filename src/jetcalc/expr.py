@@ -24,13 +24,13 @@ its hash are computed on first use (the first ``hash`` or ``==``) and kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from functools import cmp_to_key
 from numbers import Rational
 
-from .coords import (AtomBase, Base, Coordinate, Interned, Jet, Momentum,
-                     Multiplier, Parameter)
+from .coords import (AtomBase, Base, Coordinate, Jet, Momentum, Multiplier,
+                     Parameter)
 
 _RANK_OPAQUE = 5
 
@@ -39,8 +39,7 @@ class ExprError(Exception):
     """Illegal algebraic operation (bad division, bad exponent, ...)."""
 
 
-@dataclass(frozen=True, eq=False)
-class OpaqueCall(AtomBase, metaclass=Interned):
+class OpaqueCall(AtomBase):
     """An opaque function symbol applied to argument expressions.
 
     ``derivs[i]`` counts formal derivatives with respect to the i-th argument
@@ -49,9 +48,7 @@ class OpaqueCall(AtomBase, metaclass=Interned):
     ones (equal canonical arguments) are one interned object.
     """
 
-    name: str
-    derivs: tuple[int, ...]
-    args: tuple["Expr", ...]
+    __slots__ = ("name", "derivs", "args")
 
     @classmethod
     def _canonical(cls, name, derivs, args):
@@ -591,6 +588,21 @@ def _join_terms(e: Expr, render) -> str:
     return "".join(out)
 
 
+def _digits(n: int) -> str:
+    """The decimal digits of ``abs(n)``.  A number longer than the
+    interpreter's digit limit, which bounds the parser's literals as well,
+    raises ``ExprError`` naming its digit count, so printed output always
+    reads back."""
+    n = abs(n)
+    try:
+        return str(n)
+    except ValueError:
+        d = int(n.bit_length() * math.log10(2)) - 1   # a lower bound
+        while n >= 10 ** d:
+            d += 1
+        raise ExprError(f"coefficient too long to print ({d} digits)") from None
+
+
 def to_dsl(e: Expr) -> str:
     """Canonical textual form; reparsing yields the identical Expr."""
     return _join_terms(e, _term_dsl)
@@ -604,9 +616,9 @@ def _term_dsl(mon, coeff) -> str:
         elif x < 0:
             den_parts.append(_factor_str(a, -x))
     if abs(coeff.numerator) != 1 or not num_parts:
-        num_parts.insert(0, str(abs(coeff.numerator)))
+        num_parts.insert(0, _digits(coeff.numerator))
     if coeff.denominator != 1:
-        den_parts.insert(0, str(coeff.denominator))
+        den_parts.insert(0, _digits(coeff.denominator))
     s = "*".join(num_parts)
     if den_parts:
         s += "/" + (den_parts[0] if len(den_parts) == 1

@@ -8,15 +8,14 @@ L0 (L at x = 0), b (dL/dx at x = 0) and the Hessian A in the exchanged
 jets x by exponent arithmetic; a term whose opaque call has an argument
 depending on x is derived with ``partial_derivative`` instead, so every
 entry is exactly the second derivative of L.
-The solve is exact: one fraction-free Bareiss elimination and
-back-substitution give the Cramer numerators and the determinant, with
-parameter monomials the only permitted denominators.  A and b are first
-scaled by one factor that clears the negative parameter powers and the
-coefficient denominators (the products are skipped when it is 1).  Since A
-is parameter-constant, the solve is a computation in the coefficient ring:
-the right-hand side b is split into one column per parameter-free
-monomial, and the elimination of [A | columns] keeps every constant entry
-as a Python int or Fraction, an Expr only where a parameter remains.
+The solve is exact, with parameter monomials the only permitted
+denominators.  A and b are first scaled by one factor that clears the
+negative parameter powers and the coefficient denominators (the products
+are skipped when it is 1).  Since A is parameter-constant, one
+fraction-free Bareiss elimination of [A | I] and a back-substitution give
+det(A) and pivot * A^-1 in the coefficient ring, every constant entry a
+Python int or Fraction and an Expr only where a parameter remains; each
+Cramer numerator is then a row of that inverse applied to b.
 L is never expanded on the inversion.  Once every Hessian entry is checked
 free of the exchanged jets x, L = L0 + b.x + 1/2 x.A x exactly, so
 p.x - L = 1/2 (p - b).x - L0.  Since L holds no momenta, H is h with each
@@ -135,44 +134,23 @@ def _clearing_factor(entries) -> Expr:
     return m if den == 1 else m * den
 
 
-def _split_columns(b):
-    """Split the entries of ``b`` along their parameter-free monomials.
-    Returns those monomials (the columns, in first-seen order) and, for
-    each entry, its row of coefficients on them: parameter polynomials,
-    stored as entries."""
-    columns: dict = {}
-    rows = []
-    for e in b:
-        row: dict = {}
-        for mon, c in e._terms.items():
-            col = tuple(f for f in mon if f[0].__class__ is not Parameter)
-            par = tuple(f for f in mon if f[0].__class__ is Parameter)
-            row.setdefault(col, {})[par] = c
-            columns.setdefault(col, None)
-        rows.append(row)
-    return list(columns), [
-        [_entry(Expr._trusted(row[col])) if col in row else 0
-         for col in columns] for row in rows]
-
-
-def _assemble(columns, coefficients) -> Expr:
-    """sum_c coefficients[c] * columns[c], the inverse of the split."""
+def _row_product(y, b) -> Expr:
+    """sum_c y[c] * b[c] for a row of entries ``y`` and Exprs ``b``,
+    multiplied and collected term by term."""
     acc: dict = {}
-    for mon, v in zip(columns, coefficients):
+    for v, e in zip(y, b):
         if v:
-            terms = v._terms if v.__class__ is Expr else {(): v}
-            _fold(acc, _mul_terms({mon: 1}, terms))
+            _fold(acc, _mul_terms(v._terms if v.__class__ is Expr else {(): v},
+                                  e._terms))
     return Expr._trusted(acc)
 
 
 def _solve_linear(A, b):
-    """Solve A x = b exactly.  Each entry of b is split along its
-    parameter-free monomials, so b = B.mu for a column vector mu of jet,
-    momentum and base monomials and a matrix B of parameter polynomials.
-    One Bareiss elimination of [A | B], on numbers wherever the entries are
-    constant, and a fraction-free back-substitution per column give the
-    Cramer numerators det(A) x_i, assembled once as Exprs.  Raises on a
-    singular matrix or a quotient that leaves the parameter-Laurent ring."""
+    """Solve A x = b exactly.  One Bareiss elimination of [A | I], on
+    numbers wherever the entries are constant, and a fraction-free
+    back-substitution give Y = pivot * A^-1, so each Cramer numerator
+    det(A) x_i is the row Y[i] applied to b.  Raises on a singular matrix or
+    a quotient that leaves the parameter-Laurent ring."""
     dim = len(A)
     # Scaling by a parameter monomial that clears every negative power
     # makes each division in the elimination and the back-substitution an
@@ -184,23 +162,22 @@ def _solve_linear(A, b):
         A = [[s * e for e in row] for row in A]
         b = [s * e for e in b]
         scale = s ** dim
-    columns, B = _split_columns(b)
-    M = [[_entry(e) for e in row] + Brow for row, Brow in zip(A, B)]
+    M = [[_entry(e) for e in row] + [int(c == r) for c in range(dim)]
+         for r, row in enumerate(A)]
     sign = _eliminate(M)
-    # The last diagonal entry: M[-1][dim:] is the eliminated B.
     pivot = M[dim - 1][dim - 1]
     det = divide(sign * pivot, scale)
     if det.is_zero():
         raise SingularLegendreError("singular Legendre: top Hessian block degenerate")
     try:
-        # Y[i] = pivot * X_i, so sign * (Y[i].mu) / scale = det(A_i).
+        # Y[i] = pivot * (row i of A^-1), so sign * (Y[i].b) / scale = det(A_i).
         Y = [None] * (dim - 1) + [M[dim - 1][dim:]]
         for i in range(dim - 2, -1, -1):
             row = M[i]
             Y[i] = [_quotient(pivot * row[dim + c] - sum(
                 row[k] * Y[k][c] for k in range(i + 1, dim)), row[i])
-                for c in range(len(columns))]
-        return [divide(divide(sign * _assemble(columns, y), scale), det)
+                for c in range(dim)]
+        return [divide(divide(sign * _row_product(y, b), scale), det)
                 for y in Y]
     except ExprError as exc:
         raise LegendreError(

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coords import Base, Jet, Momentum, Multiplier, Parameter
-from .expr import Expr, OpaqueCall, _display_sorted, _join_terms
+from .expr import Expr, OpaqueCall, _digits, _display_sorted, _join_terms
 from .forms import ExteriorForm, _join_form, form_to_str  # noqa: F401 (public here)
 
 _GREEK = {"alpha", "beta", "gamma", "delta", "epsilon", "lambda", "mu", "nu",
@@ -46,8 +46,8 @@ def atom_latex(a) -> str:
 
 def _coeff_latex(c: Fraction) -> str:
     if c.denominator == 1:
-        return str(abs(c.numerator))
-    return f"\\tfrac{{{abs(c.numerator)}}}{{{c.denominator}}}"
+        return _digits(c.numerator)
+    return f"\\tfrac{{{_digits(c.numerator)}}}{{{_digits(c.denominator)}}}"
 
 
 def to_latex(e: Expr) -> str:

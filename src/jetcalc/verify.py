@@ -16,11 +16,11 @@ from .expr import (Expr, ZERO, divide, partial_derivative,
 from .forms import SectionData, holonomic_section
 from .legendre import legendre_top
 from .multiindex import multiindices_up_to
-from .parser import parse_expr
+from .parser import parse_expr, parse_problem
 from .poincare import galilei_transform_check, multisymplectic_residuals
 from .problem import LagrangianProblem
-from .prolongation import HomogeneousPoly, VerticalField, polarize, \
-    prolong_vertical_field, resymmetrize
+from .prolongation import HomogeneousPoly, VerticalField, gram_matrix, \
+    polarize, prolong_vertical_field, resymmetrize
 from .randgen import (random_divergence_components, random_gauge_table,
                       random_lagrangian, random_polynomial,
                       random_quadratic_lagrangian, random_section_profiles,
@@ -45,15 +45,13 @@ class CheckResult:
 
 
 def mechanics_problem() -> LagrangianProblem:
-    prob = LagrangianProblem(1, ("q",), 1, Expr(), (), ("m",), {"U": 2})
-    L = parse_expr("m/2*q[1]^2 - U(x1,q)", prob)
-    return LagrangianProblem(1, ("q",), 1, L, (), ("m",), {"U": 2})
+    return parse_problem("base 1; field q; order 1; param m; opaque U(2);"
+                         " lagrangian m/2*q[1]^2 - U(x1,q);").problem
 
 
 def beam_problem() -> LagrangianProblem:
-    prob = LagrangianProblem(1, ("u",), 2, Expr())
-    L = parse_expr("1/2*u[2]^2", prob)
-    return LagrangianProblem(1, ("u",), 2, L)
+    return parse_problem("base 1; field u; order 2;"
+                         " lagrangian 1/2*u[2]^2;").problem
 
 
 def check_mechanics() -> CheckResult:
@@ -217,9 +215,7 @@ def check_polarization(seed: int = 0, count: int = 20) -> CheckResult:
     a, b, g = (Expr.atom(Parameter(s)) for s in ("alpha", "beta", "gamma"))
     x, y = (Expr.atom(v) for v in variables)
     Q = HomogeneousPoly.from_expr(a * x ** 2 + b * x * y + g * y ** 2, variables)
-    B = polarize(Q)
-    gram = [[B[i + 1].coefficient(MultiIndex.unit(2, j + 1)) for j in range(2)]
-            for i in range(2)]
+    gram = gram_matrix(Q)
     two = Expr.const(2)
     want = [[two * a, b], [b, two * g]]
     for i in range(2):

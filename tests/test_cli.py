@@ -139,6 +139,23 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == f"error: {where}\n"
 
+    @pytest.mark.parametrize("source,digits", [
+        ("lagrangian 2^20000*u[1]^2;", {"el": 6021, "momenta": 6021}),
+        ("lagrangian (2*u[1])^15000;", {"el": 4524, "momenta": 4520}),
+    ], ids=["big-literal-power", "big-expanded-power"])
+    @pytest.mark.parametrize("command", ["el", "momenta"])
+    @pytest.mark.parametrize("latex", [(), ("--latex",)])
+    def test_coefficient_beyond_the_digit_limit_exit_2(
+            self, capsys, lagfile, source, digits, command, latex):
+        # the input parses, but its result has a coefficient longer than
+        # the parser would read back: one error line, not an internal fault
+        path = lagfile("base 1;\nfield u;\norder 1;\n" + source)
+        assert run([*latex, command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: coefficient too long to print "
+                                f"({digits[command]} digits)\n")
+
     @pytest.mark.parametrize("name,command,message", [
         ("beam", "energy", "energy transform is a first-order construction"),
         ("beam", "check-divergence", "problem file has no fcomponent statements"),

@@ -439,6 +439,38 @@ def test_equal_construction_gives_one_atom(build):
     assert pickle.loads(pickle.dumps(a)) is a
 
 
+_ATOM_FIELDS = [
+    (Base, {"mu": 2}),
+    (Jet, {"fld": "u", "mi": MultiIndex((1, 0))}),
+    (Momentum, {"fld": "u", "mi": MultiIndex((1, 1)), "last": 2,
+                "derivs": MultiIndex((0, 1))}),
+    (Multiplier, {"a": 1}),
+    (Parameter, {"name": "m"}),
+    (OpaqueCall, {"name": "U", "derivs": (0, 1),
+                  "args": (Expr.atom(Base(1)), Expr.const(2))}),
+]
+
+
+@pytest.mark.parametrize("cls,fields", _ATOM_FIELDS,
+                         ids=[cls.__name__ for cls, _ in _ATOM_FIELDS])
+def test_atom_keyword_construction_and_assignment_refusal(cls, fields):
+    atom = cls(**fields)
+    assert atom is cls(*fields.values())
+    for name, value in fields.items():
+        assert getattr(atom, name) == value
+        with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+            setattr(atom, name, value)
+        with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+            delattr(atom, name)
+    with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+        atom.extra = 1
+    assert atom._dsl == repr(atom) and atom._sort_key == atom.sort_key()
+    with pytest.raises(TypeError):
+        cls(*fields.values(), 0)
+    with pytest.raises(TypeError):
+        cls(*fields.values(), extra=0)
+
+
 @_KERNEL
 @given(st.integers(1, 3), st.data())
 def test_order_one_symmetric_momentum_is_the_slot(n, data):
