@@ -254,13 +254,21 @@ class Expr:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ExprError("exponents must be non-negative integers")
-        # Repeated multiplication by the (small) base, not repeated squaring:
-        # on dense multivariate bases squaring multiplies two large powers at
-        # the end and is up to 3x slower (a 5-term base at d = 20).
-        result = ONE
-        for _ in range(exponent):
-            result = result * self
-        return result
+        if not exponent:
+            return ONE
+        terms = self._terms
+        # The cost follows the number of terms in the result: a monomial
+        # power is one term, a square one product, and a higher power of a
+        # sum one pass over its multinomial expansion.  A nonzero stored
+        # coefficient to a positive power is again in stored form.
+        if len(terms) <= 1:
+            return Expr._trusted({tuple((a, e * exponent) for a, e in mon):
+                                  c ** exponent for mon, c in terms.items()})
+        if exponent <= 2:
+            return self if exponent == 1 else self * self
+        acc: dict = {}
+        _fold(acc, _multinomial_terms(list(terms.items()), exponent))
+        return Expr._trusted(acc)
 
     def __truediv__(self, other):
         return divide(self, _coerce(other))
@@ -333,6 +341,39 @@ def _mul_terms(t1: dict, t2: dict):
             yield _mul_monomials(m1, m2), c
 
 
+def _multinomial_terms(items: list, d: int):
+    """The (monomial, coefficient) pairs of ``(c1*m1 + ... + cr*mr)^d``
+    for the ``(mi, ci)`` in ``items``, by the multinomial theorem: one pair
+    per composition k1 + ... + kr = d, with coefficient
+    d!/(k1!...kr!) * prod ci^ki and monomial prod mi^ki.  Like terms are
+    not yet merged; coefficients are in stored form.
+
+    Each term's powers are formed once.  The compositions are built one
+    term at a time, and the multinomial factor as the product of the
+    binomials C(left, ki) of the exponent still left."""
+    powers = [[((), 1)] + [(tuple((a, e * k) for a, e in mon), c ** k)
+                           for k in range(1, d + 1)]
+              for mon, c in items]
+    last = powers.pop()
+    partial = [(d, (), 1)]          # (exponent left, monomial, coefficient)
+    for row in powers:
+        grown = []
+        for left, mon, coeff in partial:
+            binom = 1
+            for k in range(left + 1):
+                pm, pc = row[k]
+                grown.append((left - k, _mul_monomials(mon, pm) if k else mon,
+                              coeff * binom * pc))
+                binom = binom * (left - k) // (k + 1)
+        partial = grown
+    for left, mon, coeff in partial:
+        pm, pc = last[left]
+        c = coeff * pc
+        if c.__class__ is not int and c.denominator == 1:
+            c = c.numerator
+        yield (_mul_monomials(mon, pm) if left else mon), c
+
+
 # -- differentiation -------------------------------------------------------
 
 
@@ -373,7 +414,11 @@ def _atom_total(a: Atom, lam: int) -> Expr:
 def _derive(e: Expr, atom_rule) -> Expr:
     """Extend a derivation defined on atoms to the whole algebra (Leibniz).
     ``atom_rule`` runs once per distinct atom; its results are kept by
-    (interned) atom and only looked up, so no order depends on hashing."""
+    (interned) atom and only looked up, so no order depends on hashing.
+    Each term of a rule is folded in with the rest of the monomial as one
+    pair, so a rule of one term (a jet or momentum under D_lam, a
+    coordinate hit by a partial derivative) costs one product of
+    monomials."""
     acc: dict = {}
     rules: dict = {}
     for mon, coeff in e._terms.items():
@@ -385,7 +430,12 @@ def _derive(e: Expr, atom_rule) -> Expr:
                 continue
             rest = mon[:i] + ((a, exp - 1),) if exp != 1 else mon[:i]
             rest += mon[i + 1:]
-            _fold(acc, _mul_terms({rest: coeff * exp}, da))
+            ce = coeff * exp
+            for dm, dc in da.items():
+                c = ce * dc
+                if c.__class__ is not int and c.denominator == 1:
+                    c = c.numerator
+                _fold(acc, ((_mul_monomials(rest, dm) if dm else rest, c),))
     return Expr._trusted(acc)
 
 

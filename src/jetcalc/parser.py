@@ -55,6 +55,47 @@ _TOKEN_RE = re.compile(
 
 _BASE_NAME = re.compile(r"x(\d+)")
 
+# Budgets on ``^``, checked before any multiplication, so that a short file
+# cannot ask for an unbounded expansion or number.  A power of a sum may
+# have at most TERM_BUDGET terms, and the coefficients of all its terms
+# together at most BIT_BUDGET bits, so the two budgets bound its size
+# jointly.  Both admit the benchmark corpus and the tests:
+# (u+u[1,0]+u[0,1]+x1)^20 has 1771 terms of at most 40 bits, and 2^20000
+# has 20001 bits.
+TERM_BUDGET = 100_000
+BIT_BUDGET = 1 << 18
+
+
+def _power_refusal(base, d: int) -> str | None:
+    """Why ``base ** d`` is over a budget, or None.  ``base`` is a number
+    or an ``Expr`` of m terms."""
+    if base.__class__ is Expr:
+        m, coeffs = len(base._terms), base._terms.values()
+    else:
+        m, coeffs = 1, (base,)
+    if d < 2 or not m:
+        return None
+    # The expansion has at most C(d+m-1, k) terms, k = min(d, m-1).  The
+    # loop forms C(d+m-1-k+j, j) for j = 1..k, which is at least 2^j, so
+    # it ends within about log2(TERM_BUDGET) steps either way.
+    n, k = d + m - 1, min(d, m - 1)
+    bound = 1
+    for j in range(1, k + 1):
+        bound = bound * (n - k + j) // j
+        if bound > TERM_BUDGET:
+            return (f"power too large: a sum of {m} terms to the power {d} "
+                    f"has more than {TERM_BUDGET} terms")
+    # A term of the expansion has a numerator of at most (m * max|num|)^d
+    # and a denominator of at most max(den)^d, so about d times ceil(log2)
+    # of those bounds its bits (merging like terms adds few); the term
+    # bound times that bounds the bits of all the coefficients.
+    bits = max((max(abs(c.numerator), c.denominator) - 1).bit_length()
+               for c in coeffs)
+    if bound * d * (bits + (m - 1).bit_length()) > BIT_BUDGET:
+        return (f"power too large: its coefficients could pass "
+                f"{BIT_BUDGET} bits")
+    return None
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
@@ -207,7 +248,11 @@ class _ExprParser(_Tokens):
             self.i += 2
             if t[0] != "int":
                 raise self.error("exponent must be a non-negative integer", t)
-            e = e ** self.int_value(t)
+            d = self.int_value(t)
+            refusal = _power_refusal(e, d)
+            if refusal:
+                raise self.error(refusal, t)
+            e = e ** d
         return -e if negative else e
 
     def _primary(self):

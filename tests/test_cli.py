@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -156,6 +157,26 @@ class TestCommands:
         assert captured.err == ("error: coefficient too long to print "
                                 f"({digits[command]} digits)\n")
 
+    @pytest.mark.parametrize("source,message,col", [
+        ("lagrangian (u+u[1,0])^100000000;",
+         "a sum of 2 terms to the power 100000000 has more than 100000 terms",
+         23),
+        ("lagrangian 2^99999999999*u;",
+         "its coefficients could pass 262144 bits", 14),
+        ("lagrangian (3*u[0,1])^100000000;",
+         "its coefficients could pass 262144 bits", 23),
+    ], ids=["terms", "number-bits", "monomial-bits"])
+    def test_power_over_budget_exit_2(self, capsys, lagfile, source, message,
+                                      col):
+        # refused at the exponent before any multiplication: without the
+        # budgets these expand until memory runs out
+        path = lagfile("base 2;\nfield u;\norder 1;\n" + source)
+        assert run(["el", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: power too large: {message} (in "
+                                f"lagrangian statement) at line 4, column {col}\n")
+
     @pytest.mark.parametrize("name,command,message", [
         ("beam", "energy", "energy transform is a first-order construction"),
         ("beam", "check-divergence", "problem file has no fcomponent statements"),
@@ -274,6 +295,48 @@ class TestRoundTrip:
                 assert parse_expr(str(e), problem, max_jet_order=12) == e
 
         walk(doc["result"])
+
+
+class TestDensePowersAgainstSympy:
+    """``el`` on dense powers (c1*a1 + ... + cm*am)^d, checked against
+    sympy's ``euler_equations`` on the printed output: an oracle that
+    shares no code with the kernel."""
+
+    @pytest.mark.parametrize("order,body,d", [
+        (1, "2*u[1,0] - u[0,1] + 3*u + x1 - 2*x2", 5),
+        (2, "u[0,1] - 2*x2 + u[1,0] + 3*u", 6),
+        (1, "1/2*u[1,0] - 2/3*u[0,1] + u + 3/4*x1", 7),
+    ])
+    def test_el_matches_euler_equations(self, capsys, lagfile, order, body, d):
+        import sympy
+        from sympy.calculus.euler import euler_equations
+
+        code, doc = invoke(capsys, "el", lagfile(
+            f"base 2;\nfield u;\norder {order};\nlagrangian ({body})^{d};\n"))
+        assert code == 0
+        x = sympy.symbols("x1 x2")
+        u = sympy.Function("u")(*x)
+        jets = {f"u_{a}_{b}": sympy.Symbol(f"u_{a}_{b}")
+                for a in range(3) for b in range(3)}
+
+        def jet_symbol(deriv):
+            return jets[f"u_{deriv.variables.count(x[0])}_"
+                        f"{deriv.variables.count(x[1])}"]
+
+        def to_sympy(dsl):
+            text = re.sub(r"u\[(\d),(\d)\]", r"u_\1_\2", dsl)
+            text = re.sub(r"\bu\b", "u_0_0", text).replace("^", "**")
+            return sympy.sympify(text, locals={**jets, "x1": x[0], "x2": x[1]})
+
+        L = to_sympy(f"({body})^{d}")
+        want = euler_equations(L.subs({jets[f"u_{a}_{b}"]: sympy.Derivative(
+            u, *[x[0]] * a, *[x[1]] * b) if a or b else u
+            for a in range(2) for b in range(2)}), u, x)[0].lhs
+        want = want.xreplace({dv: jet_symbol(dv)
+                              for dv in want.atoms(sympy.Derivative)})
+        want = want.xreplace({u: jets["u_0_0"]})
+        got = to_sympy(doc["result"]["euler_lagrange"]["u"])
+        assert sympy.expand(want - got) == 0
 
 
 class TestDeterminism:

@@ -16,7 +16,8 @@ from jetcalc import (
     parse_expr, partial_derivative, substitute, to_dsl, total_derivative,
     total_derivative_multi,
 )
-from jetcalc.expr import ONE, ZERO, _akey, _display_sorted
+from jetcalc.expr import (ONE, ZERO, _akey, _atom_partial, _atom_total,
+                          _display_sorted, _fold, _mul_terms)
 from jetcalc.multiindex import all_multiindices, multiindices_up_to
 
 
@@ -290,12 +291,37 @@ def test_sum_matches_pairwise_addition(xs):
     _assert_canonical(got)
 
 
+# Monomials that collide under products: u * u[1,0] is also a product of
+# the first two, u^2 a square of the first, and m, 1/m and m^2 cancel into
+# each other and into the constant.
+_U0, _U1 = Jet("u", MultiIndex((0, 0))), Jet("u", MultiIndex((1, 0)))
+_M = Parameter("m")
+_COLLIDING = ((), ((_U0, 1),), ((_U1, 1),), ((_U0, 1), (_U1, 1)),
+              ((_U0, 2),), ((_M, 1),), ((_M, -1),), ((_M, 2),),
+              ((_U0, 1), (_M, -1)), ((Base(1), 1),))
+
+
+@st.composite
+def colliding_sums(draw):
+    """Sums of up to five terms over monomials that collide in powers,
+    Laurent parameter terms among them, with negative and Fraction
+    coefficients."""
+    mons = draw(st.lists(st.sampled_from(_COLLIDING), max_size=5, unique=True))
+    return Expr({mon: draw(st.fractions(-3, 3, max_denominator=3))
+                 for mon in mons})
+
+
 @_KERNEL
-@given(small_exprs(), st.integers(0, 6), st.data())
+@given(st.one_of(small_exprs(), colliding_sums()), st.integers(0, 9),
+       st.data())
 def test_power_is_repeated_product(e, n, data):
-    assert e ** n == functools.reduce(operator.mul, [e] * n, ONE)
+    # every path of the power: the constant 1, the closed form of one
+    # term, the square and the multinomial expansion
+    got = e ** n
+    assert got == functools.reduce(operator.mul, [e] * n, ONE)
+    _assert_canonical(got)
     split = data.draw(st.integers(0, n))
-    assert e ** n == e ** split * e ** (n - split)
+    assert got == e ** split * e ** (n - split)
 
 
 @_KERNEL
@@ -369,6 +395,53 @@ def test_iterated_derivative_refuses_exactly_when_a_step_passes_the_cap(
             f"jet order exceeded cap {cap} during iterated total derivative")
     else:
         assert total_derivative_multi(e, MultiIndex(mi), order_cap=cap) == want
+
+
+def _leibniz_reference(e, atom_rule):
+    """The derivation by the general product rule: each atom's rule is
+    multiplied out with ``_mul_terms``, one-term rules included."""
+    acc: dict = {}
+    for mon, coeff in e._terms.items():
+        for i, (a, exp) in enumerate(mon):
+            rest = mon[:i] + ((a, exp - 1),) if exp != 1 else mon[:i]
+            _fold(acc, _mul_terms({rest + mon[i + 1:]: coeff * exp},
+                                  atom_rule(a)._terms))
+    return Expr._trusted(acc)
+
+
+@st.composite
+def derivation_inputs(draw):
+    """Up to four monomials in n = 2 with Fraction coefficients and
+    exponents up to 3, over jets, x1, x2, a parameter, momenta with and
+    without base-derivative decorations and an opaque call whose
+    arguments hold a jet and x1; and a coordinate among those atoms."""
+    coords = [Jet("u", MultiIndex(mi)) for o in range(3)
+              for mi in all_multiindices(2, o)]
+    coords += [Base(1), Base(2), Parameter("m"),
+               Momentum("u", MultiIndex((0, 0)), 1),
+               Momentum("u", MultiIndex((1, 0)), 2, MultiIndex((0, 1))),
+               Momentum("u", MultiIndex((2, 0)), None, MultiIndex((1, 1)))]
+    inner = Expr.atom(draw(st.sampled_from(coords[:6])))
+    atoms = coords + [OpaqueCall("U", (0, 1), (Expr.atom(Base(1)), inner))]
+    parts = []
+    for _ in range(draw(st.integers(0, 4))):
+        term = Expr.const(draw(st.fractions(-3, 3, max_denominator=4)))
+        for a in draw(st.lists(st.sampled_from(atoms), max_size=3)):
+            term = term * Expr.atom(a) ** draw(st.integers(1, 3))
+        parts.append(term)
+    return Expr.sum(parts), draw(st.sampled_from(coords))
+
+
+@_KERNEL
+@given(derivation_inputs(), st.integers(1, 2))
+def test_derivations_match_the_general_leibniz_rule(inputs, lam):
+    e, c = inputs
+    got = total_derivative(e, lam)
+    assert got == _leibniz_reference(e, lambda a: _atom_total(a, lam))
+    _assert_canonical(got)
+    got = partial_derivative(e, c)
+    assert got == _leibniz_reference(e, lambda a: _atom_partial(a, c))
+    _assert_canonical(got)
 
 
 # -- the lazy hash: the hash and the sort key are computed on first use

@@ -13,16 +13,20 @@ crashed on:
 - inputs on which the reference raised something other than ``ParseError``
   or ``ProblemError`` (``lam[1,2]``, an integer literal beyond the
   interpreter's digit limit, a file that ends right after ``field``),
-  where the parser must raise a ``ParseError``.
+  where the parser must raise a ``ParseError``;
+- a power over a budget of ``^``, which the parser refuses with a
+  ``ParseError`` at the exponent and the reference computed.
 """
 
 import importlib.util
+import math
 import os
 import re
 import string
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -31,6 +35,7 @@ from jetcalc import (Base, Expr, Jet, LagrangianProblem, Momentum, Multiplier,
                      MultiIndex, OpaqueCall, Parameter, ParseError,
                      ProblemError, ProblemFile, divide, parse_expr,
                      parse_problem, to_dsl)
+import jetcalc.parser as parser_module
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = os.path.join(ROOT, "perfbench", "corpus")
@@ -526,6 +531,34 @@ def _non_identifier_declaration(text, line, col):
                for prev, t in zip(toks, toks[1:]))
 
 
+def _assert_refusal_is_past_a_budget(text, ref, new):
+    """A budget refusal may stand where the reference computed the power:
+    it parsed the file, or failed at a later token.  The refused power must
+    pass a budget by the bounds recomputed here."""
+    assert ref[0] == "ok" or (ref[0] == "ParseError"
+                              and (ref[2], ref[3]) > (new[2], new[3])), \
+        (text, ref, new)
+    refused = []
+    real = parser_module._power_refusal
+
+    def spy(base, d):
+        why = real(base, d)
+        if why:
+            refused.append((base, d))
+        return why
+
+    with mock.patch.object(parser_module, "_power_refusal", spy):
+        assert _outcome(parse_problem, text) == new
+    (base, d), = refused
+    coeffs = base._terms.values() if isinstance(base, Expr) else [base]
+    m = len(coeffs)
+    terms = math.comb(d + m - 1, m - 1)
+    bits = max(math.ceil(math.log2(max(abs(c.numerator), c.denominator)))
+               for c in coeffs) + math.ceil(math.log2(m))
+    assert terms > parser_module.TERM_BUDGET \
+        or terms * d * bits > parser_module.BIT_BUDGET, (text, m, d)
+
+
 def _assert_same_or_allowed(text):
     ref = _outcome(ref_parse_problem, text)
     new = _outcome(parse_problem, text)
@@ -534,6 +567,9 @@ def _assert_same_or_allowed(text):
         return
     if ref[0] == "fault":
         assert new[0] == "ParseError", (text, ref, new)
+        return
+    if new[0] == "ParseError" and new[1].startswith("power too large: "):
+        _assert_refusal_is_past_a_budget(text, ref, new)
         return
     assert new[0] == "ParseError" and new[1].startswith("expected a name, found ") \
         and _non_identifier_declaration(text, new[2], new[3]), (text, ref, new)
@@ -645,6 +681,65 @@ def test_input_the_reference_let_through_is_a_parse_error(text, message, where):
     assert (info.value.message, info.value.line, info.value.col) == \
         (message, *where)
     _assert_same_or_allowed(text)
+
+
+def _unit_sum(m):
+    return Expr.sum(Expr.atom(Jet("u", MultiIndex((j,)))) for j in range(m))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
+def test_power_term_budget_refuses_exactly_past_the_bound(m):
+    from jetcalc.parser import TERM_BUDGET, _power_refusal
+    base = _unit_sum(m)
+    d = 1
+    while math.comb(d + m - 1, m - 1) <= TERM_BUDGET:
+        d += 1
+    # d is the least exponent whose expansion may pass the budget
+    assert _power_refusal(base, d) == (
+        f"power too large: a sum of {m} terms to the power {d} "
+        f"has more than {TERM_BUDGET} terms")
+    below = _power_refusal(base, d - 1)
+    assert below is None or "terms" not in below
+
+
+@pytest.mark.parametrize("base,d,refused", [
+    (2, 262144, False), (2, 262145, True), (-2, 262145, True),
+    (Fraction(1, 3), 131072, False), (Fraction(1, 3), 131073, True),
+    (1, 10 ** 100, False), (-1, 10 ** 100, False), (0, 10 ** 100, False),
+])
+def test_power_bit_budget_on_numbers(base, d, refused):
+    # 2^d has d + 1 bits and 3^d about 1.58 d: the bound is d times
+    # ceil(log2) of the base, and a power of 0 or 1 never grows
+    from jetcalc.parser import BIT_BUDGET, _power_refusal
+    assert BIT_BUDGET == 262144
+    assert (_power_refusal(base, d) is not None) is refused
+
+
+def test_power_bit_budget_counts_every_term_of_the_expansion():
+    # (u + u[1])^d has d + 1 binomial coefficients of up to d bits each:
+    # 512 * 511 bits fit the budget, 513 * 512 do not
+    from jetcalc.parser import _power_refusal
+    assert _power_refusal(_unit_sum(2), 511) is None
+    assert _power_refusal(_unit_sum(2), 512).endswith("262144 bits")
+    assert _power_refusal(_unit_sum(1), 10 ** 100) is None
+    # the largest power of a four-term sum both budgets admit
+    assert _power_refusal(_unit_sum(4), 28) is None
+    assert _power_refusal(_unit_sum(4), 29) is not None
+
+
+@pytest.mark.parametrize("text", [
+    "lagrangian 2^262145*u;",
+    "lagrangian (u+v)^600*u + ;",
+], ids=["reference-parses", "reference-fails-later"])
+def test_budget_refusal_is_allowed_where_the_reference_computed_the_power(
+        text):
+    text = _HEADER + text
+    _assert_same_or_allowed(text)
+    # not where the reference stopped before the exponent
+    new = _outcome(parse_problem, text)
+    with pytest.raises(AssertionError):
+        _assert_refusal_is_past_a_budget(
+            text, ("ParseError", "expected an expression", 2, 1), new)
 
 
 def test_base_name_beyond_the_digit_limit_is_unknown():
