@@ -8,8 +8,8 @@ from .coords import Base, Jet, Momentum, Multiplier, Parameter
 from .divergence import (DivergenceData, DivergenceError,
                          divergence_lagrangian, momentum_shift,
                          trivial_momenta, verify_divergence_trivial)
-from .expr import (Expr, ExprError, OpaqueCall, divide, partial_derivative,
-                   substitute, to_dsl, total_derivative,
+from .expr import (Expr, ExprError, OpaqueCall, divide, gradient,
+                   partial_derivative, substitute, to_dsl, total_derivative,
                    total_derivative_multi)
 from .forms import (ExteriorForm, FormsError, SectionData, VectorField,
                     exterior_derivative, holonomic_section, interior_product,
@@ -38,7 +38,7 @@ from .variational import (CurrentTable, Equation, EquationSet,
 
 __all__ = [
     "Base", "Jet", "Momentum", "Multiplier", "Parameter",
-    "Expr", "ExprError", "OpaqueCall", "divide",
+    "Expr", "ExprError", "OpaqueCall", "divide", "gradient",
     "partial_derivative", "substitute", "to_dsl", "total_derivative",
     "total_derivative_multi",
     "MultiIndex", "all_multiindices", "multiindex_factor", "multiindices_up_to",

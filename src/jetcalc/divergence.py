@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coords import Jet, Momentum
-from .expr import Expr, ZERO, _akey, partial_derivative, total_divergence
+from .expr import Expr, ZERO, _akey, total_divergence
 from .multiindex import multiindices_up_to
 from .problem import LagrangianProblem
 from .variational import (Equation, EquationSet, MomentumAssignment,
-                          euler_lagrange, jet_partial)
+                          euler_lagrange, jet_gradient)
 
 
 class DivergenceError(ValueError):
@@ -53,15 +53,24 @@ def divergence_lagrangian(F, fields=None) -> DivergenceData:
                           fields=_fields_of(F, fields))
 
 
+def _slot_partials(F, n: int, fields, order: int) -> dict:
+    """{(fld, mu, lam): dF^lam/dphi_mu} over the slot grid of ``order``,
+    from one jet gradient per field and component."""
+    dF = {(fld, lam): jet_gradient(e, fld, n, order - 1)
+          for fld in fields for lam, e in enumerate(F, start=1)}
+    return {(fld, mi, lam): dF[fld, lam].get(mi, ZERO)
+            for fld, mi, lam in MomentumAssignment.grid_keys(n, fields, order)}
+
+
 def trivial_momenta(F, fields=None) -> MomentumAssignment:
     """The non-symmetric representative p^{mu lam} := dF^lam / dphi_mu."""
-    data = divergence_lagrangian(F, fields)
+    return _trivial_momenta(divergence_lagrangian(F, fields))
+
+
+def _trivial_momenta(data: DivergenceData) -> MomentumAssignment:
     n, l = len(data.components), data.order
-    slots = {(fld, mi, lam): partial_derivative(data.components[lam - 1],
-                                                Jet(fld, mi))
-             for fld, mi, lam in MomentumAssignment.grid_keys(
-                 n, data.fields, l)}
-    return MomentumAssignment(n, data.fields, l, slots)
+    return MomentumAssignment(n, data.fields, l, _slot_partials(
+        data.components, n, data.fields, l))
 
 
 def verify_divergence_trivial(F, fields=None) -> EquationSet:
@@ -69,20 +78,21 @@ def verify_divergence_trivial(F, fields=None) -> EquationSet:
     symmetrized trivial momenta entrywise and the eliminated Euler-Lagrange
     residual of L0 vanishes identically; both are returned for inspection."""
     data = divergence_lagrangian(F, fields)
-    m = trivial_momenta(F, fields)
+    m = _trivial_momenta(data)
     n, l = len(data.components), data.order
-    problem = LagrangianProblem(n, data.fields, l, data.lagrangian)
+    euler = euler_lagrange(LagrangianProblem(n, data.fields, l,
+                                             data.lagrangian))
     rows = []
     for fld in data.fields:
+        dL0 = jet_gradient(data.lagrangian, fld, n, l)
         for mi in multiindices_up_to(n, l):
-            lhs = jet_partial(data.lagrangian, fld, mi)
+            lhs = dL0.get(mi, ZERO)
             if mi.order <= l - 1:
                 lhs = lhs - m.divergence(fld, mi)
             rhs = m.symmetric_part(fld, mi) if mi.order >= 1 else ZERO
             mi_s = ",".join(map(str, mi))
             rows.append(Equation(f"{fld}:residual[{mi_s}]", lhs, rhs))
-        rows.append(Equation(f"{fld}:euler",
-                             euler_lagrange(problem)[fld], ZERO))
+        rows.append(Equation(f"{fld}:euler", euler[fld], ZERO))
     return EquationSet(rows)
 
 
@@ -100,9 +110,6 @@ def momentum_shift(m: MomentumAssignment, F, direction: str = "forward",
     l = max(max((e.max_jet_order() for e in F), default=0) + 1, 1)
     order = max(m.order, l)
     sign = 1 if direction == "forward" else -1
-    slots = {}
-    for fld, mi, lam in MomentumAssignment.grid_keys(m.n, m.fields, order):
-        value = m.slots.get((fld, mi, lam), ZERO)
-        delta = partial_derivative(F[lam - 1], Jet(fld, mi))
-        slots[(fld, mi, lam)] = value + (delta if sign == 1 else -delta)
+    slots = {key: m.slots.get(key, ZERO) + (d if sign == 1 else -d)
+             for key, d in _slot_partials(F, m.n, m.fields, order).items()}
     return MomentumAssignment(m.n, m.fields, order, slots)

@@ -439,9 +439,49 @@ def _derive(e: Expr, atom_rule) -> Expr:
     return Expr._trusted(acc)
 
 
+def gradient(e: Expr, coords) -> dict:
+    """Every first partial derivative of ``e`` in ``coords`` from one pass
+    over its terms: {c: de/dc} for each c of ``coords`` at which the
+    derivative is not zero (read the others with ``.get(c, ZERO)``).
+
+    A term feeds only the coordinates it holds.  For one coordinate,
+    lowering its exponent by one is injective on the terms that hold it and
+    keeps the factor order, so every entry is written once, with no fold.
+    The terms holding an opaque call (which sorts last in a monomial) go
+    through the chain rule of ``_derive``, for the coordinates they hold."""
+    want = set(coords)
+    acc: dict = {}
+    through: dict = {}
+    for mon, coeff in e._terms.items():
+        if mon and mon[-1][0].__class__ is OpaqueCall:
+            through[mon] = coeff
+            continue
+        for i, (a, exp) in enumerate(mon):
+            if a in want:
+                rest = mon[:i] + ((a, exp - 1),) if exp != 1 else mon[:i]
+                c = coeff * exp
+                if c.__class__ is not int and c.denominator == 1:
+                    c = c.numerator
+                terms = acc.get(a)
+                if terms is None:
+                    terms = acc[a] = {}
+                terms[rest + mon[i + 1:]] = c
+    if through:
+        T = Expr._trusted(through)
+        for c in sorted(want & T.free_coordinates(), key=_akey):
+            # each monomial of d holds an opaque call and none above does,
+            # so the two parts of an entry add without a fold
+            d = _derive(T, lambda a: _atom_partial(a, c))._terms
+            if d:
+                acc.setdefault(c, {}).update(d)
+    return {c: Expr._trusted(terms) for c, terms in acc.items()}
+
+
 def partial_derivative(e: Expr, c: Coordinate) -> Expr:
     """Formal partial derivative; every other coordinate is independent."""
-    return _derive(e, lambda a: _atom_partial(a, c))
+    d = gradient(e, (c,)).get(c)
+    # a fresh zero, not the shared ZERO: a derivation builds its result
+    return Expr._trusted({}) if d is None else d
 
 
 def total_derivative(e: Expr, lam: int) -> Expr:
@@ -485,31 +525,51 @@ def total_derivative_multi(e: Expr, mi, order_cap: int = 12) -> Expr:
 
 
 def substitute(e: Expr, mapping: dict) -> Expr:
-    """Replace coordinate atoms by expressions (opaque arguments included)."""
-    # A generator, not a list: each expanded term is folded in and dropped,
-    # so peak memory stays at the size of the sum.
-    return Expr.sum(_substitute_term(mon, coeff, mapping)
-                    for mon, coeff in e._terms.items())
+    """Replace coordinate atoms by expressions (opaque arguments included).
 
-
-def _substitute_term(mon, coeff, mapping: dict) -> Expr:
-    """One term of ``substitute``: coeff times the mapped atom powers."""
-    term = Expr.const(coeff)
-    for a, exp in mon:
-        if isinstance(a, OpaqueCall):
-            val = Expr.atom(
-                OpaqueCall(a.name, a.derivs,
-                           tuple(substitute(arg, mapping) for arg in a.args))
-            )
-        elif a in mapping:
-            val = _coerce(mapping[a])
+    Each term keeps the factors the mapping leaves alone as one monomial
+    and multiplies in only the powers of its mapped values, term by term;
+    every expanded pair is folded into one dict for the whole call.  A
+    mapped parameter at a negative power divides its term by the value's
+    power, with ``divide``."""
+    acc: dict = {}
+    for mon, coeff in e._terms.items():
+        kept = []
+        powers = []
+        den = None
+        for a, exp in mon:
+            if a.__class__ is OpaqueCall:
+                b = OpaqueCall(a.name, a.derivs, tuple(
+                    substitute(arg, mapping) for arg in a.args))
+                if b is a:
+                    kept.append((a, exp))
+                    continue
+                # a new call may sort elsewhere or equal another factor
+                val = Expr.atom(b)
+            elif a in mapping:
+                val = _coerce(mapping[a])
+            else:
+                kept.append((a, exp))
+                continue
+            if exp > 0:
+                powers.append((val if exp == 1 else val ** exp)._terms)
+            else:
+                den = val ** -exp if den is None else den * val ** -exp
+        terms = {tuple(kept): coeff}
+        # products of different values can collide, so each is merged
+        # before the next; the last one folds straight into acc
+        last = powers.pop() if powers and den is None else None
+        for p in powers:
+            product: dict = {}
+            _fold(product, _mul_terms(terms, p))
+            terms = product
+        if last is not None:
+            _fold(acc, _mul_terms(terms, last))
+        elif den is not None:
+            _fold(acc, divide(Expr._trusted(terms), den)._terms.items())
         else:
-            val = Expr.atom(a)
-        if exp >= 0:
-            term = term * val ** exp
-        else:
-            term = divide(term, val ** (-exp))
-    return term
+            _fold(acc, terms.items())
+    return Expr._trusted(acc)
 
 
 # -- division --------------------------------------------------------------
@@ -621,7 +681,7 @@ def _display_sorted(mon):
 
 
 def _factor_str(a: Atom, e: int) -> str:
-    return a._dsl if e == 1 else f"{a._dsl}^{e}"
+    return a._dsl if e == 1 else f"{a._dsl}^{_digits(e, 'exponent')}"
 
 
 def _join_terms(e: Expr, render) -> str:
@@ -638,19 +698,19 @@ def _join_terms(e: Expr, render) -> str:
     return "".join(out)
 
 
-def _digits(n: int) -> str:
-    """The decimal digits of ``abs(n)``.  A number longer than the
+def _digits(n: int, what: str = "coefficient") -> str:
+    """The decimal form of ``n``, sign kept.  A number longer than the
     interpreter's digit limit, which bounds the parser's literals as well,
-    raises ``ExprError`` naming its digit count, so printed output always
-    reads back."""
-    n = abs(n)
+    raises ``ExprError`` naming ``what`` it is and its digit count, so
+    printed output always reads back."""
     try:
         return str(n)
     except ValueError:
+        n = abs(n)
         d = int(n.bit_length() * math.log10(2)) - 1   # a lower bound
         while n >= 10 ** d:
             d += 1
-        raise ExprError(f"coefficient too long to print ({d} digits)") from None
+        raise ExprError(f"{what} too long to print ({d} digits)") from None
 
 
 def to_dsl(e: Expr) -> str:
@@ -666,7 +726,7 @@ def _term_dsl(mon, coeff) -> str:
         elif x < 0:
             den_parts.append(_factor_str(a, -x))
     if abs(coeff.numerator) != 1 or not num_parts:
-        num_parts.insert(0, _digits(coeff.numerator))
+        num_parts.insert(0, _digits(abs(coeff.numerator)))
     if coeff.denominator != 1:
         den_parts.insert(0, _digits(coeff.denominator))
     s = "*".join(num_parts)

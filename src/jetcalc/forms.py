@@ -13,8 +13,8 @@ from itertools import chain
 
 from .coords import (Base, Coordinate, Jet, Momentum, Multiplier, Parameter,
                      is_fibre)
-from .expr import (Expr, ONE, ZERO, _akey, partial_derivative, substitute,
-                   total_derivative_multi)
+from .expr import (Expr, ONE, ZERO, _akey, gradient, partial_derivative,
+                   substitute, total_derivative_multi)
 from .multiindex import multiindices_up_to
 
 
@@ -159,12 +159,10 @@ def exterior_derivative(a: ExteriorForm) -> ExteriorForm:
     actually depend on, wedged in front.  dd = 0."""
     pairs = []
     for facs, coeff in a.terms.items():
-        for c in coeff.free_coordinates():
-            if isinstance(c, (Parameter, Multiplier)):
-                continue
-            dc = partial_derivative(coeff, c)
-            if not dc.is_zero():
-                pairs.append(((c,) + facs, dc))
+        coords = [c for c in coeff.free_coordinates()
+                  if not isinstance(c, (Parameter, Multiplier))]
+        pairs += [((c,) + facs, dc)
+                  for c, dc in gradient(coeff, coords).items()]
     return ExteriorForm.sum(a.degree + 1, pairs)
 
 
@@ -247,6 +245,7 @@ class SectionData:
 def pullback_section(a: ExteriorForm, sigma: SectionData) -> ExteriorForm:
     """sigma^* a: substitute fibre atoms and expand fibre differentials as
     sum_lam d_lam(value) dx^lam; the result lives over the base."""
+    directions = [Base(mu) for mu in range(1, sigma.n + 1)]
     pairs = []
     for facs, coeff in a.terms.items():
         # the expanded wedge of the factors, a repeated dx^mu left out
@@ -255,12 +254,10 @@ def pullback_section(a: ExteriorForm, sigma: SectionData) -> ExteriorForm:
             if isinstance(f, Base):
                 one_form = [(f, ONE)]
             else:
-                value = sigma.value(f)
-                one_form = [(Base(mu), partial_derivative(value, Base(mu)))
-                            for mu in range(1, sigma.n + 1)]
+                g = gradient(sigma.value(f), directions)
+                one_form = [(b, g[b]) for b in directions if b in g]
             products = [(bases + (b,), c * dv) for bases, c in products
-                        for b, dv in one_form
-                        if b not in bases and not dv.is_zero()]
+                        for b, dv in one_form if b not in bases]
         pairs += products
     return ExteriorForm.sum(a.degree, pairs)
 

@@ -6,8 +6,8 @@ admissible Lagrangians are quadratic in the top jets with a
 parameter-constant Hessian block.  One pass over the terms of L reads off
 L0 (L at x = 0), b (dL/dx at x = 0) and the Hessian A in the exchanged
 jets x by exponent arithmetic; a term whose opaque call has an argument
-depending on x is derived with ``partial_derivative`` instead, so every
-entry is exactly the second derivative of L.
+depending on x is derived with ``gradient`` instead, so every entry is
+exactly the second derivative of L.
 The solve is exact, with parameter monomials the only permitted
 denominators.  A and b are first scaled by one factor that clears the
 negative parameter powers and the coefficient denominators (the products
@@ -31,8 +31,8 @@ from fractions import Fraction
 
 from .coords import Jet, Momentum, Parameter
 from .expr import (Expr, ExprError, ONE, OpaqueCall, ZERO, _akey, _coerce,
-                   _fold, _mul_terms, divide, partial_derivative, substitute)
-from .multiindex import MultiIndex, all_multiindices
+                   _fold, _mul_terms, divide, gradient, substitute)
+from .multiindex import MultiIndex, all_multiindices, multiindices_up_to
 from .problem import LagrangianProblem
 from .variational import (Equation, EquationSet, MomentumAssignment,
                           _cascade_row)
@@ -189,9 +189,9 @@ def _quadratic_split(L: Expr, x: dict):
     A_ij = d^2 L/dx_i dx_j off the terms of L in one pass, for the jets
     ``x`` given as {atom: index}.  Each term goes to L0, to one b_i or to
     entries of A by its exponents in x.  The terms whose opaque call has an
-    argument depending on x are derived with ``partial_derivative`` and
-    evaluated at x = 0 with ``substitute``, so every value equals the one
-    the derivatives of all of L give.  Returns L0, the list b and A as a
+    argument depending on x are derived with ``gradient`` and evaluated at
+    x = 0 with ``substitute``, so every value equals the one the
+    derivatives of all of L give.  Returns L0, the list b and A as a
     list of rows of Exprs."""
     dim = len(x)
     L0: dict = {}
@@ -243,9 +243,11 @@ def _quadratic_split(L: Expr, x: dict):
     if through:
         T = Expr._trusted(through)
         kill = {a: ZERO for a in x}
-        dT = [partial_derivative(T, a) for a in x]
-        A = [[A[i][j] + partial_derivative(dT[i], a)
-              for j, a in enumerate(x)] for i in range(dim)]
+        g = gradient(T, x)
+        dT = [g.get(a, ZERO) for a in x]
+        for i, d in enumerate(dT):
+            g = gradient(d, x)
+            A[i] = [A[i][j] + g.get(a, ZERO) for j, a in enumerate(x)]
         b = [bi + substitute(d, kill) for bi, d in zip(b, dT)]
         L0 = L0 + substitute(T, kill)
     return L0, b, A
@@ -319,19 +321,22 @@ def hamilton_equations(problem: LagrangianProblem) -> EquationSet:
     jets, the descending rows pick up a sign, momenta stay symbolic."""
     n, k = problem.n, problem.k
     data = legendre_top(problem)
-    h = data.h
     p = MomentumAssignment.symbolic(n, problem.fields, k)
+    dh = gradient(data.h, [Momentum(fld, mi) for fld in problem.fields
+                           for mi in all_multiindices(n, k)]
+                  + [Jet(fld, mi) for fld in problem.fields
+                     for mi in multiindices_up_to(n, k - 1)])
     rows = []
     for fld in problem.fields:
         for mi in all_multiindices(n, k):
             rows.append(Equation(
                 f"{fld}:phi[{','.join(map(str, mi))}]",
                 Expr.atom(Jet(fld, mi)),
-                partial_derivative(h, Momentum(fld, mi))))
+                dh.get(Momentum(fld, mi), ZERO)))
         for order in range(k - 1, -1, -1):
             for mi in all_multiindices(n, order):
                 rows.append(_cascade_row(
-                    p, fld, mi, -partial_derivative(h, Jet(fld, mi))))
+                    p, fld, mi, -dh.get(Jet(fld, mi), ZERO)))
     return EquationSet(rows)
 
 

@@ -45,9 +45,10 @@ def atom_latex(a) -> str:
 
 
 def _coeff_latex(c: Fraction) -> str:
+    num = _digits(abs(c.numerator))
     if c.denominator == 1:
-        return _digits(c.numerator)
-    return f"\\tfrac{{{_digits(c.numerator)}}}{{{_digits(c.denominator)}}}"
+        return num
+    return f"\\tfrac{{{num}}}{{{_digits(c.denominator)}}}"
 
 
 def to_latex(e: Expr) -> str:
@@ -58,7 +59,9 @@ def _term_latex(mon, coeff) -> str:
     factors = []
     for a, exp in _display_sorted(mon):
         s = atom_latex(a)
-        factors.append(s if exp == 1 else f"{s}^{{{exp}}}")
+        if exp != 1:
+            s = f"{s}^{{{_digits(exp, 'exponent')}}}"
+        factors.append(s)
     body = "\\,".join(factors)
     if abs(coeff) != 1 or not factors:
         body = _coeff_latex(coeff) + ("\\," + body if body else "")

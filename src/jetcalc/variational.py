@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coords import Base, Jet, Momentum, Multiplier
-from .expr import (Expr, ZERO, partial_derivative, substitute,
+from .expr import (Expr, ZERO, gradient, partial_derivative, substitute,
                    total_derivative_multi, total_divergence)
 from .multiindex import MultiIndex, all_multiindices, multiindices_up_to
 from .problem import LagrangianProblem
@@ -157,6 +157,14 @@ def jet_partial(L: Expr, fld: str, mi: MultiIndex) -> Expr:
     return partial_derivative(L, Jet(fld, mi))
 
 
+def jet_gradient(L: Expr, fld: str, n: int, order: int) -> dict:
+    """{mi: dL/dphi_mi} for the |mi| <= ``order`` at which that derivative
+    is not zero, from one pass over the terms of L; read the other
+    multi-indices with ``.get(mi, ZERO)``."""
+    g = gradient(L, [Jet(fld, mi) for mi in multiindices_up_to(n, order)])
+    return {c.mi: d for c, d in g.items()}
+
+
 def canonical_momenta(problem: LagrangianProblem,
                       order_cap: int = 12) -> MomentumAssignment:
     """The symmetric representative of the canonical momenta (gauge r = 0):
@@ -167,8 +175,9 @@ def canonical_momenta(problem: LagrangianProblem,
     n, k, L = problem.n, problem.k, problem.lagrangian
     slots = {}
     for fld in problem.fields:
+        dL = jet_gradient(L, fld, n, k)
         slots.update(_weighted_descent(
-            fld, n, k, {}, lambda mi: jet_partial(L, fld, mi), order_cap))
+            fld, n, k, {}, lambda mi: dL.get(mi, ZERO), order_cap))
     return MomentumAssignment(n, problem.fields, k, slots)
 
 
@@ -231,9 +240,10 @@ def cascade_equations(problem: LagrangianProblem) -> EquationSet:
     p = MomentumAssignment.symbolic(n, problem.fields, k)
     rows = []
     for fld in problem.fields:
+        dL = jet_gradient(L, fld, n, k)
         for order in range(k, -1, -1):
             for mi in all_multiindices(n, order):
-                rows.append(_cascade_row(p, fld, mi, jet_partial(L, fld, mi)))
+                rows.append(_cascade_row(p, fld, mi, dL.get(mi, ZERO)))
     return EquationSet(rows)
 
 
@@ -254,10 +264,11 @@ def euler_lagrange(problem: LagrangianProblem, order_cap: int = 12) -> dict:
     n, k, L = problem.n, problem.k, problem.lagrangian
     out = {}
     for fld in problem.fields:
+        dL = jet_gradient(L, fld, n, k)
         terms = []
         for mi in multiindices_up_to(n, k):
-            dl = jet_partial(L, fld, mi)
-            if dl.is_zero():
+            dl = dL.get(mi)
+            if dl is None:
                 continue
             term = total_derivative_multi(dl, mi, order_cap=order_cap)
             terms.append(term if mi.order % 2 == 0 else -term)
@@ -294,18 +305,22 @@ def holonomy_residual(problem: LagrangianProblem, sigma) -> EquationSet:
     """Rows d_lam(slot mu) = slot(mu+lam) for |mu| <= k-2 plus the
     definitional top rows (labelled ``def:``) that set the order-k jets."""
     n, k = problem.n, problem.k
+    directions = [Base(lam) for lam in range(1, n + 1)]
     rows = []
-    for fld, mi, lam in MomentumAssignment.grid_keys(n, problem.fields, k):
-        d = partial_derivative(sigma.value(Jet(fld, mi)), Base(lam))
-        target = mi.bump(lam)
-        if mi.order <= k - 2:
-            rows.append(Equation(
-                f"{fld}:d{lam}:phi[{','.join(map(str, mi))}]",
-                d, sigma.value(Jet(fld, target))))
-        else:
-            rows.append(Equation(
-                f"def:{fld}:phi[{','.join(map(str, target))}]:d{lam}",
-                Expr.atom(Jet(fld, target)), d))
+    for fld in problem.fields:
+        for mi in multiindices_up_to(n, k - 1):
+            g = gradient(sigma.value(Jet(fld, mi)), directions)
+            for lam, x in enumerate(directions, start=1):
+                d = g.get(x, ZERO)
+                target = mi.bump(lam)
+                if mi.order <= k - 2:
+                    rows.append(Equation(
+                        f"{fld}:d{lam}:phi[{','.join(map(str, mi))}]",
+                        d, sigma.value(Jet(fld, target))))
+                else:
+                    rows.append(Equation(
+                        f"def:{fld}:phi[{','.join(map(str, target))}]:d{lam}",
+                        Expr.atom(Jet(fld, target)), d))
     return EquationSet(rows)
 
 

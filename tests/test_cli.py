@@ -157,6 +157,24 @@ class TestCommands:
         assert captured.err == ("error: coefficient too long to print "
                                 f"({digits[command]} digits)\n")
 
+    @pytest.mark.parametrize("source,latex", [
+        ("lagrangian u^{N}*u^{N};", ()),
+        ("lagrangian u^{N}*u^{N};", ("--latex",)),
+        # the LaTeX printer writes a Laurent exponent with its sign
+        ("param m;\nlagrangian u[1]^2/m^{N}/m^{N};", ("--latex",)),
+    ], ids=["power", "power-latex", "laurent-latex"])
+    def test_exponent_beyond_the_digit_limit_exit_2(self, capsys, lagfile,
+                                                    source, latex):
+        # each exponent reads back, but their sum 2N has 4301 digits; these
+        # exited 3 with Python's ValueError for long integer strings
+        N = "9" * 4300
+        path = lagfile("base 1;\nfield u;\norder 1;\n" + source.format(N=N))
+        assert run([*latex, "el", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: exponent too long to print "
+                                "(4301 digits)\n")
+
     @pytest.mark.parametrize("source,message,col", [
         ("lagrangian (u+u[1,0])^100000000;",
          "a sum of 2 terms to the power 100000000 has more than 100000 terms",

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from jetcalc import (
     Base, Expr, ExprError, Jet, LagrangianProblem, Momentum, MultiIndex,
-    Multiplier, OpaqueCall, Parameter, ParseError, divide, multiindex_factor,
-    parse_expr, partial_derivative, substitute, to_dsl, total_derivative,
-    total_derivative_multi,
+    Multiplier, OpaqueCall, Parameter, ParseError, divide, gradient,
+    multiindex_factor, parse_expr, partial_derivative, substitute, to_dsl,
+    total_derivative, total_derivative_multi,
 )
 from jetcalc.expr import (ONE, ZERO, _akey, _atom_partial, _atom_total,
                           _display_sorted, _fold, _mul_terms)
@@ -409,25 +409,34 @@ def _leibniz_reference(e, atom_rule):
     return Expr._trusted(acc)
 
 
+_DERIVATION_COORDS = [Jet("u", MultiIndex(mi)) for o in range(3)
+                      for mi in all_multiindices(2, o)] + [
+    Base(1), Base(2), Parameter("m"),
+    Momentum("u", MultiIndex((0, 0)), 1),
+    Momentum("u", MultiIndex((1, 0)), 2, MultiIndex((0, 1))),
+    Momentum("u", MultiIndex((2, 0)), None, MultiIndex((1, 1)))]
+# coordinates no draw of ``derivation_inputs`` holds
+_ABSENT_COORDS = [Jet("v", MultiIndex((0, 0))), Jet("u", MultiIndex((3, 0))),
+                  Base(3), Parameter("n"), Momentum("u", MultiIndex((0, 0)), 2)]
+
+
 @st.composite
 def derivation_inputs(draw):
     """Up to four monomials in n = 2 with Fraction coefficients and
-    exponents up to 3, over jets, x1, x2, a parameter, momenta with and
-    without base-derivative decorations and an opaque call whose
-    arguments hold a jet and x1; and a coordinate among those atoms."""
-    coords = [Jet("u", MultiIndex(mi)) for o in range(3)
-              for mi in all_multiindices(2, o)]
-    coords += [Base(1), Base(2), Parameter("m"),
-               Momentum("u", MultiIndex((0, 0)), 1),
-               Momentum("u", MultiIndex((1, 0)), 2, MultiIndex((0, 1))),
-               Momentum("u", MultiIndex((2, 0)), None, MultiIndex((1, 1)))]
+    exponents up to 3 (down to -2 for the parameter), over jets, x1, x2, a
+    parameter, momenta with and without base-derivative decorations and an
+    opaque call whose arguments hold a jet and x1; and a coordinate among
+    those atoms."""
+    coords = _DERIVATION_COORDS
     inner = Expr.atom(draw(st.sampled_from(coords[:6])))
     atoms = coords + [OpaqueCall("U", (0, 1), (Expr.atom(Base(1)), inner))]
     parts = []
     for _ in range(draw(st.integers(0, 4))):
         term = Expr.const(draw(st.fractions(-3, 3, max_denominator=4)))
         for a in draw(st.lists(st.sampled_from(atoms), max_size=3)):
-            term = term * Expr.atom(a) ** draw(st.integers(1, 3))
+            exp = draw(st.integers(-2 if isinstance(a, Parameter) else 1, 3))
+            term = term * Expr.atom(a) ** exp if exp >= 0 else \
+                divide(term, Expr.atom(a) ** -exp)
         parts.append(term)
     return Expr.sum(parts), draw(st.sampled_from(coords))
 
@@ -444,6 +453,78 @@ def test_derivations_match_the_general_leibniz_rule(inputs, lam):
     _assert_canonical(got)
 
 
+@_KERNEL
+@given(derivation_inputs())
+def test_gradient_matches_the_general_leibniz_rule(inputs):
+    # every coordinate the draws can hold, inside opaque arguments too,
+    # and coordinates none holds, in one gradient
+    e, _ = inputs
+    coords = _DERIVATION_COORDS + _ABSENT_COORDS
+    got = gradient(e, coords)
+    assert set(got) <= e.free_coordinates()
+    assert not any(d.is_zero() for d in got.values())
+    for c in coords:
+        want = _leibniz_reference(e, lambda a: _atom_partial(a, c))
+        assert got.get(c, ZERO) == want
+        _assert_canonical(got.get(c, ZERO))
+    assert gradient(e, []) == {}
+
+
+def _substitute_reference(e, mapping):
+    """``substitute`` as a sum of products: each term is its coefficient
+    times the power of every factor's value, an unmapped atom standing for
+    itself, and a negative power divides the product so far."""
+    def term(mon, coeff):
+        t = Expr.const(coeff)
+        for a, exp in mon:
+            if isinstance(a, OpaqueCall):
+                val = Expr.atom(OpaqueCall(a.name, a.derivs, tuple(
+                    _substitute_reference(arg, mapping) for arg in a.args)))
+            else:
+                val = mapping.get(a, Expr.atom(a))
+            t = t * val ** exp if exp >= 0 else divide(t, val ** -exp)
+        return t
+    return Expr.sum(term(mon, coeff) for mon, coeff in e._terms.items())
+
+
+_N = Expr.atom(Parameter("n"))
+
+
+@st.composite
+def substitutions(draw):
+    """A mapping of some atoms of ``small_exprs``: jets and x1 (which the
+    opaque call U(x1, u) holds) to sums whose products collide, a value
+    and its negative among them so that terms cancel; and the parameter
+    m, which those draws raise to negative powers, to a nonzero constant
+    or a Laurent monomial in the parameters."""
+    v = draw(colliding_sums())
+    values = st.one_of(small_exprs(), colliding_sums(), st.just(v),
+                       st.just(-v), st.just(Expr.atom(_U0)))
+    mapping = {a: draw(values) for a in _ATOMS[:4] if draw(st.booleans())}
+    if draw(st.booleans()):
+        mapping[_M] = draw(st.sampled_from([
+            Expr.const(Fraction(-3, 2)), Expr.const(2), 2 * _N,
+            divide(Expr.const(Fraction(1, 3)), _N ** 2), _MASS ** 2,
+            _MASS * _N]))
+    return mapping
+
+
+# U(x1, u[1,0]) next to U(x1, u): a substitution can reorder the two calls
+# or make them one
+_U_OF_U1 = Expr.atom(OpaqueCall("U", (0, 0), (Expr.atom(Base(1)),
+                                              Expr.atom(_U1))))
+
+
+@_KERNEL
+@given(st.one_of(small_exprs(), colliding_sums()), st.integers(0, 2),
+       substitutions())
+def test_substitute_matches_the_product_of_values(e, k, mapping):
+    e = e * _U_OF_U1 ** k
+    got = substitute(e, mapping)
+    assert got == _substitute_reference(e, mapping)
+    _assert_canonical(got)
+
+
 # -- the lazy hash: the hash and the sort key are computed on first use
 
 _BUILDS = {
@@ -453,6 +534,9 @@ _BUILDS = {
     "*": lambda a, b: a * b,
     "partial_derivative": lambda a, b: partial_derivative(
         a * b, Jet("u", MultiIndex((1, 0)))),
+    # x2 is no atom of the draws, so d/dx2 of x2 * (a*b + x2) is never zero
+    "gradient": lambda a, b: gradient(
+        Expr.atom(Base(2)) * (a * b + Expr.atom(Base(2))), [Base(2)])[Base(2)],
     "substitute": lambda a, b: substitute(a, {Base(1): b}),
     "pickle": lambda a, b: pickle.loads(pickle.dumps(a * b)),
     "deepcopy": lambda a, b: copy.deepcopy(a + b),
