@@ -11,6 +11,7 @@ line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from .multiindex import MultiIndex
 from .forms import FormsError, SectionData
 from .legendre import LegendreError, hamilton_equations, legendre_top, \
     energy_legendre
-from .parser import ParseError, ProblemFile, parse_problem
+from .parser import ParseError, ProblemFile, grid_refusal, parse_problem
 from .poincare import galilei_transform_check, multisymplectic_residuals, pc_form
 from .printing import form_to_latex, form_to_str, to_latex
 from .problem import ProblemError
@@ -43,7 +44,16 @@ class InputError(ValueError):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``run`` in a process and
+    reused by every later one.  Building it costs more than parsing a
+    small problem file, and the reuse pays only in a process that calls
+    ``run`` more than once (a test session, an embedding caller, a
+    benchmark loop); a one-command shell process builds it once either
+    way.  Reuse is safe because ``parse_args`` keeps no state on the
+    parser: each call returns a fresh namespace and writes its usage and
+    errors to the ``sys.stdout``/``sys.stderr`` of that moment."""
     ap = argparse.ArgumentParser(
         prog="jetcalc",
         description="canonical formalism for higher-order Lagrangian field theories")
@@ -258,6 +268,9 @@ def _dispatch(args):
         if not pf.vfields:
             raise InputError("problem file has no vfield statements")
         order = args.target_order if args.target_order is not None else prob.k
+        refusal = grid_refusal(prob.n, order, "target order")
+        if refusal:
+            raise InputError(refusal)
         lifted = prolong_vertical_field(VerticalField(pf.vfields), n=prob.n,
                                         target_order=order,
                                         order_cap=args.order_cap)

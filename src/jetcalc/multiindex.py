@@ -103,6 +103,9 @@ def all_multiindices(n: int, order: int) -> tuple:
         return ()
     if n == 0:
         return (tuple.__new__(MultiIndex, ()),) if order == 0 else ()
+    if n == 1:
+        # the loop below would try every first entry; only ``order`` fits
+        return (tuple.__new__(MultiIndex, (order,)),)
     # (head,) + tail is a plain tuple of valid entries: wrap it unvalidated
     return tuple(tuple.__new__(MultiIndex, (head,) + tail)
                  for head in range(order, -1, -1)

@@ -23,7 +23,10 @@ the whitespace and comments before it included.  A token is a plain
 offset only when a ``ParseError`` is built.  Each expression statement is
 parsed from its slice of the token list once the declarations are known.
 Numeric literals stay Python ints and Fractions through products, quotients
-and powers: an ``Expr`` is built at the first factor that is not a number.
+and powers.  A product carries one (monomial, coefficient) pair: an
+``Expr`` is built at the first factor that is neither a number nor a
+one-term factor, or at a divisor that is not a number.  A sum folds its
+terms into one term dict.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .coords import Base, Jet, Momentum, Multiplier, Parameter
-from .expr import Expr, OpaqueCall, divide
+from .expr import Expr, OpaqueCall, _coeff, _fold, _mul_monomials, divide
 from .problem import LagrangianProblem
 
 _RESERVED = {"p", "lam", "base", "field", "order", "param", "opaque",
@@ -65,6 +68,38 @@ _BASE_NAME = re.compile(r"x(\d+)")
 TERM_BUDGET = 100_000
 BIT_BUDGET = 1 << 18
 
+# Budget on the jet grid: the C(n+k, n) multi-indices of order <= k over n
+# base directions, which every command walks per field (a ``u`` alone is a
+# tuple of n zeros).  Checked before any expression is parsed, so that a
+# short file cannot ask for an unbounded grid.  The corpus, the tests and
+# the benchmark inputs need at most C(6, 3) = 20; at the budget a command
+# still ends within seconds: n = 1, k = 1999 (a momentum weight is a
+# factorial of the order) or n = 5, k = 8.
+GRID_BUDGET = 2000
+
+
+def _capped_binomial(a: int, b: int, cap: int) -> int:
+    """C(a+b, a) for a, b >= 0, or a number over ``cap`` when C(a+b, a) is
+    over it.  The loop forms C(max(a, b) + j, j) for j = 1..min(a, b),
+    which is at least 2^j, so it ends within about log2(cap) steps either
+    way."""
+    lo, hi = min(a, b), max(a, b)
+    c = 1
+    for j in range(1, lo + 1):
+        c = c * (hi + j) // j
+        if c > cap:
+            break
+    return c
+
+
+def grid_refusal(n: int, k: int, what: str = "order") -> str | None:
+    """Why the jet grid of base dimension ``n`` and order ``k`` is over
+    GRID_BUDGET, or None."""
+    if _capped_binomial(n, max(k, 0), GRID_BUDGET) <= GRID_BUDGET:
+        return None
+    return (f"jet grid too large: base {n} and {what} {k} give more than "
+            f"{GRID_BUDGET} multi-indices")
+
 
 def _power_refusal(base, d: int) -> str | None:
     """Why ``base ** d`` is over a budget, or None.  ``base`` is a number
@@ -75,16 +110,11 @@ def _power_refusal(base, d: int) -> str | None:
         m, coeffs = 1, (base,)
     if d < 2 or not m:
         return None
-    # The expansion has at most C(d+m-1, k) terms, k = min(d, m-1).  The
-    # loop forms C(d+m-1-k+j, j) for j = 1..k, which is at least 2^j, so
-    # it ends within about log2(TERM_BUDGET) steps either way.
-    n, k = d + m - 1, min(d, m - 1)
-    bound = 1
-    for j in range(1, k + 1):
-        bound = bound * (n - k + j) // j
-        if bound > TERM_BUDGET:
-            return (f"power too large: a sum of {m} terms to the power {d} "
-                    f"has more than {TERM_BUDGET} terms")
+    # The expansion has at most C(d+m-1, m-1) terms.
+    bound = _capped_binomial(d, m - 1, TERM_BUDGET)
+    if bound > TERM_BUDGET:
+        return (f"power too large: a sum of {m} terms to the power {d} "
+                f"has more than {TERM_BUDGET} terms")
     # A term of the expansion has a numerator of at most (m * max|num|)^d
     # and a denominator of at most max(den)^d, so about d times ceil(log2)
     # of those bounds its bits (merging like terms adds few); the term
@@ -193,33 +223,51 @@ class _ExprParser(_Tokens):
         return e
 
     def _sum(self) -> Expr:
-        terms = [self._term()]
+        """Terms joined by ``+`` and ``-``, folded into one term dict."""
+        acc: dict = {}
         toks = self.toks
+        negative = False
         while True:
+            items = self._term()
+            _fold(acc, ((m, -c) for m, c in items) if negative else items)
             op = toks[self.i][1]
-            if op == "+":
-                self.i += 1
-                terms.append(self._term())
-            elif op == "-":
-                self.i += 1
-                terms.append(-self._term())
-            else:
-                return Expr.sum(terms)
+            if op != "+" and op != "-":
+                return Expr._trusted(acc)
+            self.i += 1
+            negative = op == "-"
 
     def _term(self):
-        e = self._factor()
+        """Factors joined by ``*`` and ``/``, as the (monomial, coefficient)
+        pairs of their product.  Numbers and one-term factors fold into one
+        pair; the first multi-term factor, or the first divisor that is not
+        a number, turns the product into an ``Expr``."""
+        mon, coeff = (), 1
+        e = None
         toks = self.toks
+        op = "*"
+        f = self._factor()
         while True:
-            op = toks[self.i][1]
-            if op == "*":
-                self.i += 1
-                rhs = self._factor()
-                e = rhs if e.__class__ is int and e == 1 else e * rhs
-            elif op == "/":
-                self.i += 1
-                e = self._quotient(e, self._factor())
+            if e is None and f.__class__ is not Expr:
+                coeff = coeff * f if op == "*" else self._quotient(coeff, f)
+            elif e is None and op == "*" and len(f._terms) == 1:
+                (m, c), = f._terms.items()
+                mon = _mul_monomials(mon, m) if mon else m
+                coeff *= c
+            elif e is None and op == "*" and not mon and coeff == 1:
+                e = f
             else:
-                return e
+                if e is None:
+                    c = _coeff(coeff)
+                    e = Expr._trusted({mon: c} if c else {})
+                e = e * f if op == "*" else self._quotient(e, f)
+            op = toks[self.i][1]
+            if op != "*" and op != "/":
+                if e is not None:
+                    return e._terms.items()
+                c = _coeff(coeff)
+                return ((mon, c),) if c else ()
+            self.i += 1
+            f = self._factor()
 
     def _quotient(self, num, den):
         """num / den, a number when both are; a failure is reported at the
@@ -437,6 +485,7 @@ def parse_problem(text: str) -> ProblemFile:
     tokens = toks.toks
     texts = [t[1] for t in tokens]
     n = k = None
+    n_tok = k_tok = None
     fields: list[str] = []
     params: list[str] = []
     opaques: dict[str, int] = {}
@@ -505,11 +554,13 @@ def parse_problem(text: str) -> ProblemFile:
         if stmt == "base":
             if n is not None:
                 raise toks.error("duplicate 'base' declaration", t)
+            n_tok = toks.peek()
             n = read_int("base dimension")
             toks.expect(";")
         elif stmt == "order":
             if k is not None:
                 raise toks.error("duplicate 'order' declaration", t)
+            k_tok = toks.peek()
             k = read_int("order")
             toks.expect(";")
         elif stmt == "field":
@@ -566,6 +617,9 @@ def parse_problem(text: str) -> ProblemFile:
             raise toks.error(f"unknown statement {stmt!r}", t)
 
     bare = problem_so_far()
+    refusal = grid_refusal(n, k)
+    if refusal:
+        raise toks.error(refusal, max(n_tok, k_tok, key=lambda t: t[2]))
     L = (_parse_stmt_expr(text, lagrangian, bare, "lagrangian")
          if lagrangian is not None else Expr())
     cons = [_parse_stmt_expr(text, src, bare, "constraint")

@@ -195,6 +195,27 @@ class TestCommands:
         assert captured.err == (f"error: power too large: {message} (in "
                                 f"lagrangian statement) at line 4, column {col}\n")
 
+    @pytest.mark.parametrize("source,option,message,where", [
+        ("base 1;\nfield u;\norder 2000;\n", (),
+         "base 1 and order 2000", " at line 3, column 7"),
+        ("order 1;\nfield u;\nbase 2000;\n", (),
+         "base 2000 and order 1", " at line 3, column 6"),
+        ("base 2;\nfield u;\norder 62;\n", (),
+         "base 2 and order 62", " at line 3, column 7"),
+        ("base 1;\nfield u;\norder 1;\n", ("--target-order", "2000"),
+         "base 1 and target order 2000", ""),
+    ], ids=["order", "base", "both", "target-order"])
+    def test_jet_grid_over_budget_exit_2(self, capsys, lagfile, source,
+                                         option, message, where):
+        # one past the budget, so that a command that built the grid anyway
+        # would still end at once: 2001, 2001, 2016 and 2001 multi-indices
+        path = lagfile(source + "lagrangian u^2;\nvfield u = u;\n")
+        assert run(["prolong", path, *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: jet grid too large: {message} give "
+                                f"more than 2000 multi-indices{where}\n")
+
     @pytest.mark.parametrize("name,command,message", [
         ("beam", "energy", "energy transform is a first-order construction"),
         ("beam", "check-divergence", "problem file has no fcomponent statements"),
@@ -290,6 +311,41 @@ class TestCommands:
         code, doc = invoke(capsys, "momenta", lagfile(MECH), "--latex")
         assert code == 0
         assert doc["result"]["p[q;0;1]"] == "m\\,q_{(1)}"
+
+
+class TestParserReuse:
+    """``run`` builds its argument parser once per process; no call may
+    see a trace of an earlier one."""
+
+    ENERGY = "base 2; field u; order 1; lagrangian 1/2*u[1,0]^2 - u[0,1]^2;"
+
+    def test_each_run_matches_a_fresh_process(self, capsys, lagfile):
+        beam, energy = lagfile(BEAM), lagfile(self.ENERGY, "energy.lag")
+        argvs = [["el", beam, "--latex"], ["el", beam],
+                 ["momenta", beam, "--order-cap", "1"], ["momenta", beam],
+                 ["no-such-command"],
+                 ["energy", energy, "--time", "1"], ["energy", energy]]
+        src = os.path.dirname(os.path.dirname(jetcalc.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        seen = []
+        for argv in argvs:
+            try:
+                code = run(argv)
+            except SystemExit as exc:       # argparse refusals
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "jetcalc.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert (code, captured.out, captured.err) == \
+                (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            seen.append((code, captured.out, captured.err))
+        # the runs differ where their arguments do
+        assert [c for c, _, _ in seen] == [0, 0, 2, 0, 2, 0, 0]
+        assert seen[0][1] != seen[1][1] and seen[5][1] != seen[6][1]
+        assert seen[4][2].startswith("usage: jetcalc ")
+        assert seen[2][2] == \
+            "error: momentum cascade exceeded the jet order cap 1\n"
 
 
 class TestRoundTrip:

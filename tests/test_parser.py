@@ -15,7 +15,10 @@ crashed on:
   interpreter's digit limit, a file that ends right after ``field``),
   where the parser must raise a ``ParseError``;
 - a power over a budget of ``^``, which the parser refuses with a
-  ``ParseError`` at the exponent and the reference computed.
+  ``ParseError`` at the exponent and the reference computed;
+- a ``base``/``order`` pair whose jet grid is over its budget, which the
+  parser refuses at the later of the two values before any expression is
+  parsed, and the reference accepted.
 """
 
 import importlib.util
@@ -559,6 +562,29 @@ def _assert_refusal_is_past_a_budget(text, ref, new):
         or terms * d * bits > parser_module.BIT_BUDGET, (text, m, d)
 
 
+def _assert_grid_is_past_its_budget(text, new):
+    """A grid refusal stands at the value of a ``base`` or ``order``
+    statement, and the grid C(n+k, n) of the declared pair, recomputed
+    here, passes the budget."""
+    refused = []
+    real = parser_module.grid_refusal
+
+    def spy(n, k):
+        why = real(n, k)
+        if why:
+            refused.append((n, k))
+        return why
+
+    with mock.patch.object(parser_module, "grid_refusal", spy):
+        assert _outcome(parse_problem, text) == new
+    (n, k), = refused
+    assert math.comb(n + k, n) > parser_module.GRID_BUDGET, (text, n, k)
+    toks = ref_tokenize(text)
+    assert any((t.line, t.col) == new[2:] and t.kind == "int"
+               and int(t.text) == {"base": n, "order": k}.get(prev.text)
+               for prev, t in zip(toks, toks[1:])), (text, new)
+
+
 def _assert_same_or_allowed(text):
     ref = _outcome(ref_parse_problem, text)
     new = _outcome(parse_problem, text)
@@ -570,6 +596,9 @@ def _assert_same_or_allowed(text):
         return
     if new[0] == "ParseError" and new[1].startswith("power too large: "):
         _assert_refusal_is_past_a_budget(text, ref, new)
+        return
+    if new[0] == "ParseError" and new[1].startswith("jet grid too large: "):
+        _assert_grid_is_past_its_budget(text, new)
         return
     assert new[0] == "ParseError" and new[1].startswith("expected a name, found ") \
         and _non_identifier_declaration(text, new[2], new[3]), (text, ref, new)
@@ -646,6 +675,12 @@ def test_generated_inputs_parse_as_the_reference(tmp_path):
     "base 1; field u; order 1; lagrangian p[3];",
     "",
     "   \n  ",
+    # products and quotients of numbers and one-term factors, with repeats
+    *(f"base 1; field u; order 1; param m; opaque U(2); lagrangian {e};"
+      for e in ["u*u[1]*u", "x1*u*x1^2", "0*u*x1", "u*0", "u*2*x1/3",
+                "u/2/3", "m*u/m", "u/m*m^2", "u*(u+x1)*u",
+                "U(u,x1)*u*U(u,x1)", "--u*-x1", "u*x1/u", "x1/u*u",
+                "u*x1 - 2*u*x1 + x1*u", "(u-u)*x1", "u*(u-u)/x1"]),
 ])
 def test_edge_inputs_parse_as_the_reference(text):
     got = _outcome(parse_problem, text)
@@ -672,9 +707,20 @@ def test_edge_inputs_parse_as_the_reference(text):
     ("base 1; field u; order 1; lagrangian u[" + "7" * 5000 + "];",
      "integer literal too long (5000 digits) (in lagrangian statement)",
      (1, 40)),
+    # a jet grid over its budget, at the value of the later of `base` and
+    # `order`, and before the unknown `w`; no expression mentions a jet,
+    # so no grid is built here even without the budget
+    ("order 1;\nfield u;\nbase 100000000;", "jet grid too large: base "
+     "100000000 and order 1 give more than 2000 multi-indices", (3, 6)),
+    ("base 2;\nfield u;\norder 100000000;", "jet grid too large: base 2 "
+     "and order 100000000 give more than 2000 multi-indices", (3, 7)),
+    ("base 1;\nfield u;\nlagrangian w;\norder 100000000;", "jet grid too "
+     "large: base 1 and order 100000000 give more than 2000 multi-indices",
+     (4, 7)),
 ], ids=["lam-two-indices", "field-int", "param-paren", "opaque-marker",
         "field-at-end", "vfield-at-end", "long-literal", "long-exponent",
-        "long-declaration", "long-index"])
+        "long-declaration", "long-index", "grid-base", "grid-order",
+        "grid-before-expressions"])
 def test_input_the_reference_let_through_is_a_parse_error(text, message, where):
     with pytest.raises(ParseError) as info:
         parse_problem(text)
@@ -740,6 +786,37 @@ def test_budget_refusal_is_allowed_where_the_reference_computed_the_power(
     with pytest.raises(AssertionError):
         _assert_refusal_is_past_a_budget(
             text, ("ParseError", "expected an expression", 2, 1), new)
+
+
+@pytest.mark.parametrize("n,k,refused", [
+    (1, 1999, False), (1, 2000, True), (1999, 1, False), (2000, 1, True),
+    (2, 61, False), (2, 62, True), (3, 20, False), (3, 21, True),
+    (10 ** 8, 10 ** 8, True), (10 ** 8, 0, False), (2, -3, False),
+])
+def test_grid_budget_refuses_exactly_past_the_bound(n, k, refused):
+    # C(n+k, n) multi-indices: 2000 fit, 2001 (and C(64, 2) = 2016) do not
+    assert parser_module.GRID_BUDGET == 2000
+    assert (parser_module.grid_refusal(n, k) is not None) is refused
+
+
+def test_capped_binomial_is_exact_up_to_the_cap():
+    for a in range(14):
+        for b in range(14):
+            got = parser_module._capped_binomial(a, b, 300)
+            exact = math.comb(a + b, a)
+            assert got == exact if exact <= 300 else got > 300, (a, b)
+
+
+def test_grid_refusal_is_allowed_where_the_reference_parsed():
+    text = "base 2; field u; order 62; lagrangian u[62,0]*u;"
+    assert _outcome(ref_parse_problem, text)[0] == "ok"
+    _assert_same_or_allowed(text)
+    new = _outcome(parse_problem, text)
+    assert new[:2] == ("ParseError", "jet grid too large: base 2 and "
+                       "order 62 give more than 2000 multi-indices")
+    # not at a token other than the value of `base` or `order`
+    with pytest.raises(AssertionError):
+        _assert_grid_is_past_its_budget(text, new[:2] + (1, 1))
 
 
 def test_base_name_beyond_the_digit_limit_is_unknown():
@@ -813,10 +890,15 @@ def _exprs(draw, depth=1):
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
         mon = {}
-        for _ in range(draw(st.integers(0, 3))):
+        for _ in range(draw(st.integers(0, 5))):
+            # an atom drawn again multiplies in: its exponents add up
             atom = draw(_atoms(depth))
             low = -2 if atom.__class__ is Parameter else 1
-            mon[atom] = draw(st.integers(low, 3)) or 1
+            e = mon.get(atom, 0) + (draw(st.integers(low, 3)) or 1)
+            if e:
+                mon[atom] = e
+            else:
+                del mon[atom]
         key = tuple(sorted(mon.items(), key=lambda f: f[0].sort_key()))
         terms[key] = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
     return Expr(terms)
@@ -828,6 +910,33 @@ _TOKENS = ["base", "field", "order", "param", "opaque", "lagrangian",
            "F_{,1}", "0", "1", "2", "3", "12", "007", "+", "-", "*", "/",
            "^", "(", ")", "{", "}", "[", "]", ";", ";", ",", "=", " ", " ",
            "\n", "\t", "# note\n", "@", "é"]
+
+# Factors, as token lists, for products of numbers, one-term factors and
+# sums; a product draws from a few of them, so that factors repeat.
+_FACTORS = [["u"], ["v", "[", "1", ",", "0", "]"], ["x1"], ["a"], ["b"],
+            ["0"], ["2"], ["3"], ["a", "^", "2"], ["u", "^", "3"],
+            ["(", "u", "+", "x1", ")"], ["(", "u", "-", "u", ")"],
+            ["U", "(", "u", ",", "x1", ")"], ["F_{,1}", "(", "v", ")"]]
+
+
+@st.composite
+def _products(draw):
+    """Tokens of one to three products of three to six factors, joined by
+    ``+`` and ``-``, and a closing ``;``; a factor may carry signs and a
+    product may divide."""
+    out = []
+    for i in range(draw(st.integers(1, 3))):
+        if i:
+            out.append(draw(st.sampled_from(["+", "-"])))
+        pool = draw(st.lists(st.sampled_from(_FACTORS), min_size=1,
+                             max_size=3))
+        for j in range(draw(st.integers(3, 6))):
+            if j:
+                out.append(draw(st.sampled_from(["*", "*", "*", "/"])))
+            out += draw(st.lists(st.sampled_from(["-", "+"]), max_size=2))
+            out += draw(st.sampled_from(pool))
+    return out + [";"]
+
 
 _EDIT_CHARS = string.digits + "uvxpa;,[](){}+-*/^=# \n\té@_"
 
@@ -847,7 +956,8 @@ def test_printer_output_parses_as_the_reference(e):
 
 
 @_SLOW
-@given(st.lists(st.sampled_from(_TOKENS), max_size=40),
+@given(st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=40),
+                 _products()),
        st.sampled_from(["", _HEADER, _HEADER + "poly "]))
 def test_token_soup_parses_as_the_reference(tokens, header):
     _assert_same_or_allowed(header + " ".join(tokens))
