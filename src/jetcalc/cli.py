@@ -140,8 +140,23 @@ def _need_fvector(pf: ProblemFile):
     return pf.fvector
 
 
+def _parse_argv(argv):
+    """The parsed arguments; the file may come after the options.  The
+    optional ``file`` positional is matched, empty, right after the command,
+    so a file named after an option is left over: one leftover that is not
+    an option is taken as the file when none was given.  Any other leftover
+    is refused as ``parse_args`` refuses it (usage, error line, exit 2)."""
+    ap = _build_parser()
+    args, rest = ap.parse_known_args(argv)
+    if args.file is None and len(rest) == 1 and not rest[0].startswith("-"):
+        args.file = rest.pop()
+    if rest:
+        ap.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args
+
+
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_argv(argv)
     try:
         report, ok = _dispatch(args)
         report.emit()

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import chain
 from numbers import Rational
 
 from .coords import (AtomBase, Base, Coordinate, Jet, Momentum, Multiplier,
@@ -680,20 +681,49 @@ def _display_sorted(mon):
     return params + [f for f in mon if f[0].__class__ is not Parameter]
 
 
-def _factor_str(a: Atom, e: int) -> str:
-    return a._dsl if e == 1 else f"{a._dsl}^{_digits(e, 'exponent')}"
+def _factor_key(factor):
+    return factor[0]._sort_key, factor[1]
 
 
-def _join_terms(e: Expr, render) -> str:
+def _ranked(terms: dict, key) -> list:
+    """The items of ``terms``, a dict keyed by tuples, in the lexicographic
+    order of the tuples with each entry compared by ``key``.  The distinct
+    entries are ranked once, so the tuples sort as flat tuples of small
+    ints; a single item is not sorted."""
+    items = list(terms.items())
+    if len(items) < 2:
+        return items
+    rank = {f: i for i, f in enumerate(
+        sorted(set(chain.from_iterable(terms)), key=key))}
+    return sorted(items, key=lambda item: tuple(map(rank.__getitem__, item[0])))
+
+
+_PARAMETER_OR_CALL = (Parameter, OpaqueCall)
+
+
+def _join_terms(e: Expr, table, render) -> str:
     """The printers' common core: the terms of ``e`` in canonical order,
-    each rendered without its sign by ``render(monomial, coefficient)``,
-    joined by " + " and " - "; "0" for the zero expression."""
-    if e.is_zero():
+    each rendered without its sign by ``render(monomial, coefficient,
+    texts)``, joined by " + " and " - "; "0" for the zero expression.
+
+    One table per call: the distinct (atom, exponent) factors of ``e`` are
+    ranked once to order the terms, and ``texts = table()``, a dict whose
+    ``__missing__`` forms a factor's text, holds each factor's text once.
+    A text is formed on its first use, in the order the terms print, so a
+    number past the digit limit raises where the first offending term
+    would.  A monomial reaches ``render`` in display order: a parameter
+    sorts after every atom but an opaque call, so only a monomial that
+    ends in either can need ``_display_sorted``."""
+    terms = e._terms
+    if not terms:
         return "0"
+    texts = table()
     out = []
-    for mon, coeff in sorted(e._terms.items(),
-                             key=lambda mc: tuple((_akey(a), x) for a, x in mc[0])):
-        out += [" - " if coeff < 0 else " + ", render(mon, coeff)]
+    for mon, coeff in _ranked(terms, _factor_key):
+        if mon and mon[-1][0].__class__ in _PARAMETER_OR_CALL:
+            mon = _display_sorted(mon)
+        out.append(" - " if coeff.numerator < 0 else " + ")
+        out.append(render(mon, coeff, texts))
     out[0] = "-" if out[0] == " - " else ""
     return "".join(out)
 
@@ -715,22 +745,34 @@ def _digits(n: int, what: str = "coefficient") -> str:
 
 def to_dsl(e: Expr) -> str:
     """Canonical textual form; reparsing yields the identical Expr."""
-    return _join_terms(e, _term_dsl)
+    return _join_terms(e, _DslTexts, _term_dsl)
 
 
-def _term_dsl(mon, coeff) -> str:
-    num_parts, den_parts = [], []
-    for a, x in _display_sorted(mon):
-        if x > 0:
-            num_parts.append(_factor_str(a, x))
-        elif x < 0:
-            den_parts.append(_factor_str(a, -x))
-    if abs(coeff.numerator) != 1 or not num_parts:
-        num_parts.insert(0, _digits(abs(coeff.numerator)))
+class _DslTexts(dict):
+    """A factor's DSL text, formed on first use, without the sign of its
+    exponent: a negative power of a parameter prints in the denominator."""
+
+    __slots__ = ()
+
+    def __missing__(self, factor):
+        a, e = factor
+        text = self[factor] = (a._dsl if e == 1 or e == -1 else
+                               f"{a._dsl}^{_digits(abs(e), 'exponent')}")
+        return text
+
+
+def _term_dsl(mon, coeff, texts) -> str:
+    s = "*".join(map(texts.__getitem__, mon))
+    den = ()
+    # the parameters come first, and only they carry negative powers
+    if mon and mon[0][0].__class__ is Parameter and any(x < 0 for _, x in mon):
+        s = "*".join([texts[f] for f in mon if f[1] > 0])
+        den = [texts[f] for f in mon if f[1] < 0]
+    n = abs(coeff.numerator)
+    if n != 1 or not s:
+        s = f"{_digits(n)}*{s}" if s else _digits(n)
     if coeff.denominator != 1:
-        den_parts.insert(0, _digits(coeff.denominator))
-    s = "*".join(num_parts)
-    if den_parts:
-        s += "/" + (den_parts[0] if len(den_parts) == 1
-                    else "(" + "*".join(den_parts) + ")")
+        den = (_digits(coeff.denominator), *den)
+    if den:
+        s += "/" + (den[0] if len(den) == 1 else "(" + "*".join(den) + ")")
     return s

@@ -13,8 +13,8 @@ from itertools import chain
 
 from .coords import (Base, Coordinate, Jet, Momentum, Multiplier, Parameter,
                      is_fibre)
-from .expr import (Expr, ONE, ZERO, _akey, gradient, partial_derivative,
-                   substitute, total_derivative_multi)
+from .expr import (Expr, ONE, ZERO, _akey, _ranked, gradient,
+                   partial_derivative, substitute, total_derivative_multi)
 from .multiindex import multiindices_up_to
 
 
@@ -128,11 +128,11 @@ class ExteriorForm:
 def _join_form(a: ExteriorForm, render) -> str:
     """The form printers' common core: the terms of ``a`` in factor order,
     each rendered by ``render(factors, coefficient)``, joined by " + ";
-    "0" for the zero form."""
+    "0" for the zero form.  The distinct factors are ranked once."""
     if a.is_zero():
         return "0"
-    return " + ".join(render(facs, coeff) for facs, coeff in sorted(
-        a.terms.items(), key=lambda fc: tuple(f.sort_key() for f in fc[0])))
+    return " + ".join(render(facs, coeff)
+                      for facs, coeff in _ranked(a.terms, _akey))
 
 
 def form_to_str(a: ExteriorForm) -> str:
@@ -143,7 +143,7 @@ def form_to_str(a: ExteriorForm) -> str:
 def _form_term_str(facs, coeff) -> str:
     if not facs:
         return f"({coeff})"
-    return f"({coeff}) " + " ∧ ".join(f"d({f!r})" for f in facs)
+    return f"({coeff}) " + " ∧ ".join(f"d({f._dsl})" for f in facs)
 
 
 def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import factorial
+from math import comb
 
 
 class MultiIndex(tuple):
@@ -62,10 +62,14 @@ class MultiIndex(tuple):
         return tuple.__new__(MultiIndex, self[:i] + (self[i] - 1,) + self[i + 1:])
 
     def weight(self) -> int:
-        """Number of distinct index arrangements, |mu|! / (mu_1! ... mu_n!)."""
-        w = factorial(self.order)
+        """Number of distinct index arrangements, |mu|! / (mu_1! ... mu_n!),
+        as the product of the binomials C(mu_1 + ... + mu_i, mu_i): no
+        factorial of the order is formed, and a one-entry index costs one
+        trivial binomial."""
+        w, total = 1, 0
         for e in self:
-            w //= factorial(e)
+            total += e
+            w *= comb(total, e)
         return w
 
     def directions(self):

@@ -73,8 +73,7 @@ BIT_BUDGET = 1 << 18
 # tuple of n zeros).  Checked before any expression is parsed, so that a
 # short file cannot ask for an unbounded grid.  The corpus, the tests and
 # the benchmark inputs need at most C(6, 3) = 20; at the budget a command
-# still ends within seconds: n = 1, k = 1999 (a momentum weight is a
-# factorial of the order) or n = 5, k = 8.
+# still ends within seconds: n = 1, k = 1999 or n = 5, k = 8.
 GRID_BUDGET = 2000
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coords import Base, Jet, Momentum, Multiplier, Parameter
-from .expr import Expr, OpaqueCall, _digits, _display_sorted, _join_terms
+from .expr import Expr, OpaqueCall, _digits, _join_terms
 from .forms import ExteriorForm, _join_form, form_to_str  # noqa: F401 (public here)
 
 _GREEK = {"alpha", "beta", "gamma", "delta", "epsilon", "lambda", "mu", "nu",
@@ -52,18 +52,25 @@ def _coeff_latex(c: Fraction) -> str:
 
 
 def to_latex(e: Expr) -> str:
-    return _join_terms(e, _term_latex)
+    return _join_terms(e, _LatexTexts, _term_latex)
 
 
-def _term_latex(mon, coeff) -> str:
-    factors = []
-    for a, exp in _display_sorted(mon):
+class _LatexTexts(dict):
+    """A factor's LaTeX text, formed on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, factor):
+        a, exp = factor
         s = atom_latex(a)
-        if exp != 1:
-            s = f"{s}^{{{_digits(exp, 'exponent')}}}"
-        factors.append(s)
-    body = "\\,".join(factors)
-    if abs(coeff) != 1 or not factors:
+        text = self[factor] = (s if exp == 1 else
+                               f"{s}^{{{_digits(exp, 'exponent')}}}")
+        return text
+
+
+def _term_latex(mon, coeff, texts) -> str:
+    body = "\\,".join(map(texts.__getitem__, mon))
+    if abs(coeff.numerator) != 1 or coeff.denominator != 1 or not body:
         body = _coeff_latex(coeff) + ("\\," + body if body else "")
     return body
 

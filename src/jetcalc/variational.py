@@ -204,7 +204,7 @@ def _weighted_descent(fld: str, n: int, order: int, rows: dict, source,
                 raise VariationalError(
                     f"momentum cascade exceeded the jet order cap {order_cap}")
             V[mi] = value
-        rows = {(fld, nu, lam): Expr.const(nu.weight()) * V[nu.bump(lam)]
+        rows = {(fld, nu, lam): _scaled(V[nu.bump(lam)], nu.weight())
                 for nu in all_multiindices(n, level - 1)
                 for lam in range(1, n + 1)}
         out.update(rows)
@@ -212,7 +212,14 @@ def _weighted_descent(fld: str, n: int, order: int, rows: dict, source,
 
 
 def divide_weight(e: Expr, mi: MultiIndex) -> Expr:
-    return e * Expr.const(Fraction(1, mi.weight()))
+    return _scaled(e, Fraction(1, mi.weight()))
+
+
+def _scaled(e: Expr, c) -> Expr:
+    """``c * e``; ``e`` itself when ``c`` is 1 (the weight of every
+    multi-index with one nonzero entry), as ``e * 1`` has the same terms in
+    the same order."""
+    return e if c == 1 else e * Expr.const(c)
 
 
 def currents(problem: LagrangianProblem, m: MomentumAssignment) -> CurrentTable:

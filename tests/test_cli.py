@@ -313,6 +313,47 @@ class TestCommands:
         assert doc["result"]["p[q;0;1]"] == "m\\,q_{(1)}"
 
 
+class TestOptionsBeforeFile:
+    """The file may follow the options: one leftover argument that is not
+    an option is the file; anything else left over is refused by argparse."""
+
+    @staticmethod
+    def _run(capsys, argv):
+        try:
+            code = run(argv)
+        except SystemExit as exc:           # argparse refusals
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("command,option,name", [
+        ("momenta", "--order-cap", "beam.lag"),
+        ("prolong", "--target-order", "vfield_poly.lag"),
+    ])
+    def test_option_first_equals_file_first(self, capsys, command, option,
+                                            name):
+        path = os.path.join(CORPUS, name)
+        first = self._run(capsys, [command, path, option, "3"])
+        assert first[0] == 0 and first[1] and not first[2]
+        assert self._run(capsys, [command, option, "3", path]) == first
+
+    @pytest.mark.parametrize("argv,rest", [
+        ("momenta --order-cap 3 {beam} {beam}", "{beam} {beam}"),
+        ("momenta {beam} {beam}", "{beam}"),
+        ("momenta {beam} --order-cap 3 {beam}", "{beam}"),
+        ("momenta --order-cap 3 --no-such-option {beam}",
+         "--no-such-option {beam}"),
+    ])
+    def test_other_leftovers_exit_2(self, capsys, argv, rest):
+        beam = os.path.join(CORPUS, "beam.lag")
+        code, out, err = self._run(
+            capsys, [a.format(beam=beam) for a in argv.split()])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: jetcalc ")
+        assert err.endswith("jetcalc: error: unrecognized arguments: "
+                            f"{rest.format(beam=beam)}\n")
+
+
 class TestParserReuse:
     """``run`` builds its argument parser once per process; no call may
     see a trace of an earlier one."""

@@ -3,6 +3,7 @@
 import copy
 import functools
 import itertools
+import math
 import operator
 import pickle
 from fractions import Fraction
@@ -17,8 +18,12 @@ from jetcalc import (
     total_derivative, total_derivative_multi,
 )
 from jetcalc.expr import (ONE, ZERO, _akey, _atom_partial, _atom_total,
-                          _display_sorted, _fold, _mul_terms)
+                          _digits, _display_sorted, _fold, _mul_terms)
+from jetcalc.forms import ExteriorForm
 from jetcalc.multiindex import all_multiindices, multiindices_up_to
+from jetcalc.printing import (_coeff_latex, atom_latex, form_to_latex,
+                              form_to_str, to_latex)
+from jetcalc.variational import divide_weight
 
 
 def problem(n=1, k=2, fields=("u",), params=(), opaques=None, L=None):
@@ -114,6 +119,23 @@ class TestMultiIndex:
                 if multiindex_factor(tup, 2)[0] == mi:
                     listing.append(tup)
             assert mi.weight() == len(listing)
+
+    def test_weight_is_the_factorial_quotient(self):
+        for n in range(5):
+            for mi in multiindices_up_to(n, 6):
+                want = math.factorial(mi.order)
+                for e in mi:
+                    want //= math.factorial(e)
+                assert mi.weight() == want, mi
+        assert MultiIndex((1999,)).weight() == 1
+        assert MultiIndex((1999, 1)).weight() == 2000
+
+    def test_divide_weight_skips_only_a_unit_weight(self):
+        e = jet("u", 1, 0) * 3 + Expr.atom(Parameter("m")) / 2
+        for mi in all_multiindices(2, 3):
+            got = divide_weight(e, mi)
+            want = e * Expr.const(Fraction(1, mi.weight()))
+            assert got == want and list(got._terms) == list(want._terms)
 
 
 class TestExprAlgebra:
@@ -675,6 +697,184 @@ def test_display_order_matches_the_key_sort(factors):
             term = term * Expr.atom(a) ** exp
     ((mon, _),) = term._terms.items()
     assert list(_display_sorted(mon)) == _display_sorted_by_key(mon)
+
+
+# -- printers: the per-call factor table against the term-by-term printers
+# it replaced, kept here as references.  Each reference orders the terms by
+# nested atom sort keys, puts a monomial's factors in display order by a key
+# sort and forms every factor's text where it occurs.
+
+def _reference_join_terms(e, render):
+    if e.is_zero():
+        return "0"
+    out = []
+    for mon, coeff in sorted(e._terms.items(), key=lambda mc: tuple(
+            (_akey(a), x) for a, x in mc[0])):
+        out += [" - " if coeff < 0 else " + ", render(mon, coeff)]
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
+
+
+def _reference_factor_str(a, e):
+    return a._dsl if e == 1 else f"{a._dsl}^{_digits(e, 'exponent')}"
+
+
+def _reference_term_dsl(mon, coeff):
+    num_parts, den_parts = [], []
+    for a, x in _display_sorted_by_key(mon):
+        if x > 0:
+            num_parts.append(_reference_factor_str(a, x))
+        elif x < 0:
+            den_parts.append(_reference_factor_str(a, -x))
+    if abs(coeff.numerator) != 1 or not num_parts:
+        num_parts.insert(0, _digits(abs(coeff.numerator)))
+    if coeff.denominator != 1:
+        den_parts.insert(0, _digits(coeff.denominator))
+    s = "*".join(num_parts)
+    if den_parts:
+        s += "/" + (den_parts[0] if len(den_parts) == 1
+                    else "(" + "*".join(den_parts) + ")")
+    return s
+
+
+def _reference_dsl(e):
+    return _reference_join_terms(e, _reference_term_dsl)
+
+
+def _reference_atom_latex(a):
+    if isinstance(a, OpaqueCall):
+        return (f"{a.marked_name()}"
+                f"({', '.join(_reference_latex(arg) for arg in a.args)})")
+    return atom_latex(a)
+
+
+def _reference_term_latex(mon, coeff):
+    factors = []
+    for a, exp in _display_sorted_by_key(mon):
+        s = _reference_atom_latex(a)
+        if exp != 1:
+            s = f"{s}^{{{_digits(exp, 'exponent')}}}"
+        factors.append(s)
+    body = "\\,".join(factors)
+    if abs(coeff) != 1 or not factors:
+        body = _coeff_latex(coeff) + ("\\," + body if body else "")
+    return body
+
+
+def _reference_latex(e):
+    return _reference_join_terms(e, _reference_term_latex)
+
+
+def _reference_join_form(a, render):
+    if a.is_zero():
+        return "0"
+    return " + ".join(render(facs, coeff) for facs, coeff in sorted(
+        a.terms.items(), key=lambda fc: tuple(f.sort_key() for f in fc[0])))
+
+
+def _reference_form_term_str(facs, coeff):
+    if not facs:
+        return f"({_reference_dsl(coeff)})"
+    return f"({_reference_dsl(coeff)}) " + " ∧ ".join(
+        f"d({f!r})" for f in facs)
+
+
+def _reference_form_term_latex(facs, coeff):
+    c = _reference_latex(coeff)
+    if not facs:
+        return c
+    wedge_part = " \\wedge ".join(
+        f"\\mathrm{{d}}{_reference_atom_latex(f)}" for f in facs)
+    return (f"\\left({c}\\right) {wedge_part}" if " " in c or "+" in c
+            else f"{c}\\, {wedge_part}")
+
+
+_K = Parameter("k")
+# a call nested in a call's argument, with a derivative marker, next to a
+# parameter
+_V = OpaqueCall("V", (1, 0), (Expr.atom(_U) * _MASS + 1,
+                              Expr.atom(Base(2))))
+_PRINT_ATOMS = (Base(1), Base(2), Jet("u", MultiIndex((0, 0))),
+                Jet("u", MultiIndex((1, 1))),
+                Momentum("u", MultiIndex((1, 0)), 2, MultiIndex((0, 1))),
+                Multiplier(1), _U, _V)
+
+
+@st.composite
+def printed_exprs(draw):
+    """Sums of up to six terms over coordinates of every kind, two
+    parameters at powers from -3 to 3 and two opaque calls, one nested in
+    the other; exponents up to 4 and Fraction coefficients."""
+    parts = []
+    for _ in range(draw(st.integers(0, 6))):
+        term = Expr.const(draw(st.fractions(-40, 40, max_denominator=12)))
+        for a in draw(st.lists(st.sampled_from(_PRINT_ATOMS), max_size=4)):
+            term = term * Expr.atom(a) ** draw(st.integers(1, 4))
+        for p in (_M, _K):
+            x = draw(st.integers(-3, 3))
+            term = (term * Expr.atom(p) ** x if x >= 0
+                    else divide(term, Expr.atom(p) ** -x))
+        parts.append(term)
+    return Expr.sum(parts)
+
+
+_PRINT_PROBLEM = problem(n=2, k=2, params=("m", "k"),
+                         opaques={"U": 2, "V": 2})
+
+
+@_KERNEL
+@given(st.one_of(printed_exprs(), small_exprs(), colliding_sums()))
+def test_printers_match_the_term_by_term_references(e):
+    text = to_dsl(e)
+    assert text == _reference_dsl(e)
+    assert to_latex(e) == _reference_latex(e)
+    assert parse_expr(text, _PRINT_PROBLEM, max_jet_order=12) == e
+
+
+_FORM_FACTORS = (Base(1), Base(2), Jet("u", MultiIndex((0, 0))),
+                 Jet("u", MultiIndex((1, 0))),
+                 Momentum("u", MultiIndex((0, 0)), 1))
+
+
+@_KERNEL
+@given(st.integers(0, 3), st.lists(st.tuples(
+    st.permutations(_FORM_FACTORS), st.one_of(printed_exprs(),
+                                              colliding_sums())),
+    max_size=5))
+def test_form_printers_match_the_term_by_term_references(degree, pairs):
+    form = ExteriorForm.sum(degree, [(facs[:degree], c) for facs, c in pairs])
+    assert form_to_str(form) == _reference_join_form(
+        form, _reference_form_term_str)
+    assert form_to_latex(form) == _reference_join_form(
+        form, _reference_form_term_latex)
+
+
+_BIG = 10 ** 4400        # past the interpreter's digit limit
+
+
+@pytest.mark.parametrize("build", [
+    lambda x, u, m: Expr.const(_BIG) * u,
+    lambda x, u, m: Expr.const(Fraction(1, _BIG)) * u,
+    lambda x, u, m: u ** _BIG,
+    lambda x, u, m: divide(u, m ** _BIG),
+    # x1 prints before u: the first offending term decides, and in a term
+    # the factors in display order (parameters first) before the coefficient
+    lambda x, u, m: Expr.const(_BIG) * x + u ** _BIG,
+    lambda x, u, m: x ** _BIG + Expr.const(_BIG) * u,
+    lambda x, u, m: u ** (_BIG * 10) * m ** _BIG + x,
+    lambda x, u, m: Expr.const(_BIG) * u ** (_BIG * 10) * divide(
+        x, m ** (_BIG * 100)),
+])
+def test_digit_limit_errors_match_the_references(build):
+    e = build(Expr.atom(Base(1)), Expr.atom(Jet("u", MultiIndex((0, 0)))),
+              _MASS)
+    for printer, reference in ((to_dsl, _reference_dsl),
+                               (to_latex, _reference_latex)):
+        with pytest.raises(ExprError) as want:
+            reference(e)
+        with pytest.raises(ExprError) as got:
+            printer(e)
+        assert str(got.value) == str(want.value)
 
 
 def test_coefficients_in_stored_form():
