@@ -24,10 +24,10 @@ from .poincare import (GalileiReport, PCForm, galilei_transform_check,
                        multisymplectic_residuals, pc_form)
 from .printing import form_to_latex, form_to_str, to_latex
 from .problem import LagrangianProblem, ProblemError
-from .prolongation import (HomogeneousPoly, ProlongationError, VerticalField,
-                           gram_matrix, polarize, prolong_vertical_field,
-                           resymmetrize)
-from .variational import (CurrentTable, Equation, EquationSet,
+from .prolongation import (ProlongationError, VerticalField, gram_matrix,
+                           homogeneous_degree, polarize,
+                           prolong_vertical_field, resymmetrize)
+from .variational import (Equation, EquationSet,
                           MomentumAssignment, VariationalError,
                           apply_momentum_gauge, canonical_momenta,
                           cascade_equations, cascade_euler_residual,
@@ -47,7 +47,7 @@ __all__ = [
     "ExteriorForm", "FormsError", "SectionData", "VectorField",
     "exterior_derivative", "holonomic_section", "interior_product",
     "pullback_section", "wedge",
-    "CurrentTable", "Equation", "EquationSet", "MomentumAssignment",
+    "Equation", "EquationSet", "MomentumAssignment",
     "VariationalError", "apply_momentum_gauge", "canonical_momenta",
     "cascade_equations", "cascade_euler_residual",
     "constrained_generating_family", "currents", "euler_lagrange",
@@ -60,7 +60,7 @@ __all__ = [
     "multisymplectic_residuals", "pc_form",
     "DivergenceData", "DivergenceError", "divergence_lagrangian",
     "momentum_shift", "trivial_momenta", "verify_divergence_trivial",
-    "HomogeneousPoly", "ProlongationError", "VerticalField", "gram_matrix",
+    "ProlongationError", "VerticalField", "gram_matrix", "homogeneous_degree",
     "polarize", "prolong_vertical_field", "resymmetrize",
     "form_to_latex", "form_to_str", "to_latex",
 ]

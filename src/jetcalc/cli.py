@@ -28,8 +28,9 @@ from .parser import ParseError, ProblemFile, grid_refusal, parse_problem
 from .poincare import galilei_transform_check, multisymplectic_residuals, pc_form
 from .printing import form_to_latex, form_to_str, to_latex
 from .problem import ProblemError
-from .prolongation import (HomogeneousPoly, ProlongationError, VerticalField,
-                           polarize, prolong_vertical_field)
+from .prolongation import (ProlongationError, VerticalField,
+                           homogeneous_degree, polarize,
+                           prolong_vertical_field)
 from .variational import (VariationalError, canonical_momenta,
                           cascade_equations, constrained_generating_family,
                           currents, euler_lagrange, holonomy_residual)
@@ -224,7 +225,7 @@ def _dispatch(args):
 
     if cmd == "currents":
         tbl = currents(prob, canonical_momenta(prob, order_cap=args.order_cap))
-        for (fld, mi), e in sorted(tbl.table.items(),
+        for (fld, mi), e in sorted(tbl.items(),
                                    key=lambda kv: (kv[0][0], tuple(kv[0][1]))):
             report.add(f"j[{fld};{','.join(map(str, mi))}]", report.expr(e))
         return report, True
@@ -297,12 +298,9 @@ def _dispatch(args):
         if pf.poly is None:
             raise InputError("problem file has no poly statement")
         variables = [Jet(fld, MultiIndex.zero(prob.n)) for fld in prob.fields]
-        Q = HomogeneousPoly.from_expr(pf.poly, variables)
-        comps = polarize(Q)
-        for i, poly in comps.items():
-            report.add(f"component_{prob.fields[i - 1]}",
-                       report.expr(poly.to_expr(variables)))
-        report.add("degree", str(Q.degree))
+        for fld, comp in zip(prob.fields, polarize(pf.poly, variables)):
+            report.add(f"component_{fld}", report.expr(comp))
+        report.add("degree", str(homogeneous_degree(pf.poly, variables)))
         return report, True
 
     raise InputError(f"unhandled command {cmd}")

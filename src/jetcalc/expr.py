@@ -621,13 +621,29 @@ def _lead(e: Expr):
                key=cmp_to_key(lambda x, y: _cmp_monomials(x[0], y[0])))
 
 
+def _parameter_floor(e: Expr) -> tuple:
+    """The monomial of the parameters p of ``e`` to their least exponent
+    over its terms (0 in a term without p), the factors at 0 left out."""
+    params = sorted({a for mon in e._terms for a, _ in mon
+                     if a.__class__ is Parameter}, key=_akey)
+    if not params:
+        return ()
+    exps = [dict(mon) for mon in e._terms]
+    floor = ((p, min(x.get(p, 0) for x in exps)) for p in params)
+    return tuple((p, k) for p, k in floor if k)
+
+
 def divide(num: Expr, den: Expr) -> Expr:
     """Exact division.
 
     Constants and single-term parameter monomials always divide (parameters
     are symbolic constants, so 1/m is legal Laurent data).  A multi-term
-    divisor is handled by exact multivariate polynomial division and must
-    divide without remainder.
+    divisor must divide without remainder, with a Laurent quotient allowed:
+    the divisor is divided by its parameter-monomial content c and the
+    numerator multiplied by the least parameter monomial m that clears its
+    negative powers.  No parameter then divides the divisor, so the exact
+    multivariate polynomial division that follows fails only when no
+    Laurent quotient exists; its quotient is divided by c * m.
     """
     den = _coerce(den)
     num = _coerce(num)
@@ -639,9 +655,13 @@ def divide(num: Expr, den: Expr) -> Expr:
         return _div_single_term(num, den)
     if any(e < 0 for mon in den._terms for _, e in mon):
         raise ExprError(f"unsupported divisor {den}")
-    lead_mon, lead_coeff = _lead(den)
+    content = _parameter_floor(den)
+    clear = tuple((p, -k) for p, k in _parameter_floor(num) if k < 0)
+    divisor = _div_single_term(den, Expr._trusted({content: 1})) \
+        if content else den
+    lead_mon, lead_coeff = _lead(divisor)
     quotient = ZERO
-    rem = num
+    rem = num * Expr._trusted({clear: 1}) if clear else num
     steps = 0
     while not rem.is_zero():
         steps += 1
@@ -653,8 +673,10 @@ def divide(num: Expr, den: Expr) -> Expr:
             raise ExprError(f"inexact division: {num} by {den}")
         qterm = Expr({qmon: Fraction(rcoeff, lead_coeff)})
         quotient = quotient + qterm
-        rem = rem - qterm * den
-    return quotient
+        rem = rem - qterm * divisor
+    shift = _mul_monomials(content, clear)
+    return _div_single_term(quotient, Expr._trusted({shift: 1})) \
+        if shift else quotient
 
 
 def _div_monomials(m1, m2):

@@ -8,9 +8,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coords import Jet, Momentum
-from .expr import Expr, ZERO, _akey, total_derivative_multi
+from .expr import (Expr, OpaqueCall, ZERO, _akey, gradient,
+                   total_derivative_multi)
 from .forms import VectorField
-from .multiindex import MultiIndex, multiindices_up_to
+from .multiindex import multiindices_up_to
 
 
 class ProlongationError(ValueError):
@@ -43,105 +44,44 @@ def prolong_vertical_field(X: VerticalField, n: int,
     return VectorField.of(comps)
 
 
-@dataclass(frozen=True)
-class HomogeneousPoly:
-    """Homogeneous degree-d polynomial over an m-variable space, stored as a
-    multi-index-keyed coefficient map; coefficients may carry parameters."""
-
-    degree: int
-    nvars: int
-    coefficients: dict
-
-    def __post_init__(self):
-        for mi, c in self.coefficients.items():
-            if mi.order != self.degree or mi.n != self.nvars:
-                raise ProlongationError(
-                    f"coefficient key {mi!r} is not homogeneous of degree "
-                    f"{self.degree} in {self.nvars} variables")
-
-    def coefficient(self, mi: MultiIndex) -> Expr:
-        return self.coefficients.get(mi, ZERO)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coefficients.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, HomogeneousPoly):
-            return NotImplemented
-        if (self.degree, self.nvars) != (other.degree, other.nvars):
-            return False
-        keys = set(self.coefficients) | set(other.coefficients)
-        return all(self.coefficient(k) == other.coefficient(k) for k in keys)
-
-    @classmethod
-    def from_expr(cls, e: Expr, variables) -> "HomogeneousPoly":
-        """Split an Expr into variable exponent vectors and parameter
-        coefficients; raises unless homogeneous in the given atoms."""
-        variables = list(variables)
-        index = {v: i for i, v in enumerate(variables)}
-        groups: dict = {}
-        degree = None
-        for mon, c in e._terms.items():
-            exps = [0] * len(variables)
-            for a, k in mon:
-                if a in index:
-                    exps[index[a]] = k
-            mi = MultiIndex(exps)
-            if degree is None:
-                degree = mi.order
-            elif mi.order != degree:
-                raise ProlongationError("polynomial is not homogeneous")
-            rest = tuple((a, k) for a, k in mon if a not in index)
-            groups.setdefault(mi, []).append(Expr({rest: c}))
-        if degree is None:
-            raise ProlongationError("zero polynomial has no degree")
-        return cls(degree, len(variables),
-                   {mi: Expr.sum(parts) for mi, parts in groups.items()})
-
-    def to_expr(self, variables) -> Expr:
-        terms = []
-        for mi, c in self.coefficients.items():
-            term = c
-            for v, e in zip(variables, mi):
-                term = term * Expr.atom(v) ** e
-            terms.append(term)
-        return Expr.sum(terms)
+def homogeneous_degree(Q: Expr, variables) -> int:
+    """The common degree of the terms of ``Q`` in ``variables``; every other
+    atom is part of a coefficient.  Raises unless ``Q`` is a nonzero
+    polynomial homogeneous in the variables, which an opaque call of one of
+    them is not."""
+    want = set(variables)
+    degrees = {sum(k for a, k in mon if a in want) for mon in Q._terms}
+    if not degrees:
+        raise ProlongationError("zero polynomial has no degree")
+    if len(degrees) > 1 or any(
+            want & arg.free_coordinates() for a in Q.atoms()
+            if isinstance(a, OpaqueCall) for arg in a.args):
+        raise ProlongationError("polynomial is not homogeneous")
+    return degrees.pop()
 
 
-def polarize(Q: HomogeneousPoly) -> dict:
-    """(1/d) dQ componentwise: the inclusion of the symmetric power into
-    symmetric-power-tensor-vector; for d = 2 this is the bilinear form of Q."""
-    if Q.degree < 1:
+def polarize(Q: Expr, variables) -> list:
+    """(1/d) dQ/dx_i for the variables x_i in order: the inclusion of the
+    symmetric power into symmetric-power-tensor-vector; for d = 2 this is
+    the bilinear form of Q."""
+    d = homogeneous_degree(Q, variables)
+    if d < 1:
         raise ProlongationError("polarization needs degree >= 1")
-    out = {}
-    for i in range(1, Q.nvars + 1):
-        comp: dict = {}
-        for mi, c in Q.coefficients.items():
-            below = mi.drop(i)
-            if below is None:
-                continue
-            # mi -> mi - e_i is injective, so each key is written once
-            comp[below] = c * Expr.const(Fraction(mi[i - 1], Q.degree))
-        out[i] = HomogeneousPoly(Q.degree - 1, Q.nvars, comp)
-    return out
+    dQ = gradient(Q, variables)
+    scale = Expr.const(Fraction(1, d))
+    return [dQ.get(x, ZERO) * scale for x in variables]
 
 
-def resymmetrize(components: dict, degree: int, nvars: int) -> HomogeneousPoly:
+def resymmetrize(B: list, variables) -> Expr:
     """Contract the extra slot back with the variables: sum_i x_i * B_i.
     By the Euler identity this recovers Q from polarize(Q)."""
-    groups: dict = {}
-    for i, poly in components.items():
-        for mi, c in poly.coefficients.items():
-            groups.setdefault(mi.bump(i), []).append(c)
-    return HomogeneousPoly(degree, nvars,
-                           {mi: Expr.sum(cs) for mi, cs in groups.items()})
+    return Expr.sum(Expr.atom(x) * b for x, b in zip(variables, B))
 
 
-def gram_matrix(Q: HomogeneousPoly) -> list:
+def gram_matrix(Q: Expr, variables) -> list:
     """For a quadratic form, the symmetric matrix B with Q(x) = x^T B x;
-    entries B_ij are the e_j coefficients of the polarization components."""
-    if Q.degree != 2:
+    entry B_ij is the x_j derivative of the i-th polarization component."""
+    if homogeneous_degree(Q, variables) != 2:
         raise ProlongationError("Gram matrix needs a quadratic form")
-    B = polarize(Q)
-    return [[B[i + 1].coefficient(MultiIndex.unit(Q.nvars, j + 1))
-             for j in range(Q.nvars)] for i in range(Q.nvars)]
+    rows = (gradient(b, variables) for b in polarize(Q, variables))
+    return [[row.get(x, ZERO) for x in variables] for row in rows]

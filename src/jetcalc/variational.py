@@ -138,21 +138,6 @@ def _grid_keys(n: int, fields: tuple, order: int) -> tuple:
                  for lam in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class CurrentTable:
-    """Gauge-invariant currents j^mu, 0 <= |mu| <= k, per field."""
-
-    n: int
-    order: int
-    table: dict
-
-    def current(self, fld: str, mi: MultiIndex) -> Expr:
-        return self.table[(fld, mi)]
-
-    def __eq__(self, other):
-        return isinstance(other, CurrentTable) and self.table == other.table
-
-
 def jet_partial(L: Expr, fld: str, mi: MultiIndex) -> Expr:
     return partial_derivative(L, Jet(fld, mi))
 
@@ -222,9 +207,10 @@ def _scaled(e: Expr, c) -> Expr:
     return e if c == 1 else e * Expr.const(c)
 
 
-def currents(problem: LagrangianProblem, m: MomentumAssignment) -> CurrentTable:
-    """j = div p at order 0, j^mu = S[mu] + div p^{mu .} in between, and the
-    bare symmetrization at the top; the coordinates of the reduced bundle."""
+def currents(problem: LagrangianProblem, m: MomentumAssignment) -> dict:
+    """The gauge-invariant currents {(fld, mu): j^mu}, 0 <= |mu| <= k: j =
+    div p at order 0, j^mu = S[mu] + div p^{mu .} in between, and the bare
+    symmetrization at the top; the coordinates of the reduced bundle."""
     n, k = m.n, m.order
     table = {}
     for fld in m.fields:
@@ -233,7 +219,7 @@ def currents(problem: LagrangianProblem, m: MomentumAssignment) -> CurrentTable:
             if mi.order <= k - 1:
                 parts.append(m.divergence(fld, mi))
             table[(fld, mi)] = Expr.sum(parts)
-    return CurrentTable(n, k, table)
+    return table
 
 
 def cascade_equations(problem: LagrangianProblem) -> EquationSet:

@@ -389,6 +389,65 @@ class TestParserReuse:
             "error: momentum cascade exceeded the jet order cap 1\n"
 
 
+POLY_HEAD = "base 1; field u; order 1; lagrangian 0;\n"
+
+POLY2 = """
+base 1;
+field u;
+field v;
+order 1;
+param a;
+lagrangian 0;
+poly u^3/a + x1*u*v^2 - 2*v^3;
+"""
+
+POLY2_OUT = """{
+  "command": "polarize",
+  "problem": {
+    "n": 1,
+    "k": 1,
+    "fields": [
+      "u",
+      "v"
+    ]
+  },
+  "result": {
+    "component_u": "%s",
+    "component_v": "%s",
+    "degree": "3"
+  },
+  "residuals": []
+}
+"""
+
+
+class TestPolarizePins:
+    """The polarize report, byte for byte: its refusals and one two-field
+    polynomial with a Laurent parameter and a base-coordinate coefficient."""
+
+    @pytest.mark.parametrize("poly,message", [
+        ("0", "zero polynomial has no degree"),
+        ("5", "polarization needs degree >= 1"),
+        ("u^2 + u", "polynomial is not homogeneous"),
+        # the variables are the fields' zeroth jets: u[1] is a coefficient
+        ("u[1]^2", "polarization needs degree >= 1"),
+    ])
+    def test_refusals(self, capsys, lagfile, poly, message):
+        assert run(["polarize", lagfile(f"{POLY_HEAD}poly {poly};")]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("latex,components", [
+        ((), ("x1*v^2/3 + u^2/a", "2*x1*u*v/3 - 2*v^2")),
+        (("--latex",), (r"\\tfrac{1}{3}\\,x^{1}\\,v^{2} + a^{-1}\\,u^{2}",
+                        r"\\tfrac{2}{3}\\,x^{1}\\,u\\,v - 2\\,v^{2}")),
+    ])
+    def test_two_field_report(self, capsys, lagfile, latex, components):
+        assert run(["polarize", lagfile(POLY2), *latex]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (POLY2_OUT % components, "")
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("command,source", [
         ("momenta", BEAM), ("momenta", MECH),

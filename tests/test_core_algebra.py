@@ -1014,3 +1014,33 @@ class TestDivisionRoundTrip:
         a, b = Expr.atom(Parameter("a")), Expr.atom(Parameter("b"))
         with pytest.raises(ExprError, match="inexact|non-constant"):
             divide(a ** 2 + b, a + b)
+
+    def test_laurent_quotients(self):
+        # the numerator's negative powers and the divisor's parameter
+        # content once made these refuse as inexact
+        a, w = Expr.atom(Parameter("a")), jet("w", 0)
+        assert divide(w + w / a, 1 + a) == w / a
+        assert divide(1 + a, a + a ** 2) == ONE / a
+
+
+@st.composite
+def polynomial_divisors(draw):
+    """Sums of up to four terms over jets, x1 and the parameters m and a
+    with exponents 0-2, Fraction coefficients among them: no negative
+    power, so every path of ``divide`` may take them."""
+    atoms = (*_ATOMS[:4], Parameter("m"), Parameter("a"))
+    mons = draw(st.lists(st.lists(st.integers(0, 2), min_size=len(atoms),
+                                  max_size=len(atoms)),
+                         min_size=1, max_size=4))
+    return Expr.sum(Expr.const(draw(st.fractions(-3, 3, max_denominator=3)))
+                    * functools.reduce(operator.mul, (
+                        Expr.atom(a) ** k for a, k in zip(atoms, exps)), ONE)
+                    for exps in mons)
+
+
+@_KERNEL
+@given(small_exprs(), polynomial_divisors())
+def test_product_divided_by_factor_is_the_laurent_factor(q, den):
+    if den.is_zero():
+        return
+    assert divide(q * den, den) == q

@@ -1,15 +1,18 @@
 """Vertical-field prolongation and polynomial polarization."""
 
 import random
+from fractions import Fraction
+
 import pytest
 
 from jetcalc import (Base, Expr, Jet, LagrangianProblem, MultiIndex,
-                     Parameter, partial_derivative, total_derivative_multi)
+                     OpaqueCall, Parameter, partial_derivative, to_dsl,
+                     total_derivative_multi)
 from jetcalc.expr import ZERO
 from jetcalc.forms import holonomic_section
 from jetcalc.multiindex import multiindices_up_to
-from jetcalc.prolongation import (HomogeneousPoly, ProlongationError,
-                                  VerticalField, gram_matrix, polarize,
+from jetcalc.prolongation import (ProlongationError, VerticalField,
+                                  gram_matrix, homogeneous_degree, polarize,
                                   prolong_vertical_field, resymmetrize)
 from jetcalc.randgen import (random_polynomial, random_section_profiles,
                              random_vertical_coefficient)
@@ -87,18 +90,14 @@ class TestPolarize:
     def test_quadratic_gram(self):
         a, b, g = (Expr.atom(Parameter(s)) for s in ("alpha", "beta", "gamma"))
         x, y = (Expr.atom(v) for v in poly_vars(2))
-        Q = HomogeneousPoly.from_expr(a * x ** 2 + b * x * y + g * y ** 2,
-                                      poly_vars(2))
-        G = gram_matrix(Q)
+        G = gram_matrix(a * x ** 2 + b * x * y + g * y ** 2, poly_vars(2))
         two = Expr.const(2)
         assert [[two * e for e in row] for row in G] == \
             [[two * a, b], [b, two * g]]
 
     def test_monomial_power(self):
         x = poly_vars(1)[0]
-        Q = HomogeneousPoly.from_expr(Expr.atom(x) ** 4, [x])
-        B = polarize(Q)
-        assert B[1] == HomogeneousPoly.from_expr(Expr.atom(x) ** 3, [x])
+        assert polarize(Expr.atom(x) ** 4, [x]) == [Expr.atom(x) ** 3]
 
     def test_euler_resymmetrization(self):
         rng = random.Random(12)
@@ -118,11 +117,63 @@ class TestPolarize:
                     for v, p in zip(variables, exps):
                         term = term * Expr.atom(v) ** p
                     e = e + term
-            Q = HomogeneousPoly.from_expr(e, variables)
-            B = polarize(Q)
-            assert resymmetrize(B, Q.degree, Q.nvars) == Q
+            assert resymmetrize(polarize(e, variables), variables) == e
 
     def test_inhomogeneous_rejected(self):
         x = poly_vars(1)[0]
         with pytest.raises(ProlongationError, match="homogeneous"):
-            HomogeneousPoly.from_expr(Expr.atom(x) ** 2 + Expr.atom(x), [x])
+            homogeneous_degree(Expr.atom(x) ** 2 + Expr.atom(x), [x])
+
+    def test_opaque_call_of_a_variable_rejected(self):
+        # x*U(x) is no polynomial in x; U(x1) is a coefficient
+        x = poly_vars(1)[0]
+        U = Expr.atom(OpaqueCall("U", (0,), (Expr.atom(x),)))
+        with pytest.raises(ProlongationError, match="not homogeneous"):
+            polarize(Expr.atom(x) * U, [x])
+        V = Expr.atom(OpaqueCall("V", (0,), (Expr.atom(Base(1)),)))
+        assert polarize(Expr.atom(x) ** 2 * V, [x]) == [Expr.atom(x) * V]
+
+
+def _random_homogeneous(rng, variables, d):
+    """A nonzero homogeneous degree-d polynomial in ``variables`` whose
+    coefficients are Fractions times a parameter power (1/a among them)."""
+    params = [Expr.atom(Parameter(s)) for s in ("a", "b")]
+    e = ZERO
+    while e.is_zero():
+        for _ in range(3):
+            coeff = Expr.const(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            p, k = rng.choice(params), rng.randint(-1, 1)
+            coeff = coeff * p ** k if k >= 0 else coeff / p
+            term = coeff
+            for _ in range(d):
+                term = term * Expr.atom(rng.choice(variables))
+            e = e + term
+    return e
+
+
+class TestPolarizeAgainstSympy:
+    """polarize is diff(Q, x_i)/d and the Gram matrix is hessian(Q)/2,
+    with sympy's own derivatives as the oracle."""
+
+    def test_components_and_gram(self):
+        import sympy
+        rng = random.Random(31)
+        for _ in range(30):
+            m, d = rng.randint(1, 3), rng.randint(1, 3)
+            variables = poly_vars(m)
+            e = _random_homogeneous(rng, variables, d)
+            names = {str(v): sympy.Symbol(str(v)) for v in variables}
+            names.update(a=sympy.Symbol("a"), b=sympy.Symbol("b"))
+            xs = [names[str(v)] for v in variables]
+
+            def to_sympy(x):
+                return sympy.sympify(to_dsl(x), locals=names)
+
+            got = [to_sympy(B) for B in polarize(e, variables)]
+            want = [sympy.diff(to_sympy(e), x) / d for x in xs]
+            assert [sympy.expand(g - w) for g, w in zip(got, want)] == [0] * m
+            if d == 2:
+                hess = sympy.hessian(to_sympy(e), xs) / 2
+                gram = gram_matrix(e, variables)
+                assert all(sympy.expand(to_sympy(gram[i][j]) - hess[i, j]) == 0
+                           for i in range(m) for j in range(m))

@@ -84,14 +84,14 @@ class TestCurrents:
     def test_beam_currents(self):
         prob = beam()
         j = currents(prob, canonical_momenta(prob))
-        assert j.current("u", MI((2,))) == jet("u", 2)
-        assert j.current("u", MI((1,))).is_zero()
-        assert j.current("u", MI((0,))) == -jet("u", 4)
+        assert j[("u", MI((2,)))] == jet("u", 2)
+        assert j[("u", MI((1,)))].is_zero()
+        assert j[("u", MI((0,)))] == -jet("u", 4)
 
     def test_zero_momenta_zero_currents(self):
         prob = beam()
         j = currents(prob, MomentumAssignment.zero(1, ("u",), 2))
-        assert all(v.is_zero() for v in j.table.values())
+        assert all(v.is_zero() for v in j.values())
 
     def test_first_order_reduction(self):
         # k = 1: j = D_mu p^mu, j^mu = p^mu
@@ -99,8 +99,8 @@ class TestCurrents:
         m = canonical_momenta(prob)
         j = currents(prob, m)
         p = m.slot("q", MI((0,)), 1)
-        assert j.current("q", MI((1,))) == p
-        assert j.current("q", MI((0,))) == total_derivative(p, 1)
+        assert j[("q", MI((1,)))] == p
+        assert j[("q", MI((0,)))] == total_derivative(p, 1)
 
 
 class TestCascadeEquations:
