@@ -639,11 +639,13 @@ def divide(num: Expr, den: Expr) -> Expr:
     Constants and single-term parameter monomials always divide (parameters
     are symbolic constants, so 1/m is legal Laurent data).  A multi-term
     divisor must divide without remainder, with a Laurent quotient allowed:
-    the divisor is divided by its parameter-monomial content c and the
-    numerator multiplied by the least parameter monomial m that clears its
-    negative powers.  No parameter then divides the divisor, so the exact
-    multivariate polynomial division that follows fails only when no
-    Laurent quotient exists; its quotient is divided by c * m.
+    the divisor is divided by its parameter-monomial content c, each
+    parameter to its least exponent over the terms (so 1/c clears the
+    divisor's own negative powers), and the numerator multiplied by the
+    least parameter monomial m that clears its negative powers.  No
+    parameter then divides the divisor, nor has a negative power in it, so
+    the exact multivariate polynomial division that follows fails only
+    when no Laurent quotient exists; its quotient is divided by c * m.
     """
     den = _coerce(den)
     num = _coerce(num)
@@ -653,8 +655,6 @@ def divide(num: Expr, den: Expr) -> Expr:
         return num * Expr.const(1 / den.as_fraction())
     if len(den._terms) == 1:
         return _div_single_term(num, den)
-    if any(e < 0 for mon in den._terms for _, e in mon):
-        raise ExprError(f"unsupported divisor {den}")
     content = _parameter_floor(den)
     clear = tuple((p, -k) for p, k in _parameter_floor(num) if k < 0)
     divisor = _div_single_term(den, Expr._trusted({content: 1})) \

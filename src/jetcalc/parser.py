@@ -17,10 +17,10 @@ optional derivative block), ``p[u;2,0]`` for symmetrized momenta,
 ``lam[a]`` for multipliers and ``U_{,12}(...)`` for opaque derivative
 markers.  The printer in :mod:`jetcalc.expr` emits exactly this grammar.
 
-The input is read once.  One ``finditer`` pass gives one match per token,
-the whitespace and comments before it included.  A token is a plain
-``(kind, text, offset)`` tuple; its line and column are computed from the
-offset only when a ``ParseError`` is built.  Each expression statement is
+The input is read once.  One ``findall`` gives the tokens as strings, ending
+in ``""``; a token's first character tells its kind.  The parser holds token
+indices, and a ``ParseError`` finds the line and column of its token by
+scanning the source again up to that index.  Each expression statement is
 parsed from its slice of the token list once the declarations are known.
 Numeric literals stay Python ints and Fractions through products, quotients
 and powers.  A product carries one (monomial, coefficient) pair: an
@@ -31,6 +31,7 @@ terms into one term dict.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -44,17 +45,19 @@ _RESERVED = {"p", "lam", "base", "field", "order", "param", "opaque",
              "poly"}
 
 _TOKEN_RE = re.compile(
-    r"""(?:\s+|\#[^\n]*)*                  # whitespace and comments before it
-      (?: (?P<int>\d+)
-        | (?P<marker>[A-Za-z_]\w*_\{,\d+\})
-        | (?P<ident>[A-Za-z_]\w*)
-        | (?P<op>[-+*/^(){};,=\[\]])
-        | (?P<eof>\Z)
-        | (?P<bad>[\s\S]+)                  # a bad character and the rest
+    r"""\s*(?:\#[^\n]*\s*)*                 # whitespace and comments before it
+      ( [-+*/^(){};,=\[\]]                # operator
+      | \d+                              # int (\d is str.isdecimal)
+      | [A-Za-z_]\w*_\{,\d+\}             # marker
+      | [A-Za-z_]\w*                      # name
+      | \Z                                # the end: ""
+      | [\s\S]+                           # a bad character and the rest
       )
     """,
     re.VERBOSE,
 )
+_NAME_START = frozenset("_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_OPS = frozenset("-+*/^(){};,=[]")
 
 _BASE_NAME = re.compile(r"x(\d+)")
 
@@ -134,35 +137,35 @@ class ParseError(ValueError):
         self.col = col
 
 
-def _error(src: str, message: str, tok) -> ParseError:
-    """A ``ParseError`` at token ``tok`` of ``src``: the line counts the
-    newlines before it, the column runs from the last of them."""
-    pos = tok[2]
+def _error(src: str, message: str, i: int) -> ParseError:
+    """A ``ParseError`` at token ``i``, found by scanning ``src`` again: the
+    line counts the newlines before it, the column runs from the last."""
+    pos = next(itertools.islice(_TOKEN_RE.finditer(src), i, None)).start(1)
     return ParseError(message, src.count("\n", 0, pos) + 1,
                       pos - src.rfind("\n", 0, pos))
 
 
 def _tokenize(src: str) -> list:
-    """The tokens of ``src``, as (kind, text, offset) tuples ending with
-    one ``eof`` token."""
-    toks = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
-            for m in _TOKEN_RE.finditer(src)]
-    # After trailing whitespace the end matches twice: as the end of that
-    # whitespace and as an empty match.
-    if len(toks) > 1 and toks[-2][0] == "eof":
+    """The tokens of ``src``, ending with one ``""`` for the end."""
+    toks = _TOKEN_RE.findall(src)
+    # After trailing whitespace the end matches twice, then as an empty match.
+    if len(toks) > 1 and not toks[-2]:
         toks.pop()
-    if len(toks) > 1 and toks[-2][0] == "bad":
-        raise _error(src, f"unexpected character {toks[-2][1][0]!r}", toks[-2])
+    if len(toks) > 1:
+        c = toks[-2][0]
+        if not (c.isdecimal() or c in _NAME_START or c in _OPS):
+            raise _error(src, f"unexpected character {c!r}", len(toks) - 2)
     return toks
 
 
 class _Tokens:
-    """A cursor over a token list that ends with an ``eof`` token, which
-    ``next`` never passes."""
+    """A cursor over tokens ``base``, ``base + 1``, ... of ``src``, ending
+    with ``""``, which ``next`` never passes."""
 
-    def __init__(self, src: str, toks: list):
+    def __init__(self, src: str, toks: list, base: int = 0):
         self.src = src
         self.toks = toks
+        self.base = base
         self.i = 0
 
     def peek(self):
@@ -170,26 +173,28 @@ class _Tokens:
 
     def next(self):
         t = self.toks[self.i]
-        if t[0] != "eof":
+        if t:
             self.i += 1
         return t
 
     def expect(self, text: str):
-        t = self.next()
-        if t[1] != text:
-            raise self.error(f"expected {text!r}, found {t[1]!r}", t)
-        return t
+        t = self.toks[self.i]
+        if t != text:
+            raise self.error(f"expected {text!r}, found {t!r}")
+        self.i += 1
 
-    def error(self, message: str, tok=None) -> ParseError:
-        """A ``ParseError`` at ``tok``, by default the next token."""
-        return _error(self.src, message, self.peek() if tok is None else tok)
+    def error(self, message: str, i: int | None = None) -> ParseError:
+        """A ``ParseError`` at token ``i``, by default the next token."""
+        return _error(self.src, message,
+                      self.base + (self.i if i is None else i))
 
-    def int_value(self, tok) -> int:
+    def int_value(self, i: int) -> int:
+        t = self.toks[i]
         try:
-            return int(tok[1])
+            return int(t)
         except ValueError:      # beyond the interpreter's digit limit
-            raise self.error(f"integer literal too long ({len(tok[1])} digits)",
-                             tok) from None
+            raise self.error(f"integer literal too long ({len(t)} digits)",
+                             i) from None
 
 
 @dataclass
@@ -209,16 +214,16 @@ class _ExprParser(_Tokens):
     ``Fraction``; ``parse`` returns an ``Expr``."""
 
     def __init__(self, src: str, toks: list, problem: LagrangianProblem,
-                 max_jet_order: int | None):
-        super().__init__(src, toks)
+                 max_jet_order: int | None, base: int = 0):
+        super().__init__(src, toks, base)
         self.problem = problem
         self.max_jet = problem.k if max_jet_order is None else max_jet_order
 
     def parse(self) -> Expr:
         e = self._sum()
         t = self.peek()
-        if t[0] != "eof":
-            raise self.error(f"trailing input {t[1]!r}", t)
+        if t:
+            raise self.error(f"trailing input {t!r}")
         return e
 
     def _sum(self) -> Expr:
@@ -229,7 +234,7 @@ class _ExprParser(_Tokens):
         while True:
             items = self._term()
             _fold(acc, ((m, -c) for m, c in items) if negative else items)
-            op = toks[self.i][1]
+            op = toks[self.i]
             if op != "+" and op != "-":
                 return Expr._trusted(acc)
             self.i += 1
@@ -259,7 +264,7 @@ class _ExprParser(_Tokens):
                     c = _coeff(coeff)
                     e = Expr._trusted({mon: c} if c else {})
                 e = e * f if op == "*" else self._quotient(e, f)
-            op = toks[self.i][1]
+            op = toks[self.i]
             if op != "*" and op != "/":
                 if e is not None:
                     return e._terms.items()
@@ -284,57 +289,53 @@ class _ExprParser(_Tokens):
     def _factor(self):
         toks = self.toks
         negative = False
-        op = toks[self.i][1]
+        op = toks[self.i]
         while op == "+" or op == "-":
             negative ^= op == "-"
             self.i += 1
-            op = toks[self.i][1]
+            op = toks[self.i]
         e = self._primary()
-        if toks[self.i][1] == "^":
-            t = toks[self.i + 1]
+        if toks[self.i] == "^":
+            i = self.i + 1
             self.i += 2
-            if t[0] != "int":
-                raise self.error("exponent must be a non-negative integer", t)
-            d = self.int_value(t)
+            if not toks[i].isdecimal():
+                raise self.error("exponent must be a non-negative integer", i)
+            d = self.int_value(i)
             refusal = _power_refusal(e, d)
             if refusal:
-                raise self.error(refusal, t)
+                raise self.error(refusal, i)
             e = e ** d
         return -e if negative else e
 
     def _primary(self):
         t = self.toks[self.i]
-        kind = t[0]
-        if kind == "int":
+        if t.isdecimal():
             self.i += 1
-            return self.int_value(t)
-        if kind == "ident":
-            return self._atomref()
-        if t[1] == "(":
+            return self.int_value(self.i - 1)
+        if t[:1] in _NAME_START:
+            return self._opaque_marker() if t[-1] == "}" else self._atomref()
+        if t == "(":
             self.i += 1
             e = self._sum()
             self.expect(")")
             return e
-        if kind == "marker":
-            return self._opaque_marker()
-        raise self.error(f"unexpected token {t[1]!r}", t)
+        raise self.error(f"unexpected token {t!r}")
 
     # -- atoms ------------------------------------------------------------
 
     def _intlist(self) -> list[int]:
         out = []
-        toks = self.toks
+        toks, i = self.toks, self.i
         while True:
-            t = toks[self.i]
-            if t[0] != "int":
-                raise self.error("expected an integer", t)
-            out.append(self.int_value(t))
-            self.i += 1
-            if toks[self.i][1] != ",":
+            if not toks[i].isdecimal():
+                raise self.error("expected an integer", i)
+            out.append(self.int_value(i))
+            if toks[i + 1] != ",":
+                self.i = i + 1
                 return out
-            self.i += 1
+            i += 2
 
-    def _multiindex(self, entries: list[int], where) -> tuple[int, ...]:
+    def _multiindex(self, entries: list[int], where: int) -> tuple[int, ...]:
         """The entries of a multi-index, checked against n; the atoms'
         interning tables know a multi-index by its plain entries too."""
         n = self.problem.n
@@ -344,20 +345,20 @@ class _ExprParser(_Tokens):
         return tuple(entries)
 
     def _atomref(self) -> Expr:
-        t = self.next()
-        name = t[1]
-        nxt = self.toks[self.i][1]
+        t = self.i
+        name, nxt = self.toks[t], self.toks[t + 1]
+        self.i = t + 1
         if name == "p" and nxt == "[":
             return self._momentum(t)
         if name == "lam" and nxt == "[":
-            self.i += 1
-            a = self.next()
-            if a[0] != "int":
+            a = self.i + 1
+            if not self.toks[a].isdecimal():
                 raise self.error("expected an integer", a)
+            self.i += 2
             self.expect("]")
             return Expr.atom(Multiplier(self.int_value(a)))
         if nxt == "(":
-            return self._opaque_call(t, ())
+            return self._opaque_call(t, name, ())
         problem = self.problem
         if name in problem.fields:
             if nxt == "[":
@@ -381,19 +382,19 @@ class _ExprParser(_Tokens):
                 return Expr.atom(Base(mu))
         raise self.error(f"unknown identifier {name!r}", t)
 
-    def _momentum(self, t) -> Expr:
+    def _momentum(self, t: int) -> Expr:
         self.expect("[")
-        fld_tok = self.peek()
-        if fld_tok[0] != "ident":
+        fld = self.peek()
+        if fld[:1] not in _NAME_START or fld[-1] == "}":
             # p[ints] would be a jet of a field named p; no such field here
-            raise self.error("momentum atom expects a field name", fld_tok)
-        fld = self.next()[1]
+            raise self.error("momentum atom expects a field name")
         if fld not in self.problem.fields:
-            raise self.error(f"unknown field {fld!r}", fld_tok)
+            raise self.error(f"unknown field {fld!r}")
+        self.i += 1
         segments: list[list[int]] = []
-        while self.peek()[1] == ";":
+        while self.peek() == ";":
             self.i += 1
-            if self.peek()[1] in (";", "]"):
+            if self.peek() in (";", "]"):
                 segments.append([])
             else:
                 segments.append(self._intlist())
@@ -424,22 +425,21 @@ class _ExprParser(_Tokens):
         raise self.error("malformed momentum atom", t)
 
     def _opaque_marker(self) -> Expr:
-        t = self.next()
-        name, digits = t[1].split("_{,")
-        return self._opaque_call(("ident", name, t[2]),
-                                 tuple(int(d) for d in digits[:-1]))
+        t = self.i
+        name, digits = self.toks[t].split("_{,")
+        self.i += 1
+        return self._opaque_call(t, name, tuple(int(d) for d in digits[:-1]))
 
-    def _opaque_call(self, t, marker: tuple[int, ...]) -> Expr:
-        name = t[1]
+    def _opaque_call(self, t: int, name: str, marker: tuple[int, ...]) -> Expr:
         if name not in self.problem.opaques:
             raise self.error(f"unknown function {name!r}", t)
         arity = self.problem.opaques[name]
         self.expect("(")
         args = []
-        if self.peek()[1] != ")":
+        if self.peek() != ")":
             while True:
                 args.append(self._sum())
-                if self.peek()[1] != ",":
+                if self.peek() != ",":
                     break
                 self.i += 1
         self.expect(")")
@@ -465,12 +465,12 @@ def parse_expr(text: str, problem: LagrangianProblem,
     return _ExprParser(text, _tokenize(text), problem, max_jet_order).parse()
 
 
-def _parse_stmt_expr(src: str, tokens: list, problem: LagrangianProblem,
+def _parse_stmt_expr(src: str, stmt: tuple, problem: LagrangianProblem,
                      what: str) -> Expr:
-    """Parse one statement's token slice; an error keeps the location of
-    the offending token and names the statement."""
+    """Parse one statement's (token slice, first index); an error keeps
+    the location of the offending token and names the statement."""
     try:
-        return _ExprParser(src, tokens, problem, None).parse()
+        return _ExprParser(src, stmt[0], problem, None, stmt[1]).parse()
     except ParseError as exc:
         raise ParseError(f"{exc.message} (in {what} statement)",
                          exc.line, exc.col) from None
@@ -482,7 +482,6 @@ def parse_problem(text: str) -> ProblemFile:
     declarations are known."""
     toks = _Tokens(text, _tokenize(text))
     tokens = toks.toks
-    texts = [t[1] for t in tokens]
     n = k = None
     n_tok = k_tok = None
     fields: list[str] = []
@@ -504,25 +503,26 @@ def parse_problem(text: str) -> ProblemFile:
                                  L if L is not None else Expr(),
                                  tuple(cons), tuple(params), dict(opaques))
 
-    def slice_to(j: int) -> list:
-        # the tokens from the cursor up to token j, closed by an eof there;
-        # the cursor moves to token j
-        part = tokens[toks.i:j]
-        part.append(("eof", "", tokens[j][2]))
+    def slice_to(j: int) -> tuple:
+        # the tokens from the cursor up to token j, closed by an end there,
+        # and the cursor; the cursor moves to token j
+        stmt = tokens[toks.i:j] + [""], toks.i
         toks.i = j
-        return part
+        return stmt
 
-    def read_expr_tokens() -> list:
+    def read_expr_tokens() -> tuple:
         # up to the first ';' outside brackets, so that expressions parse
         # after the headers
         depth = 0
         seg = j = toks.i
         while True:
             try:
-                j = texts.index(";", j)
+                j = tokens.index(";", j)
             except ValueError:
-                raise toks.error("unterminated statement", tokens[-1]) from None
-            part = texts[seg:j]
+                raise toks.error("unterminated statement",
+                                 len(tokens) - 1) from None
+            # a marker's "{" and "}" cancel; no other token holds a bracket
+            part = "".join(tokens[seg:j])
             depth += (part.count("(") + part.count("[") + part.count("{")
                       - part.count(")") - part.count("]") - part.count("}"))
             if not depth:
@@ -531,52 +531,52 @@ def parse_problem(text: str) -> ProblemFile:
             j += 1
 
     def read_int(what: str) -> int:
-        t = toks.next()
-        if t[0] != "int":
-            raise toks.error(f"{what} must be an integer, found {t[1]!r}", t)
-        return toks.int_value(t)
+        if not toks.peek().isdecimal():
+            raise toks.error(f"{what} must be an integer, found {toks.peek()!r}")
+        toks.i += 1
+        return toks.int_value(toks.i - 1)
 
-    def declare():
-        tok = toks.next()
-        name = tok[1]
-        if tok[0] != "ident":
-            raise toks.error(f"expected a name, found {name!r}", tok)
-        if name in _RESERVED or re.fullmatch(r"x\d+", name):
-            raise toks.error(f"{name!r} is reserved", tok)
+    def declare() -> str:
+        name = toks.peek()
+        if name[:1] not in _NAME_START or name[-1] == "}":
+            raise toks.error(f"expected a name, found {name!r}")
+        if name in _RESERVED or _BASE_NAME.fullmatch(name):
+            raise toks.error(f"{name!r} is reserved")
         if name in fields or name in params or name in opaques:
-            raise toks.error(f"{name!r} already declared", tok)
-        return tok
+            raise toks.error(f"{name!r} already declared")
+        toks.i += 1
+        return name
 
-    while toks.peek()[0] != "eof":
-        t = toks.next()
-        stmt = t[1]
+    while toks.peek():
+        t, stmt = toks.i, toks.next()
         if stmt == "base":
             if n is not None:
                 raise toks.error("duplicate 'base' declaration", t)
-            n_tok = toks.peek()
+            n_tok = toks.i
             n = read_int("base dimension")
             toks.expect(";")
         elif stmt == "order":
             if k is not None:
                 raise toks.error("duplicate 'order' declaration", t)
-            k_tok = toks.peek()
+            k_tok = toks.i
             k = read_int("order")
             toks.expect(";")
         elif stmt == "field":
-            fields.append(declare()[1])
+            fields.append(declare())
             toks.expect(";")
         elif stmt == "param":
-            params.append(declare()[1])
+            params.append(declare())
             toks.expect(";")
         elif stmt == "opaque":
+            name_tok = toks.i
             name = declare()
             toks.expect("(")
             arity = read_int("opaque arity")
             toks.expect(")")
             toks.expect(";")
             if not 1 <= arity <= 9:
-                raise toks.error("opaque arity must be 1..9", name)
-            opaques[name[1]] = arity
+                raise toks.error("opaque arity must be 1..9", name_tok)
+            opaques[name] = arity
         elif stmt == "lagrangian":
             if lagrangian is not None:
                 raise toks.error("duplicate 'lagrangian' statement", t)
@@ -594,19 +594,19 @@ def parse_problem(text: str) -> ProblemFile:
             poly_src = read_expr_tokens()
             toks.expect(";")
         elif stmt == "vfield":
-            name = toks.next()[1]
+            name = toks.next()
             toks.expect("=")
             deferred.append((f"vfield:{name}", read_expr_tokens(), t))
             toks.expect(";")
         elif stmt == "section":
             toks.expect("{")
-            while toks.peek()[1] != "}":
-                start = toks.peek()
+            while toks.peek() != "}":
+                start = toks.i
                 try:
-                    lhs = slice_to(texts.index("=", toks.i))
+                    lhs = slice_to(tokens.index("=", toks.i))
                 except ValueError:
                     raise toks.error("unterminated section block",
-                                     tokens[-1]) from None
+                                     len(tokens) - 1) from None
                 toks.expect("=")
                 rhs = read_expr_tokens()
                 toks.expect(";")
@@ -618,7 +618,7 @@ def parse_problem(text: str) -> ProblemFile:
     bare = problem_so_far()
     refusal = grid_refusal(n, k)
     if refusal:
-        raise toks.error(refusal, max(n_tok, k_tok, key=lambda t: t[2]))
+        raise toks.error(refusal, max(n_tok, k_tok))
     L = (_parse_stmt_expr(text, lagrangian, bare, "lagrangian")
          if lagrangian is not None else Expr())
     cons = [_parse_stmt_expr(text, src, bare, "constraint")
@@ -638,14 +638,14 @@ def parse_problem(text: str) -> ProblemFile:
         pf.poly = _parse_stmt_expr(text, poly_src, problem, "poly")
     if section_stmts:
         assign = {}
-        for lhs_toks, rhs_toks, start in section_stmts:
-            lhs = _parse_stmt_expr(text, lhs_toks, problem, "section")
+        for lhs_stmt, rhs_stmt, start in section_stmts:
+            lhs = _parse_stmt_expr(text, lhs_stmt, problem, "section")
             atoms = lhs.atoms()
             if len(atoms) != 1 or lhs != Expr.atom(next(iter(atoms))):
-                lhs_src = " ".join(t[1] for t in lhs_toks[:-1])
+                lhs_src = " ".join(lhs_stmt[0][:-1])
                 raise toks.error(
                     f"section key must be a single slot: {lhs_src}", start)
-            assign[next(iter(atoms))] = _parse_stmt_expr(text, rhs_toks,
+            assign[next(iter(atoms))] = _parse_stmt_expr(text, rhs_stmt,
                                                          problem, "section")
         pf.section = assign
     if pf.fvector and len(pf.fvector) != problem.n:

@@ -7,11 +7,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import jetcalc
 import jetcalc.cli
 from jetcalc import parse_expr, parse_problem
 from jetcalc.cli import run
+from test_parser import SOUP_HEADERS, TOKEN_SOUP
 
 BEAM = """
 base 1;
@@ -446,6 +448,25 @@ class TestPolarizePins:
         assert run(["polarize", lagfile(POLY2), *latex]) == 0
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (POLY2_OUT % components, "")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tokens=TOKEN_SOUP, header=SOUP_HEADERS)
+def test_parse_errors_keep_the_exit_code_contract(tmp_path, capsys, tokens,
+                                                  header):
+    # exit 2 is one error line and no report; exit 0 is a JSON report
+    path = tmp_path / "soup.lag"
+    for sep in (" ", ""):
+        path.write_text(header + sep.join(tokens), encoding="utf-8")
+        code = run(["el", str(path)])
+        out, err = capsys.readouterr()
+        assert code in (0, 2), (code, err)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") \
+                and err.count("\n") == 1 and err.endswith("\n"), err
+        else:
+            assert err == "" and json.loads(out)["command"] == "el"
 
 
 class TestRoundTrip:

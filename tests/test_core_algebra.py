@@ -1017,24 +1017,28 @@ class TestDivisionRoundTrip:
 
     def test_laurent_quotients(self):
         # the numerator's negative powers and the divisor's parameter
-        # content once made these refuse as inexact
+        # content once made these refuse as inexact, and the divisor's own
+        # negative powers as unsupported
         a, w = Expr.atom(Parameter("a")), jet("w", 0)
         assert divide(w + w / a, 1 + a) == w / a
         assert divide(1 + a, a + a ** 2) == ONE / a
+        assert divide(w + w / a, 1 + ONE / a) == w
 
 
 @st.composite
 def polynomial_divisors(draw):
-    """Sums of up to four terms over jets, x1 and the parameters m and a
-    with exponents 0-2, Fraction coefficients among them: no negative
-    power, so every path of ``divide`` may take them."""
+    """Sums of up to four terms over jets and x1 with exponents 0-2 and
+    the parameters m and a with exponents -2..2, Fraction coefficients
+    among them, so that every path of ``divide`` may take them."""
     atoms = (*_ATOMS[:4], Parameter("m"), Parameter("a"))
-    mons = draw(st.lists(st.lists(st.integers(0, 2), min_size=len(atoms),
-                                  max_size=len(atoms)),
+    low = [0] * 4 + [-2] * 2
+    mons = draw(st.lists(st.tuples(*(st.integers(lo, 2) for lo in low)),
                          min_size=1, max_size=4))
     return Expr.sum(Expr.const(draw(st.fractions(-3, 3, max_denominator=3)))
                     * functools.reduce(operator.mul, (
-                        Expr.atom(a) ** k for a, k in zip(atoms, exps)), ONE)
+                        Expr.atom(a) ** k if k >= 0
+                        else divide(ONE, Expr.atom(a) ** -k)
+                        for a, k in zip(atoms, exps)), ONE)
                     for exps in mons)
 
 

@@ -827,17 +827,73 @@ def test_base_name_beyond_the_digit_limit_is_unknown():
         f"unknown identifier {name!r} (in lagrangian statement)"
 
 
-def test_tokens_carry_offsets_and_one_eof():
-    from jetcalc.parser import _tokenize
-    text = "a  # c\n u[1]\t+2 "
-    assert _tokenize(text) == [
-        ("ident", "a", 0), ("ident", "u", 8), ("op", "[", 9), ("int", "1", 10),
-        ("op", "]", 11), ("op", "+", 13), ("int", "2", 14), ("eof", "", 16)]
-    for text in ("", "  ", "# only", "u", "u # c", "u\n"):
+def test_tokens_are_texts_with_one_end():
+    # a token is its text, the end is one "", and the line and column of
+    # every token, the end included, are the reference's
+    from jetcalc.parser import _error, _tokenize
+    assert _tokenize("a  # c\n u[1]\t+2 ") == \
+        ["a", "u", "[", "1", "]", "+", "2", ""]
+    for text in ("", "  ", "# only", "u", "u # c", "u\n", "a  # c\n u[1]\t+2 ",
+                 "\r\n\tU_{,12}(x1) ;\n\n", "base \u0663; p[u;;1]#x\n",
+                 CORPUS_TEXTS["plate.lag"]):
         toks = _tokenize(text)
-        assert [t[0] for t in toks].count("eof") == 1 == (toks[-1][0] == "eof")
-        assert [(t[0], t[1]) for t in toks] == \
-            [(t.kind, t.text) for t in ref_tokenize(text)]
+        ref = ref_tokenize(text)
+        assert toks.count("") == 1 == (toks[-1] == "")
+        assert toks == [t.text for t in ref]
+        assert [(_error(text, "m", i).line, _error(text, "m", i).col)
+                for i in range(len(toks))] == [(t.line, t.col) for t in ref]
+    for text in ("u @", "u\n  \u00e9 x", "u $ ", "\tx1;\n# c\n\n ~",
+                 "\u0660\u00b2"):
+        with pytest.raises(ParseError) as got:
+            _tokenize(text)
+        with pytest.raises(ParseError) as want:
+            ref_tokenize(text)
+        assert (got.value.message, got.value.line, got.value.col) == \
+            (want.value.message, want.value.line, want.value.col)
+
+
+_STMT_HEAD = "base 2;\nfield u;\norder 1;\nlagrangian u[1,0]^2;\n"
+
+
+@pytest.mark.parametrize("text,message,where", [
+    (_STMT_HEAD + "constraint u[1,0] + w;",
+     "unknown identifier 'w' (in constraint statement)", (5, 21)),
+    (_STMT_HEAD + "fcomponent u;\nfcomponent u + ;",
+     "unexpected token '' (in fcomponent statement)", (6, 16)),
+    (_STMT_HEAD + "vfield u = u^x1;",
+     "exponent must be a non-negative integer (in vfield statement)",
+     (5, 14)),
+    (_STMT_HEAD + "section {\n  u = x1;\n  u[1,0] + 1 = 2;\n}",
+     "section key must be a single slot: u [ 1 , 0 ] + 1", (7, 3)),
+    (_STMT_HEAD + "section {\n  u = x1;\n  u[1,0] = 2*;\n}",
+     "unexpected token '' (in section statement)", (7, 14)),
+    (_STMT_HEAD + "poly u^2 + v;",
+     "unknown identifier 'v' (in poly statement)", (5, 12)),
+    (_STMT_HEAD + "constraint u[1,0] + (u",
+     "unterminated statement", (5, 23)),
+    (_STMT_HEAD + "poly u;   \n  \u00e9  ", "unexpected character '\u00e9'",
+     (6, 3)),
+], ids=["constraint", "fcomponent", "vfield", "section-key", "section-value",
+        "poly", "unterminated", "bad-after-whitespace"])
+def test_later_statement_errors_are_the_reference(text, message, where):
+    assert _outcome(parse_problem, text) == ("ParseError", message, *where)
+    assert _outcome(ref_parse_problem, text) == ("ParseError", message, *where)
+
+
+@pytest.mark.parametrize("text,outcome", [
+    # a Unicode decimal digit is an int, as \d and int() read it
+    ("base \u0663; field u; order 1; lagrangian u[1,0,0]^2;", "ok"),
+    # a marker is no name: the reference took it as one
+    ("base 1; field U_{,1}; order 1;",
+     ("ParseError", "expected a name, found 'U_{,1}'", 1, 15)),
+    ("base 1; field u; order 1; opaque U(1); lagrangian p[U_{,1}];",
+     ("ParseError", "momentum atom expects a field name "
+      "(in lagrangian statement)", 1, 53)),
+], ids=["unicode-digit", "marker-declared", "marker-momentum"])
+def test_token_kind_from_first_character(text, outcome):
+    got = _outcome(parse_problem, text)
+    assert (got[0] if outcome == "ok" else got) == outcome
+    _assert_same_or_allowed(text)
 
 
 # -- Hypothesis: printer output, token soup, edited corpus files --------------
@@ -955,10 +1011,14 @@ def test_printer_output_parses_as_the_reference(e):
         _assert_same_or_allowed(f"{_HEADER}{stmt} {text};")
 
 
+# Token lists, and the headers they follow; tests/test_cli.py draws them too.
+TOKEN_SOUP = st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=40),
+                       _products())
+SOUP_HEADERS = st.sampled_from(["", _HEADER, _HEADER + "poly "])
+
+
 @_SLOW
-@given(st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=40),
-                 _products()),
-       st.sampled_from(["", _HEADER, _HEADER + "poly "]))
+@given(TOKEN_SOUP, SOUP_HEADERS)
 def test_token_soup_parses_as_the_reference(tokens, header):
     _assert_same_or_allowed(header + " ".join(tokens))
     _assert_same_or_allowed(header + "".join(tokens))
