@@ -224,7 +224,7 @@ def _dispatch(args):
         return report, True
 
     if cmd == "currents":
-        tbl = currents(prob, canonical_momenta(prob, order_cap=args.order_cap))
+        tbl = currents(canonical_momenta(prob, order_cap=args.order_cap))
         for (fld, mi), e in sorted(tbl.items(),
                                    key=lambda kv: (kv[0][0], tuple(kv[0][1]))):
             report.add(f"j[{fld};{','.join(map(str, mi))}]", report.expr(e))
@@ -275,8 +275,7 @@ def _dispatch(args):
     if cmd == "shift":
         F = _need_fvector(pf)
         m = canonical_momenta(prob, order_cap=args.order_cap)
-        shifted = momentum_shift(m, F, "inverse" if args.inverse else "forward",
-                                 fields=prob.fields)
+        shifted = momentum_shift(m, F, "inverse" if args.inverse else "forward")
         report.add_slots(shifted.slots)
         return report, True
 

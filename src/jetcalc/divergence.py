@@ -96,8 +96,8 @@ def verify_divergence_trivial(F, fields=None) -> EquationSet:
     return EquationSet(rows)
 
 
-def momentum_shift(m: MomentumAssignment, F, direction: str = "forward",
-                   fields=None) -> MomentumAssignment:
+def momentum_shift(m: MomentumAssignment, F,
+                   direction: str = "forward") -> MomentumAssignment:
     """The symplectomorphism p^{mu lam} -> p^{mu lam} +/- dF^lam/dphi_mu;
     forward followed by inverse is the identity.  The grid is enlarged with
     zero slots when F raises the order."""

@@ -3,19 +3,22 @@
 The top-order transform exchanges the order-k jets for the symmetric top
 momenta by solving the top cascade rows, which are linear because the
 admissible Lagrangians are quadratic in the top jets with a
-parameter-constant Hessian block.  One pass over the terms of L reads off
-L0 (L at x = 0), b (dL/dx at x = 0) and the Hessian A in the exchanged
-jets x by exponent arithmetic; a term whose opaque call has an argument
-depending on x is derived with ``gradient`` instead, so every entry is
-exactly the second derivative of L.
-The solve is exact, with parameter monomials the only permitted
-denominators.  A and b are first scaled by one factor that clears the
-negative parameter powers and the coefficient denominators (the products
-are skipped when it is 1).  Since A is parameter-constant, one
-fraction-free Bareiss elimination of [A | I] and a back-substitution give
-det(A) and pivot * A^-1 in the coefficient ring, every constant entry a
-Python int or Fraction and an Expr only where a parameter remains; each
-Cramer numerator is then a row of that inverse applied to b.
+parameter-constant Hessian block.
+
+One pass over the terms of L reads off L0 (L at x = 0), b (dL/dx at
+x = 0) and the Hessian A in the exchanged jets x by exponent arithmetic;
+a term whose opaque call has an argument depending on x is derived with
+``gradient`` instead, so every entry is exactly the second derivative of L.
+
+The solve is exact over the parameter-Laurent ring.  One fraction-free
+Bareiss elimination of [A | I] and a back-substitution give det(A) and
+pivot * A^-1, every constant entry a Python int or Fraction and an Expr
+only where a parameter remains; each Cramer numerator is a row of that
+inverse applied to b.  Each Bareiss division is exact in that ring; an
+Expr is divided only by ``divide``, the one place that clears negative
+parameter powers, so when A^-1 b is no Laurent polynomial the refusal
+names the last division, adj(A) b by det(A).
+
 L is never expanded on the inversion.  Once every Hessian entry is checked
 free of the exchanged jets x, L = L0 + b.x + 1/2 x.A x exactly, so
 p.x - L = 1/2 (p - b).x - L0.  Since L holds no momenta, H is h with each
@@ -25,13 +28,12 @@ of the slots of order below k - 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coords import Jet, Momentum, Parameter
-from .expr import (Expr, ExprError, ONE, OpaqueCall, ZERO, _akey, _coerce,
-                   _fold, _mul_terms, divide, gradient, substitute)
+from .expr import (Expr, ExprError, OpaqueCall, ZERO, _akey, _coerce, _fold,
+                   _mul_terms, divide, gradient, substitute)
 from .multiindex import MultiIndex, all_multiindices, multiindices_up_to
 from .problem import LagrangianProblem
 from .variational import (Equation, EquationSet, MomentumAssignment,
@@ -116,24 +118,6 @@ def _bareiss_det(M) -> Expr:
     return _coerce(_eliminate(M) * M[-1][-1] if M else 1)
 
 
-def _clearing_factor(entries) -> Expr:
-    """The least parameter monomial whose product with each of ``entries``
-    has no negative power, times the least common multiple of their
-    coefficients' denominators; ``ONE`` itself when there is nothing to
-    clear."""
-    low: dict = {}
-    den = 1
-    for e in entries:
-        for mon, c in e._terms.items():
-            if c.__class__ is Fraction:
-                den = math.lcm(den, c.denominator)
-            for a, x in mon:
-                if x < low.get(a, 0):
-                    low[a] = x
-    m = math.prod((Expr.atom(a) ** -x for a, x in low.items()), start=ONE)
-    return m if den == 1 else m * den
-
-
 def _row_product(y, b) -> Expr:
     """sum_c y[c] * b[c] for a row of entries ``y`` and Exprs ``b``,
     multiplied and collected term by term."""
@@ -152,33 +136,22 @@ def _solve_linear(A, b):
     det(A) x_i is the row Y[i] applied to b.  Raises on a singular matrix or
     a quotient that leaves the parameter-Laurent ring."""
     dim = len(A)
-    # Scaling by a parameter monomial that clears every negative power
-    # makes each division in the elimination and the back-substitution an
-    # exact division of polynomials, which ``divide`` always carries out;
-    # clearing the denominators as well keeps number entries ints.
-    s = _clearing_factor(e for row in (*A, b) for e in row)
-    scale = ONE
-    if s is not ONE:
-        A = [[s * e for e in row] for row in A]
-        b = [s * e for e in b]
-        scale = s ** dim
     M = [[_entry(e) for e in row] + [int(c == r) for c in range(dim)]
          for r, row in enumerate(A)]
     sign = _eliminate(M)
     pivot = M[dim - 1][dim - 1]
-    det = divide(sign * pivot, scale)
+    det = _coerce(sign * pivot)
     if det.is_zero():
         raise SingularLegendreError("singular Legendre: top Hessian block degenerate")
     try:
-        # Y[i] = pivot * (row i of A^-1), so sign * (Y[i].b) / scale = det(A_i).
+        # Y[i] = pivot * (row i of A^-1), so sign * (Y[i].b) = det(A_i).
         Y = [None] * (dim - 1) + [M[dim - 1][dim:]]
         for i in range(dim - 2, -1, -1):
             row = M[i]
             Y[i] = [_quotient(pivot * row[dim + c] - sum(
                 row[k] * Y[k][c] for k in range(i + 1, dim)), row[i])
                 for c in range(dim)]
-        return [divide(divide(sign * _row_product(y, b), scale), det)
-                for y in Y]
+        return [divide(sign * _row_product(y, b), det) for y in Y]
     except ExprError as exc:
         raise LegendreError(
             f"Legendre inversion not representable: {exc}") from None

@@ -207,7 +207,7 @@ def _scaled(e: Expr, c) -> Expr:
     return e if c == 1 else e * Expr.const(c)
 
 
-def currents(problem: LagrangianProblem, m: MomentumAssignment) -> dict:
+def currents(m: MomentumAssignment) -> dict:
     """The gauge-invariant currents {(fld, mu): j^mu}, 0 <= |mu| <= k: j =
     div p at order 0, j^mu = S[mu] + div p^{mu .} in between, and the bare
     symmetrization at the top; the coordinates of the reduced bundle."""

@@ -166,9 +166,9 @@ def check_gauge_invariance(seed: int = 0, count: int = 20) -> CheckResult:
             res = evaluate_on_momenta(eqs["u:euler"].rhs, mm)
             if res != base:
                 out.fail(f"draw {i}: euler {tag}", res - base)
-        c0 = currents(prob, m)
+        c0 = currents(m)
         for tag, mm in (("gauged", gauged), ("symmetrized", sym)):
-            if currents(prob, mm) != c0:
+            if currents(mm) != c0:
                 out.fail(f"draw {i}: currents {tag}", ZERO)
     return out
 

@@ -450,6 +450,133 @@ class TestPolarizePins:
         assert (captured.out, captured.err) == (POLY2_OUT % components, "")
 
 
+LEG_HEAD = "base 1; field u; field v; order 1;\n"
+
+# a 1/a diagonal entry and a Fraction cross entry: det = -1/4
+LEG_INV = LEG_HEAD + ("param a; lagrangian 1/(2*a)*u[1]^2 + 1/2*u[1]*v[1] "
+                      "- u*v[1]/a + x1*u[1] - a*u^2;\n")
+
+LEG_OUT = """{
+  "command": "%s",
+  "problem": {
+    "n": 1,
+    "k": 1,
+    "fields": [
+      "u",
+      "v"
+    ]
+  },
+  "result": {
+%s
+  },
+  "residuals": []
+}
+"""
+
+# the texts as they stand in the JSON report, backslashes escaped
+H_DSL = ("-2*x1*u/a - 2*x1*p[v;0;1] + 2*u*p[u;0;1]/a - 4*u*p[v;0;1]/a^2 "
+         "- 2*u^2/a^3 + a*u^2 + 2*p[u;0;1]*p[v;0;1] - 2*p[v;0;1]^2/a")
+H_TEX = (r"-2\\,a^{-1}\\,x^{1}\\,u - 2\\,x^{1}\\,p_{v}^{(0)\\,1} "
+         r"+ 2\\,a^{-1}\\,u\\,p_{u}^{(0)\\,1} - 4\\,a^{-2}\\,u\\,p_{v}^{(0)\\,1} "
+         r"- 2\\,a^{-3}\\,u^{2} + a\\,u^{2} "
+         r"+ 2\\,p_{u}^{(0)\\,1}\\,p_{v}^{(0)\\,1} - 2\\,a^{-1}\\,p_{v}^{(0)\\,1}^{2}")
+U1_DSL = "2*u/a + 2*p[v;0;1]"
+U1_TEX = r"2\\,a^{-1}\\,u + 2\\,p_{v}^{(0)\\,1}"
+V1_DSL = "-2*x1 - 4*u/a^2 + 2*p[u;0;1] - 4*p[v;0;1]/a"
+V1_TEX = (r"-2\\,x^{1} - 4\\,a^{-2}\\,u + 2\\,p_{u}^{(0)\\,1} "
+          r"- 4\\,a^{-1}\\,p_{v}^{(0)\\,1}")
+
+LEG_RESULTS = {
+    ("legendre", False): (("h", H_DSL), ("H", H_DSL), ("u[1]", U1_DSL),
+                          ("v[1]", V1_DSL)),
+    ("legendre", True): (("h", H_TEX), ("H", H_TEX), ("u[1]", U1_TEX),
+                         ("v[1]", V1_TEX)),
+    ("energy", False): (("energy", H_DSL), ("time_direction", "1")),
+    ("energy", True): (("energy", H_TEX), ("time_direction", "1")),
+    ("hamilton", False): (
+        ("u:phi[1]", f"u[1] = {U1_DSL}"),
+        ("u:euler", "0 = 2*x1/a + 4*u/a^3 - 2*a*u - 2*p[u;0;1]/a "
+                    "- p[u;0;1;1] + 4*p[v;0;1]/a^2"),
+        ("v:phi[1]", f"v[1] = {V1_DSL}"),
+        ("v:euler", "0 = -p[v;0;1;1]")),
+    ("hamilton", True): (
+        ("u:phi[1]", f"u_{{(1)}} = {U1_TEX}"),
+        ("u:euler", r"0 = 2\\,a^{-1}\\,x^{1} + 4\\,a^{-3}\\,u - 2\\,a\\,u "
+                    r"- 2\\,a^{-1}\\,p_{u}^{(0)\\,1} "
+                    r"- \\partial_{(1)} p_{u}^{(0)\\,1} "
+                    r"+ 4\\,a^{-2}\\,p_{v}^{(0)\\,1}"),
+        ("v:phi[1]", f"v_{{(1)}} = {V1_TEX}"),
+        ("v:euler", r"0 = -\\partial_{(1)} p_{v}^{(0)\\,1}")),
+    ("pc-form", False): (
+        ("omega", "(-2*x1/a - 4*u/a^3 + 2*a*u + 2*p[u;0;1]/a - 4*p[v;0;1]/a^2)"
+                  " d(x1) ∧ d(u)"
+                  f" + ({U1_DSL}) d(x1) ∧ d(p[u;0;1])"
+                  f" + ({V1_DSL}) d(x1) ∧ d(p[v;0;1])"
+                  " + (-1) d(u) ∧ d(p[u;0;1]) + (-1) d(v) ∧ d(p[v;0;1])"),
+        ("theta", "(2*x1*u/a + 2*x1*p[v;0;1] - 2*u*p[u;0;1]/a "
+                  "+ 4*u*p[v;0;1]/a^2 + 2*u^2/a^3 - a*u^2 "
+                  "- 2*p[u;0;1]*p[v;0;1] + 2*p[v;0;1]^2/a) d(x1)"
+                  " + (p[u;0;1]) d(u) + (p[v;0;1]) d(v)"),
+        ("H", H_DSL)),
+    ("pc-form", True): (
+        ("omega", r"\\left(-2\\,a^{-1}\\,x^{1} - 4\\,a^{-3}\\,u + 2\\,a\\,u "
+                  r"+ 2\\,a^{-1}\\,p_{u}^{(0)\\,1} "
+                  r"- 4\\,a^{-2}\\,p_{v}^{(0)\\,1}\\right) "
+                  r"\\mathrm{d}x^{1} \\wedge \\mathrm{d}u"
+                  rf" + \\left({U1_TEX}\\right) "
+                  r"\\mathrm{d}x^{1} \\wedge \\mathrm{d}p_{u}^{(0)\\,1}"
+                  rf" + \\left({V1_TEX}\\right) "
+                  r"\\mathrm{d}x^{1} \\wedge \\mathrm{d}p_{v}^{(0)\\,1}"
+                  r" + -1\\, \\mathrm{d}u \\wedge \\mathrm{d}p_{u}^{(0)\\,1}"
+                  r" + -1\\, \\mathrm{d}v \\wedge \\mathrm{d}p_{v}^{(0)\\,1}"),
+        ("theta", r"\\left(2\\,a^{-1}\\,x^{1}\\,u + 2\\,x^{1}\\,p_{v}^{(0)\\,1} "
+                  r"- 2\\,a^{-1}\\,u\\,p_{u}^{(0)\\,1} "
+                  r"+ 4\\,a^{-2}\\,u\\,p_{v}^{(0)\\,1} + 2\\,a^{-3}\\,u^{2} "
+                  r"- a\\,u^{2} - 2\\,p_{u}^{(0)\\,1}\\,p_{v}^{(0)\\,1} "
+                  r"+ 2\\,a^{-1}\\,p_{v}^{(0)\\,1}^{2}\\right) \\mathrm{d}x^{1}"
+                  r" + p_{u}^{(0)\\,1}\\, \\mathrm{d}u"
+                  r" + p_{v}^{(0)\\,1}\\, \\mathrm{d}v"),
+        ("H", H_TEX)),
+}
+
+LEG_REFUSALS = [
+    # the Hessian of LEG_INV with 3/2*v[1]^2: det = -1/4 + 3/a, whose
+    # inverse is a rational function of a
+    (LEG_HEAD + "param a; lagrangian 1/(2*a)*u[1]^2 + 1/2*u[1]*v[1] "
+                "- u*v[1]/a + x1*u[1] + 3/2*v[1]^2;\n",
+     "-3*x1 - u/(2*a) + 3*p[u;0;1] - p[v;0;1]/2 by -1/4 + 3/a"),
+    # a determinant with parameter content
+    (LEG_HEAD + "param a; param b; param c; lagrangian 1/2*a*b*u[1]^2 "
+                "+ a*u[1]*v[1] + 1/2*a*c*v[1]^2;\n",
+     "a*c*p[u;0;1] - a*p[v;0;1] by -a^2 + a^2*b*c"),
+]
+
+
+class TestLegendrePins:
+    """The reports of the four commands that solve the Legendre system,
+    byte for byte, on Hessians with Laurent and Fraction entries: one that
+    inverts and two whose inverse leaves the parameter-Laurent ring."""
+
+    @pytest.mark.parametrize("command,latex", sorted(LEG_RESULTS))
+    def test_inversion(self, capsys, lagfile, command, latex):
+        argv = [command, lagfile(LEG_INV)] + ["--latex"] * latex
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        body = ",\n".join(f'    "{key}": "{text}"'
+                          for key, text in LEG_RESULTS[command, latex])
+        assert (captured.out, captured.err) == (LEG_OUT % (command, body), "")
+
+    @pytest.mark.parametrize("command",
+                             ["legendre", "energy", "hamilton", "pc-form"])
+    @pytest.mark.parametrize("source,division", LEG_REFUSALS)
+    def test_refusals(self, capsys, lagfile, command, source, division):
+        assert run([command, lagfile(source)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: Legendre inversion not representable: "
+                f"inexact division: {division}\n")
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(tokens=TOKEN_SOUP, header=SOUP_HEADERS)

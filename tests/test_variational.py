@@ -83,21 +83,21 @@ class TestSymbolicSlots:
 class TestCurrents:
     def test_beam_currents(self):
         prob = beam()
-        j = currents(prob, canonical_momenta(prob))
+        j = currents(canonical_momenta(prob))
         assert j[("u", MI((2,)))] == jet("u", 2)
         assert j[("u", MI((1,)))].is_zero()
         assert j[("u", MI((0,)))] == -jet("u", 4)
 
     def test_zero_momenta_zero_currents(self):
         prob = beam()
-        j = currents(prob, MomentumAssignment.zero(1, ("u",), 2))
+        j = currents(MomentumAssignment.zero(1, ("u",), 2))
         assert all(v.is_zero() for v in j.values())
 
     def test_first_order_reduction(self):
         # k = 1: j = D_mu p^mu, j^mu = p^mu
         prob = mechanics()
         m = canonical_momenta(prob)
-        j = currents(prob, m)
+        j = currents(m)
         p = m.slot("q", MI((0,)), 1)
         assert j[("q", MI((1,)))] == p
         assert j[("q", MI((0,)))] == total_derivative(p, 1)
@@ -251,12 +251,12 @@ class TestGauge:
         rng = random.Random(4)
         prob = two_dim_problem()
         m = canonical_momenta(prob)
-        base = currents(prob, m)
+        base = currents(m)
         for _ in range(5):
             chi = random_gauge_table(rng, prob)
             g = apply_momentum_gauge(m, chi)
-            assert currents(prob, g) == base
-            assert currents(prob, symmetrize_momenta(g)) == base
+            assert currents(g) == base
+            assert currents(symmetrize_momenta(g)) == base
 
 
 class TestSymmetrize:
@@ -396,6 +396,6 @@ class TestLevelThreeGauge:
             eqs = cascade_equations(prob)
             assert evaluate_on_momenta(eqs["u:euler"].rhs, g) == \
                 evaluate_on_momenta(eqs["u:euler"].rhs, m)
-            assert currents(prob, g) == currents(prob, m)
+            assert currents(g) == currents(m)
             assert symmetrize_momenta(g) == m
         assert checked >= 3
