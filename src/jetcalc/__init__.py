@@ -11,7 +11,7 @@ from .divergence import (DivergenceData, DivergenceError,
 from .expr import (Expr, ExprError, OpaqueCall, divide, gradient,
                    partial_derivative, substitute, to_dsl, total_derivative,
                    total_derivative_multi)
-from .forms import (ExteriorForm, FormsError, SectionData, VectorField,
+from .forms import (ExteriorForm, FormsError, SectionData,
                     exterior_derivative, holonomic_section, interior_product,
                     pullback_section, wedge)
 from .legendre import (LegendreData, LegendreError, SingularLegendreError,
@@ -20,11 +20,11 @@ from .legendre import (LegendreData, LegendreError, SingularLegendreError,
 from .multiindex import (MultiIndex, all_multiindices, multiindex_factor,
                          multiindices_up_to)
 from .parser import ParseError, ProblemFile, parse_expr, parse_problem
-from .poincare import (GalileiReport, PCForm, galilei_transform_check,
+from .poincare import (PCForm, galilei_transform_check,
                        multisymplectic_residuals, pc_form)
 from .printing import form_to_latex, form_to_str, to_latex
 from .problem import LagrangianProblem, ProblemError
-from .prolongation import (ProlongationError, VerticalField, gram_matrix,
+from .prolongation import (ProlongationError, gram_matrix,
                            homogeneous_degree, polarize,
                            prolong_vertical_field, resymmetrize)
 from .variational import (Equation, EquationSet,
@@ -44,7 +44,7 @@ __all__ = [
     "MultiIndex", "all_multiindices", "multiindex_factor", "multiindices_up_to",
     "ParseError", "ProblemFile", "parse_expr", "parse_problem",
     "LagrangianProblem", "ProblemError",
-    "ExteriorForm", "FormsError", "SectionData", "VectorField",
+    "ExteriorForm", "FormsError", "SectionData",
     "exterior_derivative", "holonomic_section", "interior_product",
     "pullback_section", "wedge",
     "Equation", "EquationSet", "MomentumAssignment",
@@ -56,11 +56,11 @@ __all__ = [
     "LegendreData", "LegendreError", "SingularLegendreError",
     "energy_legendre", "field_hamiltonian_first_order", "hamilton_equations",
     "legendre_top",
-    "GalileiReport", "PCForm", "galilei_transform_check",
+    "PCForm", "galilei_transform_check",
     "multisymplectic_residuals", "pc_form",
     "DivergenceData", "DivergenceError", "divergence_lagrangian",
     "momentum_shift", "trivial_momenta", "verify_divergence_trivial",
-    "ProlongationError", "VerticalField", "gram_matrix", "homogeneous_degree",
+    "ProlongationError", "gram_matrix", "homogeneous_degree",
     "polarize", "prolong_vertical_field", "resymmetrize",
     "form_to_latex", "form_to_str", "to_latex",
 ]

@@ -28,8 +28,7 @@ from .parser import ParseError, ProblemFile, grid_refusal, parse_problem
 from .poincare import galilei_transform_check, multisymplectic_residuals, pc_form
 from .printing import form_to_latex, form_to_str, to_latex
 from .problem import ProblemError
-from .prolongation import (ProlongationError, VerticalField,
-                           homogeneous_degree, polarize,
+from .prolongation import (ProlongationError, homogeneous_degree, polarize,
                            prolong_vertical_field)
 from .variational import (VariationalError, canonical_momenta,
                           cascade_equations, constrained_generating_family,
@@ -182,12 +181,13 @@ def _dispatch(args):
 
     if cmd == "galilei":
         report = Report(cmd, latex=args.latex)
-        outcome = galilei_transform_check()
-        for label, form in outcome.rows:
+        ok = True
+        for label, form in galilei_transform_check():
             report.add(label, report.form(form))
             if not form.is_zero():
+                ok = False
                 report.add_residual(label, report.form(form))
-        return report, outcome.all_zero()
+        return report, ok
 
     if cmd == "verify-all":
         report = Report(cmd, latex=args.latex)
@@ -286,10 +286,10 @@ def _dispatch(args):
         refusal = grid_refusal(prob.n, order, "target order")
         if refusal:
             raise InputError(refusal)
-        lifted = prolong_vertical_field(VerticalField(pf.vfields), n=prob.n,
+        lifted = prolong_vertical_field(pf.vfields, n=prob.n,
                                         target_order=order,
                                         order_cap=args.order_cap)
-        for coord, e in lifted.components:
+        for coord, e in lifted.items():
             report.add(f"d/d({coord!r})", report.expr(e))
         return report, True
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coords import Jet, Momentum
 from .expr import Expr, ZERO, _akey, total_divergence
 from .multiindex import multiindices_up_to
@@ -16,15 +14,18 @@ class DivergenceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class DivergenceData:
     """F^lam components, their divergence L0 = sum D_lam F^lam, and the
     order l of the resulting Lagrangian (F lives on jets of order l-1)."""
 
-    components: tuple
-    lagrangian: Expr
-    order: int
-    fields: tuple
+    __slots__ = ("components", "lagrangian", "order", "fields")
+
+    def __init__(self, components: tuple, lagrangian: Expr, order: int,
+                 fields: tuple):
+        self.components = components
+        self.lagrangian = lagrangian
+        self.order = order
+        self.fields = fields
 
 
 def _fields_of(F, fields=None) -> tuple:
@@ -43,14 +44,18 @@ def _validate(F):
                     f"F^{lam} contains a momentum atom {c!r}")
 
 
+def _order_of(F) -> int:
+    """The order l of sum_lam D_lam F^lam: one above the highest jet order
+    of the components F, so at least 1."""
+    return max((e.max_jet_order() for e in F), default=0) + 1
+
+
 def divergence_lagrangian(F, fields=None) -> DivergenceData:
     """L0 = sum_lam D_lam F^lam; an order-(l) Lagrangian for order-(l-1) F."""
     F = tuple(F)
     _validate(F)
-    L0 = total_divergence(F)
-    order = max(max((e.max_jet_order() for e in F), default=0) + 1, 1)
-    return DivergenceData(components=F, lagrangian=L0, order=order,
-                          fields=_fields_of(F, fields))
+    return DivergenceData(F, total_divergence(F), _order_of(F),
+                          _fields_of(F, fields))
 
 
 def _slot_partials(F, n: int, fields, order: int) -> dict:
@@ -107,9 +112,9 @@ def momentum_shift(m: MomentumAssignment, F,
     _validate(F)
     if len(F) != m.n:
         raise DivergenceError("F component count differs from base dimension")
-    l = max(max((e.max_jet_order() for e in F), default=0) + 1, 1)
-    order = max(m.order, l)
-    sign = 1 if direction == "forward" else -1
-    slots = {key: m.slots.get(key, ZERO) + (d if sign == 1 else -d)
-             for key, d in _slot_partials(F, m.n, m.fields, order).items()}
+    order = max(m.order, _order_of(F))
+    partials = _slot_partials(F, m.n, m.fields, order)
+    if direction == "inverse":
+        partials = {key: -d for key, d in partials.items()}
+    slots = {key: m.slots.get(key, ZERO) + d for key, d in partials.items()}
     return MomentumAssignment(m.n, m.fields, order, slots)

@@ -8,13 +8,12 @@ coefficients, so equality of forms is equality of coefficient tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .coords import (Base, Coordinate, Jet, Momentum, Multiplier, Parameter,
                      is_fibre)
-from .expr import (Expr, ONE, ZERO, _akey, _ranked, gradient,
-                   partial_derivative, substitute, total_derivative_multi)
+from .expr import (Expr, ONE, _akey, _ranked, gradient, partial_derivative,
+                   substitute, total_derivative_multi)
 from .multiindex import multiindices_up_to
 
 
@@ -166,33 +165,16 @@ def exterior_derivative(a: ExteriorForm) -> ExteriorForm:
     return ExteriorForm.sum(a.degree + 1, pairs)
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """Finitely many components against the coordinate basis fields."""
-
-    components: tuple
-
-    @staticmethod
-    def of(mapping: dict) -> "VectorField":
-        comps = tuple((c, e) for c, e in mapping.items() if not e.is_zero())
-        return VectorField(comps)
-
-    def component(self, c: Coordinate) -> Expr:
-        for cc, e in self.components:
-            if cc == c:
-                return e
-        return ZERO
-
-
-def interior_product(X: VectorField, a: ExteriorForm) -> ExteriorForm:
-    """Contraction in the first slot with graded signs; degree drops by one."""
+def interior_product(X: dict, a: ExteriorForm) -> ExteriorForm:
+    """Contraction in the first slot with graded signs; degree drops by one.
+    The vector field ``X`` maps coordinates to their nonzero components."""
     if a.degree < 1:
         raise FormsError("interior product needs degree >= 1")
     pairs = []
     for facs, coeff in a.terms.items():
         for i, f in enumerate(facs):
-            comp = X.component(f)
-            if not comp.is_zero():
+            comp = X.get(f)
+            if comp is not None:
                 c = coeff * comp
                 pairs.append((facs[:i] + facs[i + 1:], -c if i % 2 else c))
     return ExteriorForm.sum(a.degree - 1, pairs)

@@ -28,7 +28,6 @@ of the slots of order below k - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coords import Jet, Momentum, Parameter
@@ -48,14 +47,16 @@ class SingularLegendreError(LegendreError):
     """Degenerate Hessian block: the transform does not exist."""
 
 
-@dataclass(frozen=True)
 class LegendreData:
     """h over (jets < k, symmetric top momenta); H over (jets < k, slot
     momenta); inversion maps each top jet slot to its momentum expression."""
 
-    h: Expr
-    hamiltonian: Expr
-    inversion: dict
+    __slots__ = ("h", "hamiltonian", "inversion")
+
+    def __init__(self, h: Expr, hamiltonian: Expr, inversion: dict):
+        self.h = h
+        self.hamiltonian = hamiltonian
+        self.inversion = inversion
 
 
 def _entry(e):
@@ -261,6 +262,20 @@ def _check_time_entry(e: Expr):
         raise LegendreError("time-direction Hessian must be parameter-constant")
 
 
+def _top_exchange(problem: LagrangianProblem):
+    """Exchange the order-k jets for the symmetric top momenta p^sigma:
+    the inversion {(fld, sigma): Expr} and h = sum p^sigma phi_sigma - L
+    on it."""
+    if problem.constraints:
+        raise LegendreError("Legendre transform of a constrained problem "
+                            "is not supported")
+    n, k = problem.n, problem.k
+    sym_atoms = {(fld, mi): Expr.atom(Momentum(fld, mi))
+                 for fld in problem.fields for mi in all_multiindices(n, k)}
+    return _exchange(problem.lagrangian, sym_atoms,
+                     lambda e: _check_hessian_entry(e, k))
+
+
 def legendre_top(problem: LagrangianProblem) -> LegendreData:
     """Exchange the order-k jets for the symmetric top momenta.
 
@@ -269,34 +284,27 @@ def legendre_top(problem: LagrangianProblem) -> LegendreData:
     restricted to holonomic first jets); the slots of order k - 1 pair as
     sum_sigma sym(sigma) phi_sigma, so H = h(p^sigma -> sym(sigma)) + lower.
     """
-    if problem.constraints:
-        raise LegendreError("Legendre transform of a constrained problem "
-                            "is not supported")
-    n, k, L = problem.n, problem.k, problem.lagrangian
-    sym_atoms = {(fld, mi): Expr.atom(Momentum(fld, mi))
-                 for fld in problem.fields for mi in all_multiindices(n, k)}
-    inversion, h = _exchange(L, sym_atoms,
-                             lambda e: _check_hessian_entry(e, k))
-
+    inversion, h = _top_exchange(problem)
+    n, k = problem.n, problem.k
     p = MomentumAssignment.symbolic(n, problem.fields, k)
     lower = Expr.sum(
         p.slot(fld, mi, lam) * Expr.atom(Jet(fld, mi.bump(lam)))
         for fld, mi, lam in MomentumAssignment.grid_keys(
             n, problem.fields, k - 1))
     slot_sym = {Momentum(fld, mi): p.symmetric_part(fld, mi)
-                for fld, mi in sym_atoms}
+                for fld, mi in inversion}
     H = substitute(h, slot_sym) + lower
-    return LegendreData(h=h, hamiltonian=H, inversion=inversion)
+    return LegendreData(h, H, inversion)
 
 
 def hamilton_equations(problem: LagrangianProblem) -> EquationSet:
     """The cascade rewritten through h: the top rows solve for the order-k
     jets, the descending rows pick up a sign, momenta stay symbolic."""
     n, k = problem.n, problem.k
-    data = legendre_top(problem)
+    h = _top_exchange(problem)[1]
     p = MomentumAssignment.symbolic(n, problem.fields, k)
-    dh = gradient(data.h, [Momentum(fld, mi) for fld in problem.fields
-                           for mi in all_multiindices(n, k)]
+    dh = gradient(h, [Momentum(fld, mi) for fld in problem.fields
+                      for mi in all_multiindices(n, k)]
                   + [Jet(fld, mi) for fld in problem.fields
                      for mi in multiindices_up_to(n, k - 1)])
     rows = []

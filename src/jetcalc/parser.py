@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .coords import Base, Jet, Momentum, Multiplier, Parameter
@@ -197,15 +196,25 @@ class _Tokens:
                              i) from None
 
 
-@dataclass
 class ProblemFile:
-    """A parsed problem file: the problem plus the optional tool blocks."""
+    """A parsed problem file: the problem plus the optional tool blocks,
+    which the parser fills in after the problem.  Two files are equal when
+    every attribute is."""
 
-    problem: LagrangianProblem
-    section: dict | None = None
-    fvector: list[Expr] = dc_field(default_factory=list)
-    vfields: dict = dc_field(default_factory=dict)
-    poly: Expr | None = None
+    __slots__ = ("problem", "section", "fvector", "vfields", "poly")
+
+    def __init__(self, problem: LagrangianProblem):
+        self.problem = problem
+        self.section = None
+        self.fvector = []
+        self.vfields = {}
+        self.poly = None
+
+    def __eq__(self, other):
+        if other.__class__ is not ProblemFile:
+            return NotImplemented
+        return all(getattr(self, a) == getattr(other, a)
+                   for a in ProblemFile.__slots__)
 
 
 class _ExprParser(_Tokens):

@@ -9,12 +9,10 @@ holonomy constraints and the Hamiltonian cascade.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coords import Base, Jet, Momentum, Parameter
-from .expr import Expr, ZERO, divide
-from .forms import (ExteriorForm, SectionData, VectorField,
-                    exterior_derivative, interior_product, pullback_section)
+from .expr import Expr, ONE, ZERO, divide
+from .forms import (ExteriorForm, SectionData, exterior_derivative,
+                    interior_product, pullback_section)
 from .legendre import legendre_top
 from .multiindex import MultiIndex, multiindices_up_to
 from .parser import parse_expr
@@ -22,13 +20,16 @@ from .problem import LagrangianProblem
 from .variational import Equation, EquationSet, MomentumAssignment
 
 
-@dataclass(frozen=True)
 class PCForm:
     """omega of degree n+1 and its primitive theta of degree n."""
 
-    omega: ExteriorForm
-    theta: ExteriorForm
-    hamiltonian: Expr
+    __slots__ = ("omega", "theta", "hamiltonian")
+
+    def __init__(self, omega: ExteriorForm, theta: ExteriorForm,
+                 hamiltonian: Expr):
+        self.omega = omega
+        self.theta = theta
+        self.hamiltonian = hamiltonian
 
 
 def pc_form(problem: LagrangianProblem,
@@ -48,7 +49,7 @@ def pc_form(problem: LagrangianProblem,
          p if lam % 2 else -p)
         for (fld, mi, lam), p in MomentumAssignment.symbolic(
             n, problem.fields, k).slots.items()] + [(volume, -H)])
-    return PCForm(omega=exterior_derivative(theta), theta=theta, hamiltonian=H)
+    return PCForm(exterior_derivative(theta), theta, H)
 
 
 def multisymplectic_residuals(problem: LagrangianProblem,
@@ -68,29 +69,20 @@ def multisymplectic_residuals(problem: LagrangianProblem,
 
     for fld in problem.fields:
         for mi in multiindices_up_to(n, k - 1):
-            X = VectorField.of({Jet(fld, mi): Expr.const(1)})
+            X = {Jet(fld, mi): ONE}
             mi_s = ",".join(map(str, mi))
             rows.append(Equation(f"dphi:{fld}[{mi_s}]", coefficient(X), ZERO))
         for _, mi, lam in MomentumAssignment.grid_keys(n, (fld,), k):
-            X = VectorField.of({Momentum(fld, mi, lam): Expr.const(1)})
+            X = {Momentum(fld, mi, lam): ONE}
             mi_s = ",".join(map(str, mi))
             rows.append(Equation(f"dp:{fld}[{mi_s};{lam}]",
                                  coefficient(X), ZERO))
     return EquationSet(rows)
 
 
-@dataclass(frozen=True)
-class GalileiReport:
-    """Residual forms of the boosted-frame identities; all must vanish."""
-
-    rows: tuple
-
-    def all_zero(self) -> bool:
-        return all(form.is_zero() for _, form in self.rows)
-
-
-def galilei_transform_check() -> GalileiReport:
-    """The boosted-frame check on the mechanics example.
+def galilei_transform_check() -> tuple:
+    """The boosted-frame check on the mechanics example: the (label, form)
+    rows of residual forms, all of which must vanish.
 
     In the frame moving with velocity V: Q = q - V t, P = p - m V and
     H' = H - p V + (m/2) V^2.  The primitive shifts by the closed form
@@ -136,4 +128,4 @@ def galilei_transform_check() -> GalileiReport:
     once = theta_of(*boost(q, p, H, V1 + V2))
     rows.append(("boost-composition",
                  exterior_derivative(twice) - exterior_derivative(once)))
-    return GalileiReport(rows=tuple(rows))
+    return tuple(rows)

@@ -4,13 +4,11 @@ ones)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coords import Jet, Momentum
 from .expr import (Expr, OpaqueCall, ZERO, _akey, gradient,
                    total_derivative_multi)
-from .forms import VectorField
 from .multiindex import multiindices_up_to
 
 
@@ -18,30 +16,24 @@ class ProlongationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class VerticalField:
-    """Per-field coefficients psi against d/dphi; no momentum dependence."""
-
-    coefficients: dict
-
-    def __post_init__(self):
-        for fld, psi in self.coefficients.items():
-            for c in sorted(psi.free_coordinates(), key=_akey):
-                if isinstance(c, Momentum):
-                    raise ProlongationError(
-                        f"vertical field coefficient for {fld} contains {c!r}")
-
-
-def prolong_vertical_field(X: VerticalField, n: int,
-                           target_order: int, order_cap: int = 12) -> VectorField:
-    """The contact-preserving lift: the d/dphi_mu coefficient is the
-    iterated total derivative D_mu(psi), for 0 <= |mu| <= target_order."""
-    comps = {}
-    for fld, psi in X.coefficients.items():
+def prolong_vertical_field(coefficients: dict, n: int, target_order: int,
+                           order_cap: int = 12) -> dict:
+    """The contact-preserving lift of the vertical field with coefficients
+    {field: psi} against d/dphi: the d/dphi_mu coefficient is the iterated
+    total derivative D_mu(psi), for 0 <= |mu| <= target_order.  Returns the
+    nonzero coefficients {Jet: Expr}.  No psi may depend on momenta."""
+    for fld, psi in coefficients.items():
+        for c in sorted(psi.free_coordinates(), key=_akey):
+            if isinstance(c, Momentum):
+                raise ProlongationError(
+                    f"vertical field coefficient for {fld} contains {c!r}")
+    lifted = {}
+    for fld, psi in coefficients.items():
         for mi in multiindices_up_to(n, target_order):
-            comps[Jet(fld, mi)] = total_derivative_multi(psi, mi,
-                                                         order_cap=order_cap)
-    return VectorField.of(comps)
+            d = total_derivative_multi(psi, mi, order_cap=order_cap)
+            if not d.is_zero():
+                lifted[Jet(fld, mi)] = d
+    return lifted
 
 
 def homogeneous_degree(Q: Expr, variables) -> int:

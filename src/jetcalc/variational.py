@@ -18,7 +18,6 @@ serves both the canonical momenta and the gauge propagation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,11 +32,15 @@ class VariationalError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Equation:
-    label: str
-    lhs: Expr
-    rhs: Expr
+    """One labelled equation lhs = rhs."""
+
+    __slots__ = ("label", "lhs", "rhs")
+
+    def __init__(self, label: str, lhs: Expr, rhs: Expr):
+        self.label = label
+        self.lhs = lhs
+        self.rhs = rhs
 
     def residual(self) -> Expr:
         return self.lhs - self.rhs

@@ -63,7 +63,7 @@ def test_criterion_1_mechanics_reproduction():
 def test_criterion_2_galilei():
     with _Criterion("criterion-2 Galilei check", 1.0):
         report = galilei_transform_check()
-        rows = dict(report.rows)
+        rows = dict(report)
         # theta-shift row already subtracts -mV dq + (m/2)V^2 dt
         assert rows["theta-shift"].is_zero()
         assert rows["omega-invariance"].is_zero()

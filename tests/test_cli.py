@@ -746,7 +746,8 @@ class TestDeterminism:
             "u = Expr.atom(Jet('u', MultiIndex((0,))))\n"
             "p = lambda *mi: Expr.atom(Momentum('u', MultiIndex(mi), 1))\n"
             "for build in (lambda: divergence_lagrangian([p(1) * u + p(0)]),\n"
-            "              lambda: VerticalField({'u': u * p(1) + p(0)})):\n"
+            "              lambda: prolong_vertical_field({'u': u * p(1) + p(0)},"
+            " 1, 1)):\n"
             "    try:\n"
             "        build()\n"
             "    except ValueError as exc:\n"
@@ -763,3 +764,17 @@ class TestDeterminism:
         assert outputs == {
             "F^1 contains a momentum atom p[u;0;1]\n"
             "vertical field coefficient for u contains p[u;0;1]\n"}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the results are plain values and the records plain __slots__
+    # classes, so loading the command line pulls in neither dataclasses
+    # nor the inspect module that dataclasses imports
+    snippet = ("import sys, jetcalc.cli\n"
+               "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(jetcalc.__file__))
+    proc = subprocess.run([sys.executable, "-c", snippet],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -624,6 +624,45 @@ def _workloads():
     return module
 
 
+# -- the equality that the differential tests compare with ---------------------
+
+_U = Expr.atom(Jet("u", MultiIndex((1, 0))))
+_RECORD = dict(n=2, fields=("u", "v"), k=2, lagrangian=_U ** 2,
+               constraints=(_U,), params=("a",), opaques={"U": 2})
+_RECORD_CHANGED = dict(n=3, fields=("u",), k=3, lagrangian=_U ** 3,
+                       constraints=(), params=("a", "b"), opaques={"U": 1})
+
+
+def _file(**changes):
+    pf = ProblemFile(LagrangianProblem(**_RECORD))
+    pf.section = {Jet("u", MultiIndex((0, 0))): Expr.atom(Base(1))}
+    pf.fvector = [_U, Expr()]
+    pf.vfields = {"u": _U}
+    pf.poly = _U ** 2
+    for name, value in changes.items():
+        setattr(pf, name, value)
+    return pf
+
+
+_FILE_CHANGED = dict(problem=LagrangianProblem(**dict(_RECORD, k=3)),
+                     section=None, fvector=[_U], vfields={}, poly=None)
+
+
+@pytest.mark.parametrize("name", sorted(_RECORD_CHANGED))
+def test_problem_equality_covers_every_field(name):
+    assert set(_RECORD_CHANGED) == set(LagrangianProblem.__slots__)
+    assert LagrangianProblem(**_RECORD) == LagrangianProblem(**_RECORD)
+    changed = LagrangianProblem(**dict(_RECORD, **{name: _RECORD_CHANGED[name]}))
+    assert changed != LagrangianProblem(**_RECORD)
+
+
+@pytest.mark.parametrize("name", sorted(_FILE_CHANGED))
+def test_problem_file_equality_covers_every_field(name):
+    assert set(_FILE_CHANGED) == set(ProblemFile.__slots__)
+    assert _file() == _file()
+    assert _file(**{name: _FILE_CHANGED[name]}) != _file()
+
+
 # -- fixed inputs --------------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(CORPUS_TEXTS))

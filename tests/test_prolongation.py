@@ -11,8 +11,8 @@ from jetcalc import (Base, Expr, Jet, LagrangianProblem, MultiIndex,
 from jetcalc.expr import ZERO
 from jetcalc.forms import holonomic_section
 from jetcalc.multiindex import multiindices_up_to
-from jetcalc.prolongation import (ProlongationError, VerticalField,
-                                  gram_matrix, homogeneous_degree, polarize,
+from jetcalc.prolongation import (ProlongationError, gram_matrix,
+                                  homogeneous_degree, polarize,
                                   prolong_vertical_field, resymmetrize)
 from jetcalc.randgen import (random_polynomial, random_section_profiles,
                              random_vertical_coefficient)
@@ -26,24 +26,24 @@ def jet(fld, *mi):
 
 class TestProlongation:
     def test_quadratic_coefficient(self):
-        X = VerticalField({"u": jet("u", 0) ** 2})
+        X = {"u": jet("u", 0) ** 2}
         lifted = prolong_vertical_field(X, n=1, target_order=1)
-        assert lifted.component(Jet("u", MI((0,)))) == jet("u", 0) ** 2
-        assert lifted.component(Jet("u", MI((1,)))) == \
+        assert lifted.get(Jet("u", MI((0,))), ZERO) == jet("u", 0) ** 2
+        assert lifted.get(Jet("u", MI((1,))), ZERO) == \
             2 * jet("u", 0) * jet("u", 1)
 
     def test_constant_field(self):
-        X = VerticalField({"u": Expr.const(1)})
+        X = {"u": Expr.const(1)}
         lifted = prolong_vertical_field(X, n=1, target_order=2)
-        assert lifted.component(Jet("u", MI((0,)))) == Expr.const(1)
-        assert lifted.component(Jet("u", MI((1,)))).is_zero()
-        assert lifted.component(Jet("u", MI((2,)))).is_zero()
+        assert lifted.get(Jet("u", MI((0,))), ZERO) == Expr.const(1)
+        assert lifted.get(Jet("u", MI((1,))), ZERO).is_zero()
+        assert lifted.get(Jet("u", MI((2,))), ZERO).is_zero()
 
     def test_first_jet_coefficient(self):
-        X = VerticalField({"u": jet("u", 1)})
+        X = {"u": jet("u", 1)}
         lifted = prolong_vertical_field(X, n=1, target_order=2)
-        assert lifted.component(Jet("u", MI((1,)))) == jet("u", 2)
-        assert lifted.component(Jet("u", MI((2,)))) == jet("u", 3)
+        assert lifted.get(Jet("u", MI((1,))), ZERO) == jet("u", 2)
+        assert lifted.get(Jet("u", MI((2,))), ZERO) == jet("u", 3)
 
     def test_truncated_formula_at_first_order(self):
         # for psi = psi(x, phi) the lift coefficient at order one is
@@ -54,13 +54,13 @@ class TestProlongation:
             atoms = [Base(mu) for mu in range(1, n + 1)] + \
                 [Jet("u", MI((0,) * n))]
             psi = random_polynomial(rng, atoms, 3, 3)
-            lifted = prolong_vertical_field(VerticalField({"u": psi}),
+            lifted = prolong_vertical_field({"u": psi},
                                             n=n, target_order=1)
             for mu in range(1, n + 1):
                 truncated = partial_derivative(psi, Base(mu)) + \
                     Expr.atom(Jet("u", MI.unit(n, mu))) * \
                     partial_derivative(psi, Jet("u", MI((0,) * n)))
-                assert lifted.component(Jet("u", MI.unit(n, mu))) == truncated
+                assert lifted.get(Jet("u", MI.unit(n, mu)), ZERO) == truncated
 
     def test_contact_preservation_on_sections(self):
         # D_mu(psi) evaluated on a holonomic jet equals the base derivative
@@ -73,11 +73,11 @@ class TestProlongation:
             psi = random_vertical_coefficient(rng, n, jet_order=1)
             prob = LagrangianProblem(n, ("u",), max(k, 2), ZERO)
             profiles = random_section_profiles(rng, prob)
-            lifted = prolong_vertical_field(VerticalField({"u": psi}),
+            lifted = prolong_vertical_field({"u": psi},
                                             n=n, target_order=k)
             sigma = holonomic_section(prob, profiles, jet_order=k + 1)
             for mi in multiindices_up_to(n, k):
-                on_jet = sigma.evaluate(lifted.component(Jet("u", mi)))
+                on_jet = sigma.evaluate(lifted.get(Jet("u", mi), ZERO))
                 direct = total_derivative_multi(sigma.evaluate(psi), mi)
                 assert on_jet == direct
 
