@@ -1,15 +1,21 @@
 """Exact symbolic expressions over phase-bundle coordinates.
 
 An ``Expr`` is kept permanently in canonical form: an expanded multivariate
-polynomial over its atoms with reduced rational coefficients, atoms sorted by
-the fixed coordinate order and like terms merged.  Equality of canonical
-forms therefore decides equality of the underlying functions, which is what
-every theorem check in the package reduces to.
+polynomial over its atoms with rational coefficients, atoms sorted by the
+fixed coordinate order and like terms merged.  Equality of canonical forms
+therefore decides equality of the underlying functions, which is what every
+theorem check in the package reduces to.
 
-A stored coefficient is a nonzero ``int``, or a ``Fraction`` whose
-denominator is not 1: integral results are stored as ``int``, so the common
-integer case never pays for ``Fraction`` arithmetic, and every quotient of
-coefficients goes through ``Fraction`` (never ``int / int``).
+The coefficients are stored as FLINT's ``fmpq_poly_t`` stores them: one
+nonzero ``int`` numerator per monomial in ``_terms`` and one positive common
+denominator ``_den``, with gcd(``_den``, every numerator) = 1, so ``_den``
+is 1 exactly when every coefficient is an integer and the pair is unique.
+The kernel computes on ints alone: a sum scales its operands to the lcm of
+their denominators, and a product multiplies numerators and denominators
+after cancelling each denominator against the other factor's integer
+content.  Only ``as_fraction`` builds a ``Fraction``; the printers reduce
+each coefficient c/den with one gcd as they print it.  ``parts`` hands the
+pair to the other modules.
 
 Atoms are the coordinates of :mod:`jetcalc.coords` plus opaque function
 applications.  They are interned (one object per value), so monomials
@@ -18,8 +24,9 @@ when it was built and print them with the DSL string stored next to it.
 Parameters may carry negative exponents (they are symbolic constants, so
 1/m is legal); every other atom is restricted to a plain polynomial role.
 
-Building an ``Expr`` sets only its term dict.  Its canonical sort key and
-its hash are computed on first use (the first ``hash`` or ``==``) and kept.
+Building an ``Expr`` sets only its term dict and denominator.  Its
+canonical sort key and its hash are computed on first use (the first
+``hash`` or ``==``) and kept.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import chain
+from itertools import chain, count
+from math import gcd
 from numbers import Rational
 
 from .coords import (AtomBase, Base, Coordinate, Jet, Momentum, Multiplier,
@@ -117,50 +125,47 @@ def _mul_monomials(m1, m2):
     return tuple(out)
 
 
-def _coeff(value):
-    """``value`` in stored form: an ``int`` when integral, else a
-    ``Fraction``.  A float or any other non-rational type is refused."""
+def _ratio(value):
+    """``value`` as a pair (numerator, denominator) of ints in lowest
+    terms, the denominator positive.  A float or any other non-rational
+    type is refused."""
     if value.__class__ is int:
-        return value
+        return value, 1
     if value.__class__ is not Fraction:
         if not isinstance(value, Rational):
             raise TypeError(f"coefficient {value!r} is not an int or a Fraction")
         value = Fraction(value)
-    return value if value.denominator != 1 else value.numerator
+    return value.numerator, value.denominator
 
 
 class Expr:
     """Immutable canonical expression.  Construct via :meth:`const`,
     :meth:`atom` and arithmetic; never mutate ``_terms``."""
 
-    __slots__ = ("_terms", "_hash", "_cached_key")
+    __slots__ = ("_terms", "_den", "_hash", "_cached_key")
 
     def __init__(self, terms: dict | None = None):
         clean = {}
+        den = 1
         if terms:
             for mon, coeff in terms.items():
                 if any(e < 0 and not isinstance(a, Parameter) for a, e in mon):
                     raise ExprError("negative power of a non-parameter atom")
-                c = _coeff(coeff)
-                if c:
-                    clean[mon] = c
+                n, d = _ratio(coeff)
+                if n:
+                    clean[mon] = n, d
+                    den = den * d // gcd(den, d)
+            # every prime of the lcm divides one denominator to its full
+            # power, and that term's scaled numerator is prime to it
+            clean = {m: n * (den // d) for m, (n, d) in clean.items()}
         _set_terms(self, clean)
-
-    @classmethod
-    def _trusted(cls, terms: dict) -> "Expr":
-        """Adopt ``terms`` as is: every coefficient must already be in stored
-        form, a nonzero ``int`` or a ``Fraction`` with denominator other
-        than 1, and every monomial a sorted tuple of (interned atom,
-        exponent) pairs.  The dict is owned by the new Expr from here on."""
-        e = object.__new__(cls)
-        _set_terms(e, terms)
-        return e
+        _set_den(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("Expr is immutable")
 
     def __reduce__(self):
-        return Expr._trusted, (self._terms,)
+        return _trusted, (self._terms, self._den)
 
     # -- constructors ------------------------------------------------------
 
@@ -169,18 +174,30 @@ class Expr:
         """The sum of an iterable of expressions (or numbers), collected into
         one term dict: linear in the total number of terms."""
         acc: dict = {}
+        den = 1
         for e in items:
-            _fold(acc, _coerce(e)._terms.items())
-        return Expr._trusted(acc)
+            if e.__class__ is not Expr:
+                e = _coerce(e)
+            if e._den == den:
+                _fold(acc, e._terms.items())
+            else:
+                den = _fold_over(acc, den, e._terms.items(), e._den)
+        return _make(acc, den)
 
     @staticmethod
     def const(value) -> "Expr":
-        c = _coeff(value)
-        return Expr._trusted({(): c} if c else {})
+        n, d = _ratio(value)
+        return _trusted({(): n}, d) if n else _trusted({})
 
     @staticmethod
     def atom(a: Atom) -> "Expr":
-        return Expr._trusted({((a, 1),): 1})
+        return _trusted({((a, 1),): 1})
+
+    def parts(self) -> tuple:
+        """``(terms, den)``: the integer numerator of each monomial and the
+        common denominator, so the coefficient of ``m`` is terms[m] / den.
+        The dict is the Expr's own; read it, never change it."""
+        return self._terms, self._den
 
     # -- canonical identity ------------------------------------------------
 
@@ -188,10 +205,12 @@ class Expr:
         try:
             return self._cached_key
         except AttributeError:
+            # each coefficient as a pair in lowest terms
+            den = self._den
             k = tuple(
                 sorted(
                     ((tuple((_akey(a), e) for a, e in m),
-                      (c.numerator, c.denominator))
+                      (c, 1) if den == 1 else _lowest(c, den))
                      for m, c in self._terms.items())
                 )
             )
@@ -222,22 +241,27 @@ class Expr:
             return Fraction(0)
         if not self.is_constant():
             raise ExprError(f"not a constant: {self}")
-        return Fraction(next(iter(self._terms.values())))
+        return Fraction(self._terms[()], self._den)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        big, small = self._terms, _coerce(other)._terms
-        if len(big) < len(small):
+        if other.__class__ is not Expr:
+            other = _coerce(other)
+        big, small = self, other
+        if len(big._terms) < len(small._terms):
             big, small = small, big
-        acc = dict(big)
-        _fold(acc, small.items())
-        return Expr._trusted(acc)
+        acc = dict(big._terms)
+        if big._den == small._den == 1:
+            _fold(acc, small._terms.items())
+            return _trusted(acc)
+        return _make(acc, _fold_over(acc, big._den, small._terms.items(),
+                                     small._den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr._trusted({m: -c for m, c in self._terms.items()})
+        return _trusted({m: -c for m, c in self._terms.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -246,9 +270,20 @@ class Expr:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
+        if other.__class__ is not Expr:
+            other = _coerce(other)
+        t1, d1, t2, d2 = self._terms, self._den, other._terms, other._den
+        # Each denominator is cancelled against the other factor's content
+        # first.  Then each is prime to both contents, and the content of a
+        # product of integer polynomials is the product of their contents
+        # (Gauss), so the product is in lowest terms as it comes.
+        if d1 != 1:
+            t2, d1 = _cancel(t2, d1)
+        if d2 != 1:
+            t1, d2 = _cancel(t1, d2)
         acc: dict = {}
-        _fold(acc, _mul_terms(self._terms, _coerce(other)._terms))
-        return Expr._trusted(acc)
+        _fold(acc, _mul_terms(t1, t2))
+        return _trusted(acc, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -260,16 +295,17 @@ class Expr:
         terms = self._terms
         # The cost follows the number of terms in the result: a monomial
         # power is one term, a square one product, and a higher power of a
-        # sum one pass over its multinomial expansion.  A nonzero stored
-        # coefficient to a positive power is again in stored form.
+        # sum one pass over its multinomial expansion.  A power of a content
+        # prime to the denominator stays prime to its power.
         if len(terms) <= 1:
-            return Expr._trusted({tuple((a, e * exponent) for a, e in mon):
-                                  c ** exponent for mon, c in terms.items()})
+            return _trusted({tuple((a, e * exponent) for a, e in mon):
+                             c ** exponent for mon, c in terms.items()},
+                            self._den ** exponent)
         if exponent <= 2:
             return self if exponent == 1 else self * self
         acc: dict = {}
         _fold(acc, _multinomial_terms(list(terms.items()), exponent))
-        return Expr._trusted(acc)
+        return _trusted(acc, self._den ** exponent)
 
     def __truediv__(self, other):
         return divide(self, _coerce(other))
@@ -286,9 +322,8 @@ class Expr:
         """All coordinate atoms, including those buried in opaque arguments."""
         out: set = set()
         for a in self.atoms():
-            if isinstance(a, OpaqueCall):
-                for arg in a.args:
-                    out |= arg.free_coordinates()
+            if a.__class__ is OpaqueCall:
+                out |= _call_coordinates(a)
             else:
                 out.add(a)
         return out
@@ -298,11 +333,38 @@ class Expr:
         return max(orders, default=0)
 
 
-# The slot's own setter, past the immutability guard of ``__setattr__``.
+# The slots' own setters, past the immutability guard of ``__setattr__``.
+_new = object.__new__
 _set_terms = Expr._terms.__set__
+_set_den = Expr._den.__set__
+
+
+def _trusted(terms: dict, den: int = 1) -> "Expr":
+    """Adopt ``terms`` over ``den`` as they are: every numerator must be a
+    nonzero ``int``, ``den`` positive and prime to their gcd, and every
+    monomial a sorted tuple of (interned atom, exponent) pairs.  The dict
+    is owned by the new Expr from here on."""
+    e = _new(Expr)
+    _set_terms(e, terms)
+    _set_den(e, den)
+    return e
+
 
 ZERO = Expr()
 ONE = Expr.const(1)
+
+# The coordinates in the arguments of each opaque call, by interned call.
+_CALL_COORDINATES: dict = {}
+
+
+def _call_coordinates(a: OpaqueCall) -> frozenset:
+    """The coordinates the arguments of the opaque call ``a`` hold, nested
+    calls included; formed once per call."""
+    s = _CALL_COORDINATES.get(a)
+    if s is None:
+        s = _CALL_COORDINATES[a] = frozenset().union(
+            *(arg.free_coordinates() for arg in a.args))
+    return s
 
 
 def _coerce(v) -> Expr:
@@ -313,41 +375,77 @@ def _coerce(v) -> Expr:
     raise TypeError(f"cannot coerce {v!r} to Expr")
 
 
+def _lowest(c: int, den: int) -> tuple:
+    """The coefficient c/den as a pair in lowest terms."""
+    g = gcd(c, den)
+    return c // g, den // g
+
+
+def _make(terms: dict, den: int) -> Expr:
+    """The Expr of the numerators ``terms`` over ``den``, reduced by their
+    common gcd with ``den``; the dict is owned by the result."""
+    if den != 1:
+        terms, den = _cancel(terms, den)
+    return _trusted(terms, den)
+
+
+def _cancel(terms: dict, den: int) -> tuple:
+    """``(terms / g, den / g)`` for g the gcd of ``den`` and the
+    numerators: the terms themselves when g is 1."""
+    g = gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {m: c // g for m, c in terms.items()}, den // g
+
+
 def _fold(acc: dict, terms) -> None:
-    """Add (monomial, coefficient) pairs into ``acc`` in place.  Monomials
-    that cancel are deleted and integral sums stored as ``int``, so ``acc``
-    keeps only nonzero coefficients in stored form."""
+    """Add (monomial, numerator) pairs into ``acc`` in place.  Monomials
+    that cancel are deleted, so ``acc`` keeps only nonzero numerators."""
     for m, c in terms:
         s = acc.get(m)
         if s is None:
             acc[m] = c
         else:
             s += c
-            if not s:
-                del acc[m]
-            elif s.__class__ is int or s.denominator != 1:
+            if s:
                 acc[m] = s
             else:
-                acc[m] = s.numerator
+                del acc[m]
+
+
+def _fold_over(acc: dict, den: int, terms, d: int) -> int:
+    """Add the (monomial, numerator) pairs ``terms`` over ``d`` into the
+    numerators ``acc`` over ``den``, in place, both scaled to the lcm of
+    the two denominators, which is returned.  Equal denominators (1 for
+    integer sums) scale nothing.  The sum is not reduced (see ``_make``)."""
+    if d != den:
+        g = gcd(den, d)
+        if d != g:
+            s = d // g
+            for m in acc:
+                acc[m] *= s
+            den *= s
+        if d != den:
+            s = den // d
+            terms = ((m, c * s) for m, c in terms)
+    _fold(acc, terms)
+    return den
 
 
 def _mul_terms(t1: dict, t2: dict):
-    """The (monomial, coefficient) pairs of the product of two term dicts,
-    like terms not yet merged, coefficients in stored form."""
+    """The (monomial, numerator) pairs of the product of two term dicts,
+    like terms not yet merged."""
     for m1, c1 in t1.items():
         for m2, c2 in t2.items():
-            c = c1 * c2
-            if c.__class__ is not int and c.denominator == 1:
-                c = c.numerator
-            yield _mul_monomials(m1, m2), c
+            yield _mul_monomials(m1, m2), c1 * c2
 
 
 def _multinomial_terms(items: list, d: int):
-    """The (monomial, coefficient) pairs of ``(c1*m1 + ... + cr*mr)^d``
-    for the ``(mi, ci)`` in ``items``, by the multinomial theorem: one pair
+    """The (monomial, numerator) pairs of ``(c1*m1 + ... + cr*mr)^d`` for
+    the ``(mi, ci)`` in ``items``, by the multinomial theorem: one pair
     per composition k1 + ... + kr = d, with coefficient
     d!/(k1!...kr!) * prod ci^ki and monomial prod mi^ki.  Like terms are
-    not yet merged; coefficients are in stored form.
+    not yet merged.
 
     Each term's powers are formed once.  The compositions are built one
     term at a time, and the multinomial factor as the product of the
@@ -369,10 +467,7 @@ def _multinomial_terms(items: list, d: int):
         partial = grown
     for left, mon, coeff in partial:
         pm, pc = last[left]
-        c = coeff * pc
-        if c.__class__ is not int and c.denominator == 1:
-            c = c.numerator
-        yield (_mul_monomials(mon, pm) if left else mon), c
+        yield (_mul_monomials(mon, pm) if left else mon), coeff * pc
 
 
 # -- differentiation -------------------------------------------------------
@@ -419,25 +514,48 @@ def _derive(e: Expr, atom_rule) -> Expr:
     Each term of a rule is folded in with the rest of the monomial as one
     pair, so a rule of one term (a jet or momentum under D_lam, a
     coordinate hit by a partial derivative) costs one product of
-    monomials."""
+    monomials.  The rules' numerators are kept over the lcm of their
+    denominators, which is 1 unless a chain rule through an opaque call
+    brings a fraction."""
     acc: dict = {}
     rules: dict = {}
+    den = 1
     for mon, coeff in e._terms.items():
         for i, (a, exp) in enumerate(mon):
             da = rules.get(a)
             if da is None:
-                da = rules[a] = atom_rule(a)._terms
+                r = atom_rule(a)
+                da = r._terms
+                if r._den != den:
+                    da, den = _over_rules(rules, acc, da, r._den, den)
+                rules[a] = da
             if not da:
                 continue
             rest = mon[:i] + ((a, exp - 1),) if exp != 1 else mon[:i]
             rest += mon[i + 1:]
             ce = coeff * exp
             for dm, dc in da.items():
-                c = ce * dc
-                if c.__class__ is not int and c.denominator == 1:
-                    c = c.numerator
-                _fold(acc, ((_mul_monomials(rest, dm) if dm else rest, c),))
-    return Expr._trusted(acc)
+                _fold(acc, ((_mul_monomials(rest, dm) if dm else rest,
+                             ce * dc),))
+    return _make(acc, den * e._den)
+
+
+def _over_rules(rules: dict, acc: dict, terms: dict, d: int, den: int):
+    """A new rule's numerators ``terms`` over ``d``, and the common
+    denominator of the rules so far (``den``) and it; the kept rules and
+    ``acc`` are scaled in place when that denominator grows."""
+    g = gcd(den, d)
+    if d != g:
+        s = d // g
+        for m in acc:
+            acc[m] *= s
+        for a, t in rules.items():
+            rules[a] = {m: c * s for m, c in t.items()}
+        den *= s
+    if d != den:
+        s = den // d
+        terms = {m: c * s for m, c in terms.items()}
+    return terms, den
 
 
 def gradient(e: Expr, coords) -> dict:
@@ -449,7 +567,8 @@ def gradient(e: Expr, coords) -> dict:
     lowering its exponent by one is injective on the terms that hold it and
     keeps the factor order, so every entry is written once, with no fold.
     The terms holding an opaque call (which sorts last in a monomial) go
-    through the chain rule of ``_derive``, for the coordinates they hold."""
+    through the chain rule of ``_derive``, for the coordinates they hold
+    as factors or in the arguments of their calls."""
     want = set(coords)
     acc: dict = {}
     through: dict = {}
@@ -460,29 +579,44 @@ def gradient(e: Expr, coords) -> dict:
         for i, (a, exp) in enumerate(mon):
             if a in want:
                 rest = mon[:i] + ((a, exp - 1),) if exp != 1 else mon[:i]
-                c = coeff * exp
-                if c.__class__ is not int and c.denominator == 1:
-                    c = c.numerator
                 terms = acc.get(a)
                 if terms is None:
                     terms = acc[a] = {}
-                terms[rest + mon[i + 1:]] = c
-    if through:
-        T = Expr._trusted(through)
-        for c in sorted(want & T.free_coordinates(), key=_akey):
-            # each monomial of d holds an opaque call and none above does,
-            # so the two parts of an entry add without a fold
-            d = _derive(T, lambda a: _atom_partial(a, c))._terms
-            if d:
-                acc.setdefault(c, {}).update(d)
-    return {c: Expr._trusted(terms) for c, terms in acc.items()}
+                terms[rest + mon[i + 1:]] = coeff * exp
+    den = e._den
+    if not through:
+        return {c: _make(terms, den) for c, terms in acc.items()}
+    # den times the terms with a call, an integer polynomial, is derived
+    T = _trusted(through)
+    hit = set()
+    for mon in through:
+        for a, _ in mon:
+            if a.__class__ is OpaqueCall:
+                hit |= want & _call_coordinates(a)
+            elif a in want:
+                hit.add(a)
+    extra = {}
+    for c in sorted(hit, key=_akey):
+        d = _derive(T, lambda a: _atom_partial(a, c))
+        if d._terms:
+            extra[c] = d
+    out = {}
+    for c, terms in acc.items():
+        d = extra.pop(c, None)
+        # each monomial of d holds a call and none of terms does, so the
+        # two add without cancelling
+        out[c] = _make(terms, den if d is None else _fold_over(
+            terms, den, d._terms.items(), d._den * den))
+    for c, d in extra.items():
+        out[c] = d if den == 1 else _make(d._terms, d._den * den)
+    return out
 
 
 def partial_derivative(e: Expr, c: Coordinate) -> Expr:
     """Formal partial derivative; every other coordinate is independent."""
     d = gradient(e, (c,)).get(c)
     # a fresh zero, not the shared ZERO: a derivation builds its result
-    return Expr._trusted({}) if d is None else d
+    return _trusted({}) if d is None else d
 
 
 def total_derivative(e: Expr, lam: int) -> Expr:
@@ -530,14 +664,15 @@ def substitute(e: Expr, mapping: dict) -> Expr:
 
     Each term keeps the factors the mapping leaves alone as one monomial
     and multiplies in only the powers of its mapped values, term by term;
-    every expanded pair is folded into one dict for the whole call.  A
-    mapped parameter at a negative power divides its term by the value's
-    power, with ``divide``."""
+    every expanded pair is folded into one dict for the whole call, over
+    the lcm of the terms' denominators.  A mapped parameter at a negative
+    power divides its term by the value's power, with ``divide``."""
     acc: dict = {}
+    den = 1
     for mon, coeff in e._terms.items():
         kept = []
         powers = []
-        den = None
+        div = None
         for a, exp in mon:
             if a.__class__ is OpaqueCall:
                 b = OpaqueCall(a.name, a.derivs, tuple(
@@ -553,24 +688,29 @@ def substitute(e: Expr, mapping: dict) -> Expr:
                 kept.append((a, exp))
                 continue
             if exp > 0:
-                powers.append((val if exp == 1 else val ** exp)._terms)
+                powers.append(val if exp == 1 else val ** exp)
             else:
-                den = val ** -exp if den is None else den * val ** -exp
+                div = val ** -exp if div is None else div * val ** -exp
         terms = {tuple(kept): coeff}
+        # the term's numerators over tden, not reduced until the end
+        tden = e._den
         # products of different values can collide, so each is merged
         # before the next; the last one folds straight into acc
-        last = powers.pop() if powers and den is None else None
+        last = powers.pop() if powers and div is None else None
         for p in powers:
             product: dict = {}
-            _fold(product, _mul_terms(terms, p))
+            _fold(product, _mul_terms(terms, p._terms))
             terms = product
+            tden *= p._den
         if last is not None:
-            _fold(acc, _mul_terms(terms, last))
-        elif den is not None:
-            _fold(acc, divide(Expr._trusted(terms), den)._terms.items())
+            den = _fold_over(acc, den, _mul_terms(terms, last._terms),
+                             tden * last._den)
+        elif div is not None:
+            q = divide(_make(terms, tden), div)
+            den = _fold_over(acc, den, q._terms.items(), q._den)
         else:
-            _fold(acc, terms.items())
-    return Expr._trusted(acc)
+            den = _fold_over(acc, den, terms.items(), tden)
+    return _make(acc, den)
 
 
 # -- division --------------------------------------------------------------
@@ -581,14 +721,16 @@ def _div_single_term(num: Expr, den: Expr) -> Expr:
     parameter atoms may be carried into negative (Laurent) powers."""
     ((dmon, dcoeff),) = den._terms.items()
     neg = tuple((a, -e) for a, e in dmon)
+    # num / (dcoeff/dden * dmon) = num * dden / dcoeff / dmon
+    scale = den._den if dcoeff > 0 else -den._den
     terms = {}
     for mon, coeff in num._terms.items():
         m = _mul_monomials(mon, neg)
         if any(e < 0 and not isinstance(a, Parameter) for a, e in m):
             raise ExprError(f"division by non-constant expression: {den}")
-        terms[m] = _coeff(Fraction(coeff, dcoeff))
+        terms[m] = coeff * scale
     # Distinct monomials stay distinct and no coefficient becomes zero.
-    return Expr._trusted(terms)
+    return _make(terms, num._den * abs(dcoeff))
 
 
 def _cmp_monomials(m1, m2) -> int:
@@ -652,16 +794,21 @@ def divide(num: Expr, den: Expr) -> Expr:
     if den.is_zero():
         raise ExprError("division by zero")
     if den.is_constant():
-        return num * Expr.const(1 / den.as_fraction())
+        # the reciprocal of c/dden is dden/c
+        ((_, c),) = den._terms.items()
+        return num * _trusted({(): den._den if c > 0 else -den._den}, abs(c))
     if len(den._terms) == 1:
         return _div_single_term(num, den)
     content = _parameter_floor(den)
     clear = tuple((p, -k) for p, k in _parameter_floor(num) if k < 0)
-    divisor = _div_single_term(den, Expr._trusted({content: 1})) \
+    divisor = _div_single_term(den, _trusted({content: 1})) \
         if content else den
     lead_mon, lead_coeff = _lead(divisor)
+    # a quotient term's coefficient is (r/rden) / (lead/dden)
+    lead_scale = divisor._den if lead_coeff > 0 else -divisor._den
+    lead_coeff = abs(lead_coeff)
     quotient = ZERO
-    rem = num * Expr._trusted({clear: 1}) if clear else num
+    rem = num * _trusted({clear: 1}) if clear else num
     steps = 0
     while not rem.is_zero():
         steps += 1
@@ -671,11 +818,12 @@ def divide(num: Expr, den: Expr) -> Expr:
         qmon = _div_monomials(rmon, lead_mon)
         if qmon is None:
             raise ExprError(f"inexact division: {num} by {den}")
-        qterm = Expr({qmon: Fraction(rcoeff, lead_coeff)})
+        n, d = _lowest(rcoeff * lead_scale, rem._den * lead_coeff)
+        qterm = _trusted({qmon: n}, d)
         quotient = quotient + qterm
         rem = rem - qterm * divisor
     shift = _mul_monomials(content, clear)
-    return _div_single_term(quotient, Expr._trusted({shift: 1})) \
+    return _div_single_term(quotient, _trusted({shift: 1})) \
         if shift else quotient
 
 
@@ -707,17 +855,25 @@ def _factor_key(factor):
     return factor[0]._sort_key, factor[1]
 
 
+# From this many terms on, ``_ranked`` ranks the distinct entries first;
+# below it, sorting by the entries' keys costs less (measured crossover:
+# 24 to 28 terms).
+_RANK_MIN_TERMS = 24
+
+
 def _ranked(terms: dict, key) -> list:
     """The items of ``terms``, a dict keyed by tuples, in the lexicographic
-    order of the tuples with each entry compared by ``key``.  The distinct
-    entries are ranked once, so the tuples sort as flat tuples of small
-    ints; a single item is not sorted."""
-    items = list(terms.items())
-    if len(items) < 2:
-        return items
-    rank = {f: i for i, f in enumerate(
-        sorted(set(chain.from_iterable(terms)), key=key))}
-    return sorted(items, key=lambda item: tuple(map(rank.__getitem__, item[0])))
+    order of the tuples with each entry compared by ``key``: sorted by the
+    tuples of the entries' keys.  When there are many terms, which share
+    entries, the distinct entries are ranked once and the tuples sort as
+    flat tuples of small ints instead.  A single item is not sorted."""
+    if len(terms) < 2:
+        return list(terms.items())
+    rank = key
+    if len(terms) >= _RANK_MIN_TERMS:
+        rank = dict(zip(sorted(set(chain.from_iterable(terms)), key=key),
+                        count())).__getitem__
+    return sorted(terms.items(), key=lambda item: tuple(map(rank, item[0])))
 
 
 _PARAMETER_OR_CALL = (Parameter, OpaqueCall)
@@ -725,11 +881,12 @@ _PARAMETER_OR_CALL = (Parameter, OpaqueCall)
 
 def _join_terms(e: Expr, table, render) -> str:
     """The printers' common core: the terms of ``e`` in canonical order,
-    each rendered without its sign by ``render(monomial, coefficient,
-    texts)``, joined by " + " and " - "; "0" for the zero expression.
+    each rendered without its sign by ``render(monomial, numerator,
+    denominator, texts)``, its coefficient's magnitude reduced to lowest
+    terms, joined by " + " and " - "; "0" for the zero expression.
 
-    One table per call: the distinct (atom, exponent) factors of ``e`` are
-    ranked once to order the terms, and ``texts = table()``, a dict whose
+    The terms are ordered by ``_ranked`` on their (atom, exponent)
+    factors.  One table per call: ``texts = table()``, a dict whose
     ``__missing__`` forms a factor's text, holds each factor's text once.
     A text is formed on its first use, in the order the terms print, so a
     number past the digit limit raises where the first offending term
@@ -739,13 +896,19 @@ def _join_terms(e: Expr, table, render) -> str:
     terms = e._terms
     if not terms:
         return "0"
+    den = e._den
     texts = table()
     out = []
-    for mon, coeff in _ranked(terms, _factor_key):
+    for mon, c in _ranked(terms, _factor_key):
         if mon and mon[-1][0].__class__ in _PARAMETER_OR_CALL:
             mon = _display_sorted(mon)
-        out.append(" - " if coeff.numerator < 0 else " + ")
-        out.append(render(mon, coeff, texts))
+        if c < 0:
+            out.append(" - ")
+            c = -c
+        else:
+            out.append(" + ")
+        n, d = (c, 1) if den == 1 else _lowest(c, den)
+        out.append(render(mon, n, d, texts))
     out[0] = "-" if out[0] == " - " else ""
     return "".join(out)
 
@@ -783,18 +946,17 @@ class _DslTexts(dict):
         return text
 
 
-def _term_dsl(mon, coeff, texts) -> str:
+def _term_dsl(mon, n, d, texts) -> str:
     s = "*".join(map(texts.__getitem__, mon))
     den = ()
     # the parameters come first, and only they carry negative powers
     if mon and mon[0][0].__class__ is Parameter and any(x < 0 for _, x in mon):
         s = "*".join([texts[f] for f in mon if f[1] > 0])
         den = [texts[f] for f in mon if f[1] < 0]
-    n = abs(coeff.numerator)
     if n != 1 or not s:
         s = f"{_digits(n)}*{s}" if s else _digits(n)
-    if coeff.denominator != 1:
-        den = (_digits(coeff.denominator), *den)
+    if d != 1:
+        den = (_digits(d), *den)
     if den:
         s += "/" + (den[0] if len(den) == 1 else "(" + "*".join(den) + ")")
     return s

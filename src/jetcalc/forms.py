@@ -127,7 +127,7 @@ class ExteriorForm:
 def _join_form(a: ExteriorForm, render) -> str:
     """The form printers' common core: the terms of ``a`` in factor order,
     each rendered by ``render(factors, coefficient)``, joined by " + ";
-    "0" for the zero form.  The distinct factors are ranked once."""
+    "0" for the zero form.  ``_ranked`` gives the factor order."""
     if a.is_zero():
         return "0"
     return " + ".join(render(facs, coeff)

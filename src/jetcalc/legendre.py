@@ -6,15 +6,18 @@ admissible Lagrangians are quadratic in the top jets with a
 parameter-constant Hessian block.
 
 One pass over the terms of L reads off L0 (L at x = 0), b (dL/dx at
-x = 0) and the Hessian A in the exchanged jets x by exponent arithmetic;
-a term whose opaque call has an argument depending on x is derived with
-``gradient`` instead, so every entry is exactly the second derivative of L.
+x = 0) and the Hessian A in the exchanged jets x by exponent arithmetic
+on L's integer numerators, each part over L's one denominator (see
+``Expr.parts``); a term whose opaque call has an argument depending on x
+is derived with ``gradient`` instead, so every entry is exactly the second
+derivative of L.
 
 The solve is exact over the parameter-Laurent ring.  One fraction-free
 Bareiss elimination of [A | I] and a back-substitution give det(A) and
 pivot * A^-1, every constant entry a Python int or Fraction and an Expr
 only where a parameter remains; each Cramer numerator is a row of that
-inverse applied to b.  Each Bareiss division is exact in that ring; an
+inverse applied to b, multiplied out on integer numerators over the
+product of the denominators.  Each Bareiss division is exact in that ring; an
 Expr is divided only by ``divide``, the one place that clears negative
 parameter powers, so when A^-1 b is no Laurent polynomial the refusal
 names the last division, adj(A) b by det(A).
@@ -31,8 +34,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coords import Jet, Momentum, Parameter
-from .expr import (Expr, ExprError, OpaqueCall, ZERO, _akey, _coerce, _fold,
-                   _mul_terms, divide, gradient, substitute)
+from .expr import (Expr, ExprError, OpaqueCall, ZERO, _akey, _coerce,
+                   _fold_over, _make, _mul_terms, divide, gradient, substitute)
 from .multiindex import MultiIndex, all_multiindices, multiindices_up_to
 from .problem import LagrangianProblem
 from .variational import (Equation, EquationSet, MomentumAssignment,
@@ -59,12 +62,17 @@ class LegendreData:
         self.inversion = inversion
 
 
+_HALF = Expr.const(Fraction(1, 2))
+
+
 def _entry(e):
     """``e`` as an elimination entry: a constant ``Expr`` becomes its
     ``int`` or ``Fraction`` value, anything else is kept.  So a zero entry
     is the number 0 and an ``Expr`` entry is never zero."""
     if e.__class__ is Expr and e.is_constant():
-        return next(iter(e._terms.values()), 0)
+        terms, den = e.parts()
+        c = terms.get((), 0)
+        return c if den == 1 else Fraction(c, den)
     return e
 
 
@@ -123,11 +131,14 @@ def _row_product(y, b) -> Expr:
     """sum_c y[c] * b[c] for a row of entries ``y`` and Exprs ``b``,
     multiplied and collected term by term."""
     acc: dict = {}
+    den = 1
     for v, e in zip(y, b):
         if v:
-            _fold(acc, _mul_terms(v._terms if v.__class__ is Expr else {(): v},
-                                  e._terms))
-    return Expr._trusted(acc)
+            vt, vd = v.parts() if v.__class__ is Expr else \
+                ({(): v.numerator}, v.denominator)
+            et, ed = e.parts()
+            den = _fold_over(acc, den, _mul_terms(vt, et), vd * ed)
+    return _make(acc, den)
 
 
 def _solve_linear(A, b):
@@ -170,7 +181,7 @@ def _quadratic_split(L: Expr, x: dict):
     dim = len(x)
     L0: dict = {}
     b = [{} for _ in range(dim)]
-    upper: dict = {}        # (i, j) with i <= j -> term dict of A_ij
+    upper: dict = {}        # (i, j) with i <= j -> numerators of A_ij
     through: dict = {}      # the terms with an opaque call depending on x
     seen: dict = {}
 
@@ -181,7 +192,8 @@ def _quadratic_split(L: Expr, x: dict):
                                 for y in arg.free_coordinates())
         return dep
 
-    for mon, c in L._terms.items():
+    terms, den = L.parts()
+    for mon, c in terms.items():
         if any(a.__class__ is OpaqueCall and depends(a) for a, _ in mon):
             through[mon] = c
             continue
@@ -203,19 +215,17 @@ def _quadratic_split(L: Expr, x: dict):
                         continue
                     rest = tuple((a, e - drop.get(a, 0)) for a, e in mon
                                  if e != drop.get(a, 0))
-                    v = c * k
-                    if v.__class__ is not int and v.denominator == 1:
-                        v = v.numerator
                     i, j = sorted((x[ai], x[aj]))
-                    upper.setdefault((i, j), {})[rest] = v
+                    upper.setdefault((i, j), {})[rest] = c * k
+    # each part holds some numerators of L over its denominator
     A = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            A[i][j] = A[j][i] = Expr._trusted(upper.get((i, j), {}))
-    L0 = Expr._trusted(L0)
-    b = [Expr._trusted(t) for t in b]
+            A[i][j] = A[j][i] = _make(upper.get((i, j), {}), den)
+    L0 = _make(L0, den)
+    b = [_make(t, den) for t in b]
     if through:
-        T = Expr._trusted(through)
+        T = _make(through, den)
         kill = {a: ZERO for a in x}
         g = gradient(T, x)
         dT = [g.get(a, ZERO) for a in x]
@@ -243,7 +253,7 @@ def _exchange(L: Expr, momenta: dict, check):
     rhs = [momenta[key] - bi for key, bi in zip(unknowns, b)]
     x = _solve_linear(A, rhs)
     return dict(zip(unknowns, x)), (
-        Fraction(1, 2) * Expr.sum(r * xi for r, xi in zip(rhs, x)) - L0)
+        _HALF * Expr.sum(r * xi for r, xi in zip(rhs, x)) - L0)
 
 
 def _check_hessian_entry(e: Expr, order: int):

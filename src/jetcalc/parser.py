@@ -22,21 +22,23 @@ in ``""``; a token's first character tells its kind.  The parser holds token
 indices, and a ``ParseError`` finds the line and column of its token by
 scanning the source again up to that index.  Each expression statement is
 parsed from its slice of the token list once the declarations are known.
-Numeric literals stay Python ints and Fractions through products, quotients
-and powers.  A product carries one (monomial, coefficient) pair: an
-``Expr`` is built at the first factor that is neither a number nor a
+Numeric literals stay Python ints, as the kernel's coefficients do: a
+product carries one monomial with an integer numerator and denominator, and
+an ``Expr`` is built at the first factor that is neither a number nor a
 one-term factor, or at a divisor that is not a number.  A sum folds its
-terms into one term dict.
+terms into one term dict over the lcm of their denominators and reduces
+once, at the end.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from fractions import Fraction
+from math import gcd
 
 from .coords import Base, Jet, Momentum, Multiplier, Parameter
-from .expr import Expr, OpaqueCall, _coeff, _fold, _mul_monomials, divide
+from .expr import (Expr, OpaqueCall, _fold_over, _make, _mul_monomials,
+                   divide)
 from .problem import LagrangianProblem
 
 _RESERVED = {"p", "lam", "base", "field", "order", "param", "opaque",
@@ -106,9 +108,10 @@ def _power_refusal(base, d: int) -> str | None:
     """Why ``base ** d`` is over a budget, or None.  ``base`` is a number
     or an ``Expr`` of m terms."""
     if base.__class__ is Expr:
-        m, coeffs = len(base._terms), base._terms.values()
+        terms, den = base.parts()
     else:
-        m, coeffs = 1, (base,)
+        terms, den = {(): base.numerator}, base.denominator
+    m = len(terms)
     if d < 2 or not m:
         return None
     # The expansion has at most C(d+m-1, m-1) terms.
@@ -119,9 +122,10 @@ def _power_refusal(base, d: int) -> str | None:
     # A term of the expansion has a numerator of at most (m * max|num|)^d
     # and a denominator of at most max(den)^d, so about d times ceil(log2)
     # of those bounds its bits (merging like terms adds few); the term
-    # bound times that bounds the bits of all the coefficients.
-    bits = max((max(abs(c.numerator), c.denominator) - 1).bit_length()
-               for c in coeffs)
+    # bound times that bounds the bits of all the coefficients, each
+    # c/den taken in lowest terms.
+    bits = max((max(abs(c), den) // gcd(c, den) - 1).bit_length()
+               for c in terms.values())
     if bound * d * (bits + (m - 1).bit_length()) > BIT_BUDGET:
         return (f"power too large: its coefficients could pass "
                 f"{BIT_BUDGET} bits")
@@ -219,8 +223,8 @@ class ProblemFile:
 
 class _ExprParser(_Tokens):
     """Recursive-descent expression parser against a declaration context.
-    A product, quotient or power of numbers is an ``int`` or a
-    ``Fraction``; ``parse`` returns an ``Expr``."""
+    A factor is an ``int`` (a literal, its negation or its power) or an
+    ``Expr``; ``parse`` returns an ``Expr``."""
 
     def __init__(self, src: str, toks: list, problem: LagrangianProblem,
                  max_jet_order: int | None, base: int = 0):
@@ -238,62 +242,68 @@ class _ExprParser(_Tokens):
     def _sum(self) -> Expr:
         """Terms joined by ``+`` and ``-``, folded into one term dict."""
         acc: dict = {}
+        den = 1
         toks = self.toks
         negative = False
         while True:
-            items = self._term()
-            _fold(acc, ((m, -c) for m, c in items) if negative else items)
+            items, d = self._term()
+            den = _fold_over(acc, den, ((m, -c) for m, c in items)
+                             if negative else items, d)
             op = toks[self.i]
             if op != "+" and op != "-":
-                return Expr._trusted(acc)
+                return _make(acc, den)
             self.i += 1
             negative = op == "-"
 
     def _term(self):
-        """Factors joined by ``*`` and ``/``, as the (monomial, coefficient)
-        pairs of their product.  Numbers and one-term factors fold into one
+        """Factors joined by ``*`` and ``/``, as the (monomial, numerator)
+        pairs of their product and its denominator, not yet reduced.  An
+        int literal (or its power) and a one-term factor fold into the one
         pair; the first multi-term factor, or the first divisor that is not
         a number, turns the product into an ``Expr``."""
-        mon, coeff = (), 1
+        mon, num, den = (), 1, 1
         e = None
         toks = self.toks
         op = "*"
         f = self._factor()
         while True:
-            if e is None and f.__class__ is not Expr:
-                coeff = coeff * f if op == "*" else self._quotient(coeff, f)
-            elif e is None and op == "*" and len(f._terms) == 1:
-                (m, c), = f._terms.items()
-                mon = _mul_monomials(mon, m) if mon else m
-                coeff *= c
-            elif e is None and op == "*" and not mon and coeff == 1:
-                e = f
-            else:
-                if e is None:
-                    c = _coeff(coeff)
-                    e = Expr._trusted({mon: c} if c else {})
+            if e is not None:
                 e = e * f if op == "*" else self._quotient(e, f)
+            elif f.__class__ is not Expr:
+                if op == "*":
+                    num *= f
+                elif not f:
+                    raise self.error("division by zero")
+                else:
+                    num, den = (num, den * f) if f > 0 else (-num, -den * f)
+            else:
+                terms, d = f.parts()
+                if op == "*" and len(terms) == 1:
+                    (m, c), = terms.items()
+                    mon = _mul_monomials(mon, m) if mon else m
+                    num *= c
+                    den *= d
+                elif op == "*" and not mon and num == den:
+                    e = f
+                else:
+                    e = _make({mon: num} if num else {}, den)
+                    e = e * f if op == "*" else self._quotient(e, f)
             op = toks[self.i]
             if op != "*" and op != "/":
                 if e is not None:
-                    return e._terms.items()
-                c = _coeff(coeff)
-                return ((mon, c),) if c else ()
+                    terms, d = e.parts()
+                    return terms.items(), d
+                return (((mon, num),), den) if num else ((), 1)
             self.i += 1
             f = self._factor()
 
-    def _quotient(self, num, den):
-        """num / den, a number when both are; a failure is reported at the
-        token after the divisor."""
-        if num.__class__ is Expr or den.__class__ is Expr:
-            try:
-                return divide(num, den)
-            except Exception as exc:
-                raise self.error(str(exc)) from None
-        if not den:
-            raise self.error("division by zero")
-        q = Fraction(num, den)
-        return q.numerator if q.denominator == 1 else q
+    def _quotient(self, num: Expr, den):
+        """num / den by ``divide``; a failure is reported at the token after
+        the divisor."""
+        try:
+            return divide(num, den)
+        except Exception as exc:
+            raise self.error(str(exc)) from None
 
     def _factor(self):
         toks = self.toks

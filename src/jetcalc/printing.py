@@ -3,8 +3,6 @@ printer in :mod:`jetcalc.expr` is the canonical, re-parseable format)."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coords import Base, Jet, Momentum, Multiplier, Parameter
 from .expr import Expr, OpaqueCall, _digits, _join_terms
 from .forms import ExteriorForm, _join_form, form_to_str  # noqa: F401 (public here)
@@ -44,11 +42,12 @@ def atom_latex(a) -> str:
     raise TypeError(f"unknown atom {a!r}")
 
 
-def _coeff_latex(c: Fraction) -> str:
-    num = _digits(abs(c.numerator))
-    if c.denominator == 1:
+def _coeff_latex(n: int, d: int) -> str:
+    """The LaTeX of the positive coefficient n/d, in lowest terms."""
+    num = _digits(n)
+    if d == 1:
         return num
-    return f"\\tfrac{{{num}}}{{{_digits(c.denominator)}}}"
+    return f"\\tfrac{{{num}}}{{{_digits(d)}}}"
 
 
 def to_latex(e: Expr) -> str:
@@ -68,10 +67,10 @@ class _LatexTexts(dict):
         return text
 
 
-def _term_latex(mon, coeff, texts) -> str:
+def _term_latex(mon, n, d, texts) -> str:
     body = "\\,".join(map(texts.__getitem__, mon))
-    if abs(coeff.numerator) != 1 or coeff.denominator != 1 or not body:
-        body = _coeff_latex(coeff) + ("\\," + body if body else "")
+    if n != 1 or d != 1 or not body:
+        body = _coeff_latex(n, d) + ("\\," + body if body else "")
     return body
 
 

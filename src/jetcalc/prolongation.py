@@ -42,7 +42,7 @@ def homogeneous_degree(Q: Expr, variables) -> int:
     polynomial homogeneous in the variables, which an opaque call of one of
     them is not."""
     want = set(variables)
-    degrees = {sum(k for a, k in mon if a in want) for mon in Q._terms}
+    degrees = {sum(k for a, k in mon if a in want) for mon in Q.parts()[0]}
     if not degrees:
         raise ProlongationError("zero polynomial has no degree")
     if len(degrees) > 1 or any(

@@ -7,12 +7,13 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import jetcalc
 import jetcalc.cli
 from jetcalc import parse_expr, parse_problem
 from jetcalc.cli import run
+from jetcalc.multiindex import all_multiindices, multiindices_up_to
 from test_parser import SOUP_HEADERS, TOKEN_SOUP
 
 BEAM = """
@@ -594,6 +595,84 @@ def test_parse_errors_keep_the_exit_code_contract(tmp_path, capsys, tokens,
                 and err.count("\n") == 1 and err.endswith("\n"), err
         else:
             assert err == "" and json.loads(out)["command"] == "el"
+
+
+FILE_COMMANDS = [c for c in jetcalc.cli.COMMANDS
+                 if c not in ("galilei", "verify-all")]
+
+
+@st.composite
+def problem_files(draw):
+    """Problem files at base 1-2 and order 1-2 with one or two fields:
+    rational coefficients, a parameter in a numerator or a denominator, and
+    when drawn an opaque call and the tool blocks (section, fcomponent,
+    vfield, poly).  Each top jet appears squared, so that the Legendre
+    commands solve some and refuse others."""
+    n, k = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    fields = draw(st.sampled_from([("u",), ("u", "v")]))
+    params = draw(st.sampled_from([(), ("m",), ("m", "g")]))
+    opaque = draw(st.booleans())
+
+    def jet(fld, mi):
+        return f"{fld}[{','.join(map(str, mi))}]"
+
+    jets = [jet(f, mi) for f in fields for mi in multiindices_up_to(n, k)]
+    xs = [f"x{mu}" for mu in range(1, n + 1)]
+    atoms = jets + xs + (["U(x1, u)"] if opaque else [])
+
+    def coeff():
+        c = f"{draw(st.integers(-7, 7))}/{draw(st.integers(1, 6))}"
+        if params and draw(st.booleans()):
+            c += draw(st.sampled_from("*/")) + draw(st.sampled_from(params))
+        return f"({c})"
+
+    def poly(pool, max_terms, max_degree):
+        return " + ".join(
+            coeff() + "".join(f"*{a}" for a in draw(st.lists(
+                st.sampled_from(pool), max_size=max_degree)))
+            for _ in range(draw(st.integers(1, max_terms))))
+
+    lines = [f"base {n};", *(f"field {f};" for f in fields), f"order {k};",
+             *(f"param {p};" for p in params)]
+    if opaque:
+        lines.append("opaque U(2);")
+    top = [jet(f, mi) for f in fields for mi in all_multiindices(n, k)]
+    lines.append(f"lagrangian {poly(atoms, 3, 3)} + "
+                 + " + ".join(f"{coeff()}*{j}^2" for j in top) + ";")
+    if draw(st.booleans()):
+        slots = jets + [f"p[{f};{','.join(map(str, mu))};{lam}]"
+                        for f in fields for mu in multiindices_up_to(n, k - 1)
+                        for lam in range(1, n + 1)]
+        lines.append("section { " + " ".join(
+            f"{slot} = {poly(xs, 2, 2)};" for slot in slots) + " }")
+    if draw(st.booleans()):
+        lines += [f"fcomponent {poly(atoms, 2, 2)};" for _ in range(n)]
+    if draw(st.booleans()):
+        lines += [f"vfield {f} = {poly(atoms, 2, 2)};" for f in fields]
+    if draw(st.booleans()):
+        lines.append(f"poly {poly(jets, 2, 2)};")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=problem_files())
+def test_file_commands_keep_the_exit_code_contract(tmp_path, capsys, text):
+    # exit 0 and 1 are a JSON report, 1 exactly when it lists a residual;
+    # exit 2 is one error line and no report; an exit 3 is a fault
+    path = tmp_path / "random.lag"
+    path.write_text(text, encoding="utf-8")
+    for command in FILE_COMMANDS:
+        for latex in ([], ["--latex"]):
+            code = run([command, str(path), *latex])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), (command, latex, code, err, text)
+            if code == 2:
+                assert out == "" and err.startswith("error: ") \
+                    and err.count("\n") == 1 and err.endswith("\n"), err
+            else:
+                assert err == ""
+                assert bool(json.loads(out)["residuals"]) == (code == 1)
 
 
 class TestRoundTrip:

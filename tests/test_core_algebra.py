@@ -18,7 +18,7 @@ from jetcalc import (
     total_derivative, total_derivative_multi,
 )
 from jetcalc.expr import (ONE, ZERO, _akey, _atom_partial, _atom_total,
-                          _digits, _display_sorted, _fold, _mul_terms)
+                          _digits, _display_sorted, _mul_monomials)
 from jetcalc.forms import ExteriorForm
 from jetcalc.multiindex import all_multiindices, multiindices_up_to
 from jetcalc.printing import (_coeff_latex, atom_latex, form_to_latex,
@@ -285,12 +285,22 @@ def small_exprs(draw):
     return functools.reduce(operator.add, parts, ZERO)
 
 
+def _coefficients(e: Expr) -> dict:
+    """The coefficient of each monomial of ``e`` as a ``Fraction``, read
+    through ``Expr.parts``: the per-term form that the references compute
+    in."""
+    terms, den = e.parts()
+    return {mon: Fraction(c, den) for mon, c in terms.items()}
+
+
 def _assert_canonical(e: Expr):
-    for mon, c in e._terms.items():
-        # stored form: an int, or a Fraction that is not integral
-        assert (type(c) is int
-                or type(c) is Fraction and c.denominator != 1), (mon, c)
-        assert c != 0, (mon, c)
+    terms, den = e.parts()
+    # integer numerators over one positive denominator prime to all of them
+    # (so 1 for an integral or zero expression)
+    assert type(den) is int and den >= 1, den
+    assert math.gcd(den, *terms.values()) == 1, (den, terms)
+    for mon, c in terms.items():
+        assert type(c) is int and c != 0, (mon, c)
         assert all(x != 0 for _, x in mon), mon
         assert all(x > 0 or isinstance(a, Parameter) for a, x in mon), mon
         keys = [_akey(a) for a, _ in mon]
@@ -307,7 +317,7 @@ def test_sum_matches_pairwise_addition(xs):
     assert got == functools.reduce(operator.add, xs, ZERO)
     merged: dict = {}
     for x in xs:
-        for mon, c in x._terms.items():
+        for mon, c in _coefficients(x).items():
             merged[mon] = merged.get(mon, 0) + c
     assert got == Expr(merged)
     _assert_canonical(got)
@@ -359,7 +369,7 @@ def test_no_zero_or_non_fraction_coefficient_stored(a, b, lam):
     # and no negative power of a non-parameter atom; division by each single
     # term of b either succeeds canonically or refuses
     quotients = []
-    for mon, c in b._terms.items():
+    for mon, c in _coefficients(b).items():
         try:
             quotients.append(divide(a, Expr({mon: c})))
         except ExprError as exc:
@@ -420,15 +430,17 @@ def test_iterated_derivative_refuses_exactly_when_a_step_passes_the_cap(
 
 
 def _leibniz_reference(e, atom_rule):
-    """The derivation by the general product rule: each atom's rule is
-    multiplied out with ``_mul_terms``, one-term rules included."""
+    """The derivation by the general product rule on per-term Fraction
+    coefficients: each atom's rule is multiplied out term by term, one-term
+    rules included."""
     acc: dict = {}
-    for mon, coeff in e._terms.items():
+    for mon, coeff in _coefficients(e).items():
         for i, (a, exp) in enumerate(mon):
             rest = mon[:i] + ((a, exp - 1),) if exp != 1 else mon[:i]
-            _fold(acc, _mul_terms({rest + mon[i + 1:]: coeff * exp},
-                                  atom_rule(a)._terms))
-    return Expr._trusted(acc)
+            for dm, dc in _coefficients(atom_rule(a)).items():
+                m = _mul_monomials(rest + mon[i + 1:], dm)
+                acc[m] = acc.get(m, 0) + coeff * exp * dc
+    return Expr(acc)
 
 
 _DERIVATION_COORDS = [Jet("u", MultiIndex(mi)) for o in range(3)
@@ -506,7 +518,8 @@ def _substitute_reference(e, mapping):
                 val = mapping.get(a, Expr.atom(a))
             t = t * val ** exp if exp >= 0 else divide(t, val ** -exp)
         return t
-    return Expr.sum(term(mon, coeff) for mon, coeff in e._terms.items())
+    return Expr.sum(term(mon, coeff)
+                    for mon, coeff in _coefficients(e).items())
 
 
 _N = Expr.atom(Parameter("n"))
@@ -550,7 +563,8 @@ def test_substitute_matches_the_product_of_values(e, k, mapping):
 # -- the lazy hash: the hash and the sort key are computed on first use
 
 _BUILDS = {
-    "Expr(terms)": lambda a, b: Expr(dict(reversed(list((a + b)._terms.items())))),
+    "Expr(terms)": lambda a, b: Expr(dict(reversed(list(
+        _coefficients(a + b).items())))),
     "Expr.sum": lambda a, b: Expr.sum([a, b]),
     "+": lambda a, b: a + b,
     "*": lambda a, b: a * b,
@@ -667,7 +681,7 @@ def test_order_one_symmetric_momentum_is_the_slot(n, data):
 def test_opaque_call_with_equal_arguments_is_one_atom(e, f):
     def rebuilt(x):
         # an equal expression built afresh, its terms in reverse order
-        return Expr(dict(reversed(list(x._terms.items()))))
+        return Expr(dict(reversed(list(_coefficients(x).items()))))
     a = OpaqueCall("W", (0, 1), (e, f))
     assert OpaqueCall("W", [0, 1], [rebuilt(e), rebuilt(f)]) is a
     assert pickle.loads(pickle.dumps(a)) is a
@@ -708,7 +722,7 @@ def _reference_join_terms(e, render):
     if e.is_zero():
         return "0"
     out = []
-    for mon, coeff in sorted(e._terms.items(), key=lambda mc: tuple(
+    for mon, coeff in sorted(_coefficients(e).items(), key=lambda mc: tuple(
             (_akey(a), x) for a, x in mc[0])):
         out += [" - " if coeff < 0 else " + ", render(mon, coeff)]
     out[0] = "-" if out[0] == " - " else ""
@@ -757,7 +771,8 @@ def _reference_term_latex(mon, coeff):
         factors.append(s)
     body = "\\,".join(factors)
     if abs(coeff) != 1 or not factors:
-        body = _coeff_latex(coeff) + ("\\," + body if body else "")
+        body = _coeff_latex(abs(coeff.numerator), coeff.denominator) + (
+            "\\," + body if body else "")
     return body
 
 
@@ -880,8 +895,10 @@ def test_digit_limit_errors_match_the_references(build):
 def test_coefficients_in_stored_form():
     half = Expr.const(Fraction(1, 2))
     for e, want in ((half + half, 1), (half * 4, 2), (Expr.const(Fraction(6, 3)), 2)):
-        ((mon, c),) = e._terms.items()
-        assert mon == () and type(c) is int and c == want
+        terms, den = e.parts()
+        ((mon, c),) = terms.items()
+        assert mon == () and type(c) is int and c == want and den == 1
+    assert half.parts() == ({(): 1}, 2)
     assert type(Expr.const(3).as_fraction()) is Fraction
     assert half.as_fraction() == Fraction(1, 2)
     with pytest.raises(TypeError):
@@ -901,9 +918,10 @@ def test_quotient_step_stays_exact(monkeypatch):
     a = Expr.atom(Parameter("a"))
     q = divide(a ** 2 + a, 3 * a + 3)
     assert q == a / 3 and len(steps) == 1
-    ((mon, c),) = q._terms.items()
+    terms, den = q.parts()
+    ((mon, c),) = terms.items()
     assert mon == ((Parameter("a"), 1),)
-    assert type(c) is Fraction and c == Fraction(1, 3)
+    assert type(c) is int and type(den) is int and (c, den) == (1, 3)
 
 
 class TestParser:
@@ -1048,3 +1066,194 @@ def test_product_divided_by_factor_is_the_laurent_factor(q, den):
     if den.is_zero():
         return
     assert divide(q * den, den) == q
+
+
+# -- the kernel against a per-term Fraction reference.  A reference
+# polynomial is a dict {monomial: Fraction} without zeros, combined here
+# with no kernel arithmetic; the kernel's results are read back through
+# ``Expr.parts`` and must be the same dicts, in lowest terms.
+
+_RA = Parameter("a")
+# x1/2 and x1/3 in calls' arguments: a chain rule through them brings a
+# denominator, and a derivation's rules meet over the lcm 6
+_X1 = Expr.atom(Base(1))
+_RAT_CALLS = (OpaqueCall("U", (0, 0), (_X1 / 2, Expr.atom(_U0))),
+              OpaqueCall("V", (0,), (_X1 / 3 + Expr.atom(_U1),)))
+_RAT_ATOMS = (_U0, _U1, Base(1), Momentum("u", MultiIndex((0, 0)), 1),
+              *_RAT_CALLS)
+_RAT_COORDS = (_U0, _U1, Base(1), Base(2), _M, _RA,
+               Momentum("u", MultiIndex((0, 0)), 1))
+
+
+def _ref_monomial(*mons):
+    """The product of monomials, as a sorted tuple without zero powers."""
+    exps: dict = {}
+    for mon in mons:
+        for a, x in mon:
+            exps[a] = exps.get(a, 0) + x
+    return tuple(sorted(((a, x) for a, x in exps.items() if x),
+                        key=lambda f: _akey(f[0])))
+
+
+def _ref_sum(*polys):
+    acc: dict = {}
+    for p in polys:
+        for mon, c in p.items():
+            acc[mon] = acc.get(mon, 0) + c
+    return {mon: c for mon, c in acc.items() if c}
+
+
+def _ref_mul(p, q):
+    return _ref_sum(*({_ref_monomial(m1, m2): c1 * c2}
+                      for m1, c1 in p.items() for m2, c2 in q.items()))
+
+
+def _ref_pow(p, k):
+    return functools.reduce(_ref_mul, [p] * k, {(): Fraction(1)})
+
+
+def _ref_atom(a):
+    return {((a, 1),): Fraction(1)}
+
+
+def _ref_derive(p, rule):
+    """Leibniz term by term: c * mon goes to the sum over its factors a^x
+    of c * x * (mon / a) * rule(a)."""
+    return _ref_sum(*(_ref_mul({_ref_monomial(mon, ((a, -1),)): c * x},
+                               rule(a))
+                      for mon, c in p.items() for a, x in mon))
+
+
+def _ref_chain(a, derive):
+    """sum_i derive(arg_i) * a_{,i} through the opaque call ``a``."""
+    return _ref_sum(*(_ref_mul(derive(_coefficients(arg)),
+                               _ref_atom(a.bump(i)))
+                      for i, arg in enumerate(a.args)))
+
+
+def _ref_total_rule(lam):
+    def rule(a):
+        if isinstance(a, Base):
+            return {(): Fraction(1)} if a.mu == lam else {}
+        if isinstance(a, Jet):
+            return _ref_atom(Jet(a.fld, a.mi.bump(lam)))
+        if isinstance(a, Momentum):
+            return _ref_atom(Momentum(a.fld, a.mi, a.last, a.derivs.bump(lam)))
+        if isinstance(a, OpaqueCall):
+            return _ref_chain(a, lambda p: _ref_derive(p, rule))
+        return {}
+    return rule
+
+
+def _ref_partial_rule(c):
+    def rule(a):
+        if a is c:
+            return {(): Fraction(1)}
+        if isinstance(a, OpaqueCall):
+            return _ref_chain(a, lambda p: _ref_derive(p, rule))
+        return {}
+    return rule
+
+
+def _ref_substitute(p, mapping):
+    """Each term is its coefficient times the power of every factor's
+    value; a negative power divides by the value's power, which is one
+    term for every parameter the draws map."""
+    out = []
+    for mon, c in p.items():
+        t = {(): c}
+        for a, x in mon:
+            if isinstance(a, OpaqueCall):
+                val = _ref_atom(OpaqueCall(a.name, a.derivs, tuple(
+                    Expr(_ref_substitute(_coefficients(arg), mapping))
+                    for arg in a.args)))
+            else:
+                val = mapping.get(a, _ref_atom(a))
+            if x >= 0:
+                t = _ref_mul(t, _ref_pow(val, x))
+            else:
+                ((vm, vc),) = _ref_pow(val, -x).items()
+                t = _ref_mul(t, {_ref_monomial(tuple((b, -y) for b, y in vm)):
+                                 1 / vc})
+        out.append(t)
+    return _ref_sum(*out)
+
+
+@st.composite
+def rational_polys(draw, max_terms=5):
+    """Reference polynomials of up to ``max_terms`` terms over jets, x1, a
+    momentum and calls of x1/2 and x1/3, with the parameters m and a at
+    powers -2..2 (so in denominators too) and Fraction coefficients whose
+    denominators have uneven prime factors."""
+    p: dict = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        factors = [(a, draw(st.integers(1, 2))) for a in draw(
+            st.lists(st.sampled_from(_RAT_ATOMS), max_size=3, unique=True))]
+        factors += [(q, draw(st.integers(-2, 2))) for q in (_M, _RA)]
+        p = _ref_sum(p, {_ref_monomial(factors):
+                         draw(st.fractions(-40, 40, max_denominator=36))})
+    return p
+
+
+@st.composite
+def rational_mappings(draw):
+    """Values for some of the jets and x1 (x1 and u sit in the call's
+    arguments), and for m a nonzero term in a at a power -2..2."""
+    mapping = {a: draw(rational_polys(3)) for a in (_U0, _U1, Base(1))
+               if draw(st.booleans())}
+    if draw(st.booleans()):
+        c = draw(st.fractions(-5, 5, max_denominator=6).filter(bool))
+        mapping[_M] = {_ref_monomial(((_RA, draw(st.integers(-2, 2))),)): c}
+    return mapping
+
+
+@_KERNEL
+@given(rational_polys(), rational_polys(), st.integers(0, 4),
+       st.integers(1, 2), rational_mappings(),
+       st.sampled_from([{(): Fraction(-3, 4)}, {((_M, 2),): Fraction(5, 6)},
+                        {_ref_monomial(((_M, -1), (_RA, 1))): Fraction(-7)}]))
+def test_kernel_matches_the_per_term_fraction_reference(p, q, k, lam, mapping,
+                                                        r):
+    a, b = Expr(p), Expr(q)
+    assert _coefficients(a) == p and _coefficients(b) == q
+    got = {
+        "Expr(terms)": (a, p),
+        "+": (a + b, _ref_sum(p, q)),
+        "-": (a - b, _ref_sum(p, {m: -c for m, c in q.items()})),
+        "Expr.sum": (Expr.sum([a, b, Fraction(1, 3), a]),
+                     _ref_sum(p, q, {(): Fraction(1, 3)}, p)),
+        "*": (a * b, _ref_mul(p, q)),
+        "**": (a ** k, _ref_pow(p, k)),
+        "total_derivative": (total_derivative(a, lam),
+                             _ref_derive(p, _ref_total_rule(lam))),
+        "substitute": (substitute(a, {c: Expr(v) for c, v in mapping.items()}),
+                       _ref_substitute(p, mapping)),
+        "divide by a term": (divide(a, Expr(r)), _ref_mul(p, {
+            _ref_monomial(tuple((x, -y) for x, y in m)): 1 / c
+            for m, c in r.items()})),
+    }
+    grad = gradient(a, _RAT_COORDS)
+    for c in _RAT_COORDS:
+        got[f"gradient {c!r}"] = (grad.get(c, ZERO),
+                                  _ref_derive(p, _ref_partial_rule(c)))
+    if q:
+        got["divide"] = (divide(Expr(_ref_mul(p, q)), b), p)
+    for name, (e, want) in got.items():
+        assert _coefficients(e) == want, name
+        _assert_canonical(e)
+        assert to_dsl(e) == _reference_dsl(e), name
+        assert to_latex(e) == _reference_latex(e), name
+    with pytest.raises(AttributeError, match="Expr is immutable"):
+        a._den = 1
+
+
+@_KERNEL
+@given(rational_polys(max_terms=4))
+def test_printers_rank_many_terms_like_the_references(p):
+    # a cube of a sum of up to eight terms has up to 120, mostly past
+    # _RANK_MIN_TERMS, where the printers rank the factors first
+    e = Expr(p) + Expr.atom(Base(2)) / 3 + Expr.atom(_U1) * _MASS \
+        + Expr.const(Fraction(5, 7)) * Expr.atom(_U0) ** 2 - 1
+    e = e ** 3
+    assert to_dsl(e) == _reference_dsl(e)
+    assert to_latex(e) == _reference_latex(e)

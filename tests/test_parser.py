@@ -553,7 +553,11 @@ def _assert_refusal_is_past_a_budget(text, ref, new):
     with mock.patch.object(parser_module, "_power_refusal", spy):
         assert _outcome(parse_problem, text) == new
     (base, d), = refused
-    coeffs = base._terms.values() if isinstance(base, Expr) else [base]
+    if isinstance(base, Expr):
+        terms, den = base.parts()
+        coeffs = [Fraction(c, den) for c in terms.values()]
+    else:
+        coeffs = [base]
     m = len(coeffs)
     terms = math.comb(d + m - 1, m - 1)
     bits = max(math.ceil(math.log2(max(abs(c.numerator), c.denominator)))
