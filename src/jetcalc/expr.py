@@ -24,6 +24,14 @@ when it was built and print them with the DSL string stored next to it.
 Parameters may carry negative exponents (they are symbolic constants, so
 1/m is legal); every other atom is restricted to a plain polynomial role.
 
+A derivation extends its rule on atoms by Leibniz in ``_derive``, which
+adds D(e) into numerators over a denominator that its caller owns, scales
+both to their lcm as ``_fold_over`` does, and leaves ``_make`` to the
+caller; ``total_divergence`` folds every D_lam into one dict.  D_lam(a) is
+formed once per direction and interned atom and kept as formed, never
+rescaled, in ``_TOTAL_RULES`` for the life of the process; the table grows
+with the atoms that total derivatives meet, as the intern tables do.
+
 Building an ``Expr`` sets only its term dict and denominator.  Its
 canonical sort key and its hash are computed on first use (the first
 ``hash`` or ``==``) and kept.
@@ -172,7 +180,10 @@ class Expr:
     @staticmethod
     def sum(items) -> "Expr":
         """The sum of an iterable of expressions (or numbers), collected into
-        one term dict: linear in the total number of terms."""
+        one term dict: linear in the total number of terms.  A lone
+        expression is returned as it is."""
+        if len(items := list(items)) == 1:
+            return _coerce(items[0])
         acc: dict = {}
         den = 1
         for e in items:
@@ -264,10 +275,14 @@ class Expr:
         return _trusted({m: -c for m, c in self._terms.items()}, self._den)
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        if other.__class__ is not Expr:
+            other = _coerce(other)
+        acc = dict(self._terms)
+        return _make(acc, _fold_over(acc, self._den, (
+            (m, -c) for m, c in other._terms.items()), other._den))
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return _coerce(other) - self
 
     def __mul__(self, other):
         if other.__class__ is not Expr:
@@ -507,55 +522,48 @@ def _atom_total(a: Atom, lam: int) -> Expr:
     raise TypeError(f"unknown atom {a!r}")
 
 
-def _derive(e: Expr, atom_rule) -> Expr:
-    """Extend a derivation defined on atoms to the whole algebra (Leibniz).
-    ``atom_rule`` runs once per distinct atom; its results are kept by
-    (interned) atom and only looked up, so no order depends on hashing.
-    Each term of a rule is folded in with the rest of the monomial as one
-    pair, so a rule of one term (a jet or momentum under D_lam, a
-    coordinate hit by a partial derivative) costs one product of
-    monomials.  The rules' numerators are kept over the lcm of their
-    denominators, which is 1 unless a chain rule through an opaque call
-    brings a fraction."""
-    acc: dict = {}
-    rules: dict = {}
-    den = 1
+class _Rules(dict):
+    """``rule(a)`` by interned atom ``a``, formed on first lookup."""
+
+    __slots__ = ("rule",)
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def __missing__(self, a):
+        r = self[a] = self.rule(a)
+        return r
+
+
+# D_lam(a) by direction lam and interned atom a (see the module docstring)
+_TOTAL_RULES = _Rules(lambda lam: _Rules(lambda a: _atom_total(a, lam)))
+
+
+def _derive(acc: dict, den: int, e: Expr, rules) -> int:
+    """Add D(e) into the numerators ``acc`` over ``den`` by Leibniz from
+    the Exprs ``rules[a]`` = D(a), and return the new denominator (see the
+    module docstring).  Each term of a rule is folded in with the rest of
+    the monomial as one pair, so a rule of one term (a jet or momentum
+    under D_lam, a coordinate hit by a partial derivative) costs one
+    product of monomials."""
+    ed = e._den
     for mon, coeff in e._terms.items():
         for i, (a, exp) in enumerate(mon):
-            da = rules.get(a)
-            if da is None:
-                r = atom_rule(a)
-                da = r._terms
-                if r._den != den:
-                    da, den = _over_rules(rules, acc, da, r._den, den)
-                rules[a] = da
+            r = rules[a]
+            da = r._terms
             if not da:
                 continue
             rest = mon[:i] + ((a, exp - 1),) if exp != 1 else mon[:i]
             rest += mon[i + 1:]
             ce = coeff * exp
+            d = ed * r._den
+            if d != den:
+                den = _fold_over(acc, den, (), d)  # acc over the lcm
+                ce *= den // d
             for dm, dc in da.items():
                 _fold(acc, ((_mul_monomials(rest, dm) if dm else rest,
                              ce * dc),))
-    return _make(acc, den * e._den)
-
-
-def _over_rules(rules: dict, acc: dict, terms: dict, d: int, den: int):
-    """A new rule's numerators ``terms`` over ``d``, and the common
-    denominator of the rules so far (``den``) and it; the kept rules and
-    ``acc`` are scaled in place when that denominator grows."""
-    g = gcd(den, d)
-    if d != g:
-        s = d // g
-        for m in acc:
-            acc[m] *= s
-        for a, t in rules.items():
-            rules[a] = {m: c * s for m, c in t.items()}
-        den *= s
-    if d != den:
-        s = den // d
-        terms = {m: c * s for m, c in terms.items()}
-    return terms, den
+    return den
 
 
 def gradient(e: Expr, coords) -> dict:
@@ -584,10 +592,10 @@ def gradient(e: Expr, coords) -> dict:
                     terms = acc[a] = {}
                 terms[rest + mon[i + 1:]] = coeff * exp
     den = e._den
-    if not through:
-        return {c: _make(terms, den) for c, terms in acc.items()}
-    # den times the terms with a call, an integer polynomial, is derived
-    T = _trusted(through)
+    # The terms with a call, over den, are derived into the same dicts.
+    # Each monomial they give holds a call and no other term does, so
+    # nothing cancels against the exponent arithmetic above.
+    T = _trusted(through, den)
     hit = set()
     for mon in through:
         for a, _ in mon:
@@ -595,21 +603,11 @@ def gradient(e: Expr, coords) -> dict:
                 hit |= want & _call_coordinates(a)
             elif a in want:
                 hit.add(a)
-    extra = {}
-    for c in sorted(hit, key=_akey):
-        d = _derive(T, lambda a: _atom_partial(a, c))
-        if d._terms:
-            extra[c] = d
-    out = {}
-    for c, terms in acc.items():
-        d = extra.pop(c, None)
-        # each monomial of d holds a call and none of terms does, so the
-        # two add without cancelling
-        out[c] = _make(terms, den if d is None else _fold_over(
-            terms, den, d._terms.items(), d._den * den))
-    for c, d in extra.items():
-        out[c] = d if den == 1 else _make(d._terms, d._den * den)
-    return out
+    dens = {c: _derive(acc.setdefault(c, {}), den, T,
+                       _Rules(lambda a: _atom_partial(a, c)))
+            for c in sorted(hit, key=_akey)}
+    return {c: _make(terms, dens.get(c, den))
+            for c, terms in acc.items() if terms}
 
 
 def partial_derivative(e: Expr, c: Coordinate) -> Expr:
@@ -623,14 +621,19 @@ def total_derivative(e: Expr, lam: int) -> Expr:
     """Total derivative D_lam: differentiates the explicit base dependence,
     raises jets holonomically and decorates momentum atoms with a base
     derivative."""
-    return _derive(e, lambda a: _atom_total(a, lam))
+    acc: dict = {}
+    return _make(acc, _derive(acc, 1, e, _TOTAL_RULES[lam]))
 
 
 def total_divergence(row) -> Expr:
     """sum_lam D_lam row[lam]: the total divergence of a row of expressions
-    given in direction order lam = 1, 2, ..."""
-    return Expr.sum(total_derivative(e, lam)
-                    for lam, e in enumerate(row, start=1))
+    given in direction order lam = 1, 2, ..., every D_lam added into one
+    term dict."""
+    acc: dict = {}
+    den = 1
+    for lam, e in enumerate(row, start=1):
+        den = _derive(acc, den, e, _TOTAL_RULES[lam])
+    return _make(acc, den)
 
 
 def total_derivative_multi(e: Expr, mi, order_cap: int = 12) -> Expr:

@@ -14,8 +14,8 @@ derivative of L.
 
 The solve is exact over the parameter-Laurent ring.  One fraction-free
 Bareiss elimination of [A | I] and a back-substitution give det(A) and
-pivot * A^-1, every constant entry a Python int or Fraction and an Expr
-only where a parameter remains; each Cramer numerator is a row of that
+pivot * A^-1, every integer entry a Python int and an Expr only where a
+parameter or a denominator remains; each Cramer numerator is a row of that
 inverse applied to b, multiplied out on integer numerators over the
 product of the denominators.  Each Bareiss division is exact in that ring; an
 Expr is divided only by ``divide``, the one place that clears negative
@@ -66,38 +66,34 @@ _HALF = Expr.const(Fraction(1, 2))
 
 
 def _entry(e):
-    """``e`` as an elimination entry: a constant ``Expr`` becomes its
-    ``int`` or ``Fraction`` value, anything else is kept.  So a zero entry
-    is the number 0 and an ``Expr`` entry is never zero."""
+    """``e`` as an elimination entry: an integer constant ``Expr`` becomes
+    its ``int`` value, anything else is kept.  So a zero entry is the
+    number 0 and an ``Expr`` entry is never zero."""
     if e.__class__ is Expr and e.is_constant():
         terms, den = e.parts()
-        c = terms.get((), 0)
-        return c if den == 1 else Fraction(c, den)
+        if den == 1:
+            return terms.get((), 0)
     return e
 
 
 def _quotient(num, den):
     """The exact quotient of two entries, as an entry: ``divmod`` for two
-    ints, ``Fraction`` for other numbers, ``divide`` only when an operand
-    is an ``Expr``."""
-    if num.__class__ is Expr or den.__class__ is Expr:
-        return _entry(divide(num, den))
+    ints that divide, ``divide`` otherwise."""
     if num.__class__ is int and den.__class__ is int:
         q, r = divmod(num, den)
         if not r:
             return q
-    q = Fraction(num, den)
-    return q.numerator if q.denominator == 1 else q
+    return _entry(divide(num, den))
 
 
 def _eliminate(M) -> int:
     """Fraction-free Gaussian elimination (Bareiss, Math. Comp. 1968) of the
-    rows ``M`` in place.  Every entry is an ``int``, a ``Fraction`` or a
-    non-constant ``Expr`` (see ``_entry``), and the loop runs on numbers
-    wherever it can.  Pivots come from the leading square block; any
-    further columns ride along.  Afterwards ``M[i][i]`` is the i-th leading
-    minor of the row-permuted block.  Returns the sign of the row
-    permutation, or 0 when a column has no pivot."""
+    rows ``M`` in place.  Every entry is an ``int`` or an ``Expr`` that is
+    no integer (see ``_entry``), and the loop runs on ints wherever it
+    can.  Pivots come from the leading square block; any further columns
+    ride along.  Afterwards ``M[i][i]`` is the i-th leading minor of the
+    row-permuted block.  Returns the sign of the row permutation, or 0
+    when a column has no pivot."""
     dim = len(M)
     sign = 1
     prev = 1
@@ -134,8 +130,7 @@ def _row_product(y, b) -> Expr:
     den = 1
     for v, e in zip(y, b):
         if v:
-            vt, vd = v.parts() if v.__class__ is Expr else \
-                ({(): v.numerator}, v.denominator)
+            vt, vd = v.parts() if v.__class__ is Expr else ({(): v}, 1)
             et, ed = e.parts()
             den = _fold_over(acc, den, _mul_terms(vt, et), vd * ed)
     return _make(acc, den)
@@ -143,7 +138,7 @@ def _row_product(y, b) -> Expr:
 
 def _solve_linear(A, b):
     """Solve A x = b exactly.  One Bareiss elimination of [A | I], on
-    numbers wherever the entries are constant, and a fraction-free
+    ints wherever the entries are integers, and a fraction-free
     back-substitution give Y = pivot * A^-1, so each Cramer numerator
     det(A) x_i is the row Y[i] applied to b.  Raises on a singular matrix or
     a quotient that leaves the parameter-Laurent ring."""

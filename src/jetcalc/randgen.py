@@ -8,10 +8,11 @@ given seed.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from .coords import Base, Jet
-from .expr import Expr, ZERO
+from .expr import Expr, ZERO, _factor_key, _fold, _trusted
 from .legendre import _bareiss_det
 from .multiindex import all_multiindices, multiindices_up_to
 from .problem import LagrangianProblem
@@ -20,15 +21,15 @@ from .problem import LagrangianProblem
 def random_polynomial(rng: random.Random, atoms, degree: int,
                       terms: int) -> Expr:
     """Sum of random monomials in the given atoms with integer coefficients
-    in [-3, 3]."""
-    monomials = []
+    in [-3, 3]; a monomial's atoms are drawn after its coefficient, even
+    when that is 0."""
+    acc: dict = {}
     for _ in range(terms):
         coeff = rng.randint(-3, 3)
-        mon = Expr.const(coeff)
-        for _ in range(rng.randint(0, degree)):
-            mon = mon * Expr.atom(rng.choice(atoms))
-        monomials.append(mon)
-    return Expr.sum(monomials)
+        mon = Counter(rng.choice(atoms) for _ in range(rng.randint(0, degree)))
+        if coeff:
+            _fold(acc, ((tuple(sorted(mon.items(), key=_factor_key)), coeff),))
+    return _trusted(acc)
 
 
 def jet_atoms(n: int, order: int):

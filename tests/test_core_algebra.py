@@ -18,7 +18,8 @@ from jetcalc import (
     total_derivative, total_derivative_multi,
 )
 from jetcalc.expr import (ONE, ZERO, _akey, _atom_partial, _atom_total,
-                          _digits, _display_sorted, _mul_monomials)
+                          _digits, _display_sorted, _mul_monomials,
+                          total_divergence)
 from jetcalc.forms import ExteriorForm
 from jetcalc.multiindex import all_multiindices, multiindices_up_to
 from jetcalc.printing import (_coeff_latex, atom_latex, form_to_latex,
@@ -1226,12 +1227,21 @@ def test_kernel_matches_the_per_term_fraction_reference(p, q, k, lam, mapping,
         "**": (a ** k, _ref_pow(p, k)),
         "total_derivative": (total_derivative(a, lam),
                              _ref_derive(p, _ref_total_rule(lam))),
+        "total_divergence": (total_divergence((a, b)), _ref_sum(
+            _ref_derive(p, _ref_total_rule(1)),
+            _ref_derive(q, _ref_total_rule(2)))),
         "substitute": (substitute(a, {c: Expr(v) for c, v in mapping.items()}),
                        _ref_substitute(p, mapping)),
         "divide by a term": (divide(a, Expr(r)), _ref_mul(p, {
             _ref_monomial(tuple((x, -y) for x, y in m)): 1 / c
             for m, c in r.items()})),
     }
+    # Under D_lam the rule of the call with x1/2 has denominator 2 and the
+    # one with x1/3 denominator 3, so deriving their product meets both
+    # rules over 6; a rule kept rescaled by it would fail a's second round.
+    total_derivative(Expr.atom(_RAT_CALLS[0]) * Expr.atom(_RAT_CALLS[1]), lam)
+    got["total_derivative after a denominator grew"] = (
+        total_derivative(a, lam), got["total_derivative"][1])
     grad = gradient(a, _RAT_COORDS)
     for c in _RAT_COORDS:
         got[f"gradient {c!r}"] = (grad.get(c, ZERO),

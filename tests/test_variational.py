@@ -11,7 +11,8 @@ from jetcalc import (Base, Expr, Jet, LagrangianProblem, Momentum, MultiIndex,
 from jetcalc.expr import ZERO
 from jetcalc.forms import SectionData
 from jetcalc.multiindex import multiindices_up_to
-from jetcalc.randgen import random_gauge_table, random_lagrangian
+from jetcalc import randgen
+from jetcalc.randgen import jet_atoms, random_gauge_table, random_lagrangian
 from jetcalc.variational import (MomentumAssignment, VariationalError,
                                  apply_momentum_gauge, canonical_momenta,
                                  cascade_equations, cascade_euler_residual,
@@ -399,3 +400,38 @@ class TestLevelThreeGauge:
             assert currents(g) == currents(m)
             assert symmetrize_momenta(g) == m
         assert checked >= 3
+
+
+# -- the seeded draws: each monomial of ``random_polynomial`` is built from
+# the atoms it draws; the reference multiplies them out one at a time
+
+def _product_polynomial(rng, atoms, degree, terms):
+    monomials = []
+    for _ in range(terms):
+        mon = Expr.const(rng.randint(-3, 3))
+        for _ in range(rng.randint(0, degree)):
+            mon = mon * Expr.atom(rng.choice(atoms))
+        monomials.append(mon)
+    return Expr.sum(monomials)
+
+
+def _draws(seed):
+    """A Lagrangian, a gauge table on it and a polynomial, all built on
+    ``random_polynomial`` from one seed, and the state the stream is left
+    in."""
+    rng = random.Random(seed)
+    prob = random_lagrangian(rng, 2, 3, degree=3, terms=6)
+    chi = random_gauge_table(rng, prob, jet_order=2)
+    poly = randgen.random_polynomial(rng, jet_atoms(1, 2), 4, 5)
+    return ([prob.lagrangian.parts(), poly.parts()],
+            {key: e.parts() for key, e in chi.items()}, rng.getstate())
+
+
+def test_random_draws_match_the_product_construction(monkeypatch):
+    for seed in range(50):
+        got = _draws(seed)
+        with monkeypatch.context() as m:
+            m.setattr(randgen, "random_polynomial", _product_polynomial)
+            want = _draws(seed)
+        assert got == want, seed
+        assert list(got[1]) == list(want[1]), seed
