@@ -67,12 +67,8 @@ def _slot_partials(F, n: int, fields, order: int) -> dict:
             for fld, mi, lam in MomentumAssignment.grid_keys(n, fields, order)}
 
 
-def trivial_momenta(F, fields=None) -> MomentumAssignment:
-    """The non-symmetric representative p^{mu lam} := dF^lam / dphi_mu."""
-    return _trivial_momenta(divergence_lagrangian(F, fields))
-
-
 def _trivial_momenta(data: DivergenceData) -> MomentumAssignment:
+    """The non-symmetric representative p^{mu lam} := dF^lam / dphi_mu."""
     n, l = len(data.components), data.order
     return MomentumAssignment(n, data.fields, l, _slot_partials(
         data.components, n, data.fields, l))

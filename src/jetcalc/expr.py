@@ -13,9 +13,15 @@ is 1 exactly when every coefficient is an integer and the pair is unique.
 The kernel computes on ints alone: a sum scales its operands to the lcm of
 their denominators, and a product multiplies numerators and denominators
 after cancelling each denominator against the other factor's integer
-content.  Only ``as_fraction`` builds a ``Fraction``; the printers reduce
-each coefficient c/den with one gcd as they print it.  ``parts`` hands the
-pair to the other modules.
+content.  A rational constant such as 1/2 is ``divide(1, 2)``.  The
+printers reduce each coefficient c/den with one gcd as they print it.
+``parts`` hands the pair to the other modules.
+
+At the boundary, a coefficient comes in as any ``numbers.Rational`` (an
+int, a bool, a ``Fraction``) through its ``numerator`` and
+``denominator``; a float or a ``Decimal`` is refused.  It goes out as a
+``Fraction`` only through ``as_fraction``, the one place that imports
+``fractions``.
 
 Atoms are the coordinates of :mod:`jetcalc.coords` plus opaque function
 applications.  They are interned (one object per value), so monomials
@@ -40,7 +46,6 @@ canonical sort key and its hash are computed on first use (the first
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain, count
 from math import gcd
@@ -135,14 +140,13 @@ def _mul_monomials(m1, m2):
 
 def _ratio(value):
     """``value`` as a pair (numerator, denominator) of ints in lowest
-    terms, the denominator positive.  A float or any other non-rational
-    type is refused."""
+    terms, the denominator positive: any ``numbers.Rational`` (an int, a
+    bool, a ``Fraction``) through its ``numerator`` and ``denominator``.
+    A float, a ``Decimal`` or any other type is refused."""
     if value.__class__ is int:
         return value, 1
-    if value.__class__ is not Fraction:
-        if not isinstance(value, Rational):
-            raise TypeError(f"coefficient {value!r} is not an int or a Fraction")
-        value = Fraction(value)
+    if not isinstance(value, Rational):
+        raise TypeError(f"coefficient {value!r} is not a rational number")
     return value.numerator, value.denominator
 
 
@@ -247,7 +251,9 @@ class Expr:
     def is_constant(self) -> bool:
         return all(not m for m in self._terms)
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self):
+        """The value of a constant as a ``fractions.Fraction``."""
+        from fractions import Fraction
         if not self._terms:
             return Fraction(0)
         if not self.is_constant():
@@ -383,11 +389,8 @@ def _call_coordinates(a: OpaqueCall) -> frozenset:
 
 
 def _coerce(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return Expr.const(v)
-    raise TypeError(f"cannot coerce {v!r} to Expr")
+    """``v`` itself, or the constant of a rational number (see ``_ratio``)."""
+    return v if isinstance(v, Expr) else Expr.const(v)
 
 
 def _lowest(c: int, den: int) -> tuple:

@@ -31,8 +31,6 @@ of the slots of order below k - 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coords import Jet, Momentum, Parameter
 from .expr import (Expr, ExprError, OpaqueCall, ZERO, _akey, _coerce,
                    _fold_over, _make, _mul_terms, divide, gradient, substitute)
@@ -62,7 +60,7 @@ class LegendreData:
         self.inversion = inversion
 
 
-_HALF = Expr.const(Fraction(1, 2))
+_HALF = divide(1, 2)
 
 
 def _entry(e):
@@ -114,13 +112,6 @@ def _eliminate(M) -> int:
             row[j] = 0
         prev = pivot
     return sign
-
-
-def _bareiss_det(M) -> Expr:
-    """Exact determinant of a square matrix of Exprs or numbers
-    (fraction-free Bareiss)."""
-    M = [[_entry(e) for e in row] for row in M]
-    return _coerce(_eliminate(M) * M[-1][-1] if M else 1)
 
 
 def _row_product(y, b) -> Expr:
@@ -324,13 +315,6 @@ def hamilton_equations(problem: LagrangianProblem) -> EquationSet:
                 rows.append(_cascade_row(
                     p, fld, mi, -dh.get(Jet(fld, mi), ZERO)))
     return EquationSet(rows)
-
-
-def field_hamiltonian_first_order(problem: LagrangianProblem) -> Expr:
-    """H(phi, p^mu) with every first jet eliminated (k = 1 only)."""
-    if problem.k != 1:
-        raise LegendreError("field Hamiltonian is a first-order construction")
-    return legendre_top(problem).hamiltonian
 
 
 def energy_legendre(problem: LagrangianProblem, time_direction: int) -> Expr:

@@ -80,21 +80,6 @@ class MultiIndex(tuple):
         return f"MultiIndex({tuple(self)})"
 
 
-def multiindex_factor(indices, n: int) -> tuple[MultiIndex, int]:
-    """Collapse a symmetric index list (1-based entries) to (multi-index, weight).
-
-    The weight is the multinomial count of arrangements of ``indices`` and
-    relates symmetric-list momentum storage to multi-index storage.
-    """
-    exps = [0] * n
-    for i in indices:
-        if not 1 <= i <= n:
-            raise ValueError(f"index {i} out of range 1..{n}")
-        exps[i - 1] += 1
-    mi = MultiIndex(exps)
-    return mi, mi.weight()
-
-
 @lru_cache(maxsize=256)
 def all_multiindices(n: int, order: int) -> tuple:
     """All multi-indices with n entries and total order exactly ``order``,

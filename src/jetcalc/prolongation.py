@@ -4,10 +4,8 @@ ones)."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coords import Jet, Momentum
-from .expr import (Expr, OpaqueCall, ZERO, _akey, gradient,
+from .expr import (Expr, OpaqueCall, ZERO, _akey, divide, gradient,
                    total_derivative_multi)
 from .multiindex import multiindices_up_to
 
@@ -21,7 +19,10 @@ def prolong_vertical_field(coefficients: dict, n: int, target_order: int,
     """The contact-preserving lift of the vertical field with coefficients
     {field: psi} against d/dphi: the d/dphi_mu coefficient is the iterated
     total derivative D_mu(psi), for 0 <= |mu| <= target_order.  Returns the
-    nonzero coefficients {Jet: Expr}.  No psi may depend on momenta."""
+    nonzero coefficients {Jet: Expr}.  No psi may depend on momenta, and
+    the target order may not be negative."""
+    if target_order < 0:
+        raise ProlongationError(f"target order {target_order} is negative")
     for fld, psi in coefficients.items():
         for c in sorted(psi.free_coordinates(), key=_akey):
             if isinstance(c, Momentum):
@@ -60,8 +61,7 @@ def polarize(Q: Expr, variables) -> list:
     if d < 1:
         raise ProlongationError("polarization needs degree >= 1")
     dQ = gradient(Q, variables)
-    scale = Expr.const(Fraction(1, d))
-    return [dQ.get(x, ZERO) * scale for x in variables]
+    return [divide(dQ.get(x, ZERO), d) for x in variables]
 
 
 def resymmetrize(B: list, variables) -> Expr:

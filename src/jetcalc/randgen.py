@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from fractions import Fraction
 
 from .coords import Base, Jet
-from .expr import Expr, ZERO, _factor_key, _fold, _trusted
-from .legendre import _bareiss_det
+from .expr import Expr, ZERO, _factor_key, _fold, _trusted, divide
+from .legendre import _eliminate
 from .multiindex import all_multiindices, multiindices_up_to
 from .problem import LagrangianProblem
 
@@ -64,7 +63,7 @@ def random_quadratic_lagrangian(rng: random.Random, n: int, k: int) -> Lagrangia
                 H[i][j] = H[j][i]
         if _int_det(H) != 0:
             break
-    quadratic = [Expr.const(Fraction(H[i][j], 2))
+    quadratic = [divide(H[i][j], 2)
                  * Expr.atom(Jet("u", mi)) * Expr.atom(Jet("u", mj))
                  for i, mi in enumerate(tops)
                  for j, mj in enumerate(tops) if H[i][j]]
@@ -74,8 +73,9 @@ def random_quadratic_lagrangian(rng: random.Random, n: int, k: int) -> Lagrangia
 
 def _int_det(H) -> int:
     """Exact determinant of a square integer matrix by the fraction-free
-    elimination of the Legendre solver, O(dim^3)."""
-    return int(_bareiss_det(H).as_fraction())
+    elimination of the Legendre solver, O(dim^3), which stays on ints."""
+    M = [list(row) for row in H]
+    return _eliminate(M) * M[-1][-1]
 
 
 def random_gauge_table(rng: random.Random, problem: LagrangianProblem,

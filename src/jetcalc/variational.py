@@ -18,12 +18,11 @@ serves both the canonical momenta and the gauge propagation.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .coords import Base, Jet, Momentum, Multiplier
-from .expr import (Expr, ZERO, gradient, partial_derivative, substitute,
-                   total_derivative_multi, total_divergence)
+from .expr import (Expr, ZERO, divide, gradient, partial_derivative,
+                   substitute, total_derivative_multi, total_divergence)
 from .multiindex import MultiIndex, all_multiindices, multiindices_up_to
 from .problem import LagrangianProblem
 
@@ -141,10 +140,6 @@ def _grid_keys(n: int, fields: tuple, order: int) -> tuple:
                  for lam in range(1, n + 1))
 
 
-def jet_partial(L: Expr, fld: str, mi: MultiIndex) -> Expr:
-    return partial_derivative(L, Jet(fld, mi))
-
-
 def jet_gradient(L: Expr, fld: str, n: int, order: int) -> dict:
     """{mi: dL/dphi_mi} for the |mi| <= ``order`` at which that derivative
     is not zero, from one pass over the terms of L; read the other
@@ -200,10 +195,12 @@ def _weighted_descent(fld: str, n: int, order: int, rows: dict, source,
 
 
 def divide_weight(e: Expr, mi: MultiIndex) -> Expr:
-    return _scaled(e, Fraction(1, mi.weight()))
+    """``e / weight(mi)``; ``e`` itself at a unit weight, as ``_scaled``."""
+    w = mi.weight()
+    return e if w == 1 else divide(e, w)
 
 
-def _scaled(e: Expr, c) -> Expr:
+def _scaled(e: Expr, c: int) -> Expr:
     """``c * e``; ``e`` itself when ``c`` is 1 (the weight of every
     multi-index with one nonzero entry), as ``e * 1`` has the same terms in
     the same order."""
@@ -288,15 +285,6 @@ def evaluate_on_momenta(e: Expr, m: MomentumAssignment) -> Expr:
     return substitute(e, mapping)
 
 
-def cascade_euler_residual(problem: LagrangianProblem) -> dict:
-    """The field-equation row of the cascade evaluated on the canonical
-    momenta; must agree with euler_lagrange as canonical forms."""
-    m = canonical_momenta(problem)
-    cascade = cascade_equations(problem)
-    return {fld: -evaluate_on_momenta(cascade[f"{fld}:euler"].residual(), m)
-            for fld in problem.fields}
-
-
 def holonomy_residual(problem: LagrangianProblem, sigma) -> EquationSet:
     """Rows d_lam(slot mu) = slot(mu+lam) for |mu| <= k-2 plus the
     definitional top rows (labelled ``def:``) that set the order-k jets."""
@@ -327,8 +315,8 @@ def gauge_part(m: MomentumAssignment, level: int) -> dict:
     for fld, mi, lam in MomentumAssignment.grid_keys(m.n, m.fields, m.order):
         if mi.order == level - 1:
             target = mi.bump(lam)
-            avg = m.symmetric_part(fld, target) * Expr.const(
-                Fraction(mi.weight(), target.weight()))
+            avg = m.symmetric_part(fld, target) * divide(
+                mi.weight(), target.weight())
             out[(fld, mi, lam)] = m.slot(fld, mi, lam) - avg
     return out
 
@@ -396,8 +384,8 @@ def _with_multipliers(problem: LagrangianProblem, fld: str,
                       mi: MultiIndex) -> Expr:
     """dL/dphi_mu + sum_a lam[a] dC_a/dphi_mu."""
     return Expr.sum(
-        [jet_partial(problem.lagrangian, fld, mi)]
-        + [Expr.atom(Multiplier(a)) * jet_partial(C, fld, mi)
+        [partial_derivative(problem.lagrangian, Jet(fld, mi))]
+        + [Expr.atom(Multiplier(a)) * partial_derivative(C, Jet(fld, mi))
            for a, C in enumerate(problem.constraints, start=1)])
 
 
@@ -422,10 +410,3 @@ def constrained_generating_family(problem: LagrangianProblem) -> EquationSet:
         rows.append(Equation(f"{fld}:euler", p.divergence(fld, zero_mi),
                              _with_multipliers(problem, fld, zero_mi)))
     return EquationSet(rows)
-
-
-def psi_reduction(momenta: dict, momentum_jets: dict):
-    """Coordinate form of the reduction map on the k = 1 grid: the jet of a
-    momentum covector maps to (trace of the momentum jets, the momenta)."""
-    trace = Expr.sum(momentum_jets[(mu, mu)] for mu in sorted(momenta))
-    return trace, dict(momenta)

@@ -40,6 +40,15 @@ lagrangian 0;
 fcomponent u*u[1];
 """
 
+PENDULUM = """
+base 1;
+field u;
+field v;
+order 1;
+lagrangian 1/2*u[1]^2 + 1/2*v[1]^2;
+constraint u^2 + v^2 - 1;
+"""
+
 MS_GOOD = BEAM + """
 section { u = x1; u[1] = 1; p[u;;1] = 0; p[u;1;1] = 0; }
 """
@@ -219,6 +228,15 @@ class TestCommands:
         assert captured.err == (f"error: jet grid too large: {message} give "
                                 f"more than 2000 multi-indices{where}\n")
 
+    def test_negative_target_order_exit_2(self, capsys, lagfile):
+        # no jet has a negative order, so there is nothing to prolong to
+        path = lagfile("base 1;\nfield u;\norder 1;\nlagrangian u^2;\n"
+                       "vfield u = u;\n")
+        assert run(["prolong", path, "--target-order", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: target order -1 is negative\n")
+
     @pytest.mark.parametrize("name,command,message", [
         ("beam", "energy", "energy transform is a first-order construction"),
         ("beam", "check-divergence", "problem file has no fcomponent statements"),
@@ -272,6 +290,31 @@ class TestCommands:
     def test_singular_legendre_exit_2(self, capsys, lagfile):
         path = lagfile("base 1; field u; order 2; lagrangian u[2];")
         assert run(["legendre", path]) == 2
+
+    def test_constrained_cascade(self, capsys, lagfile):
+        # the pendulum on the unit circle: each row gains the multiplier
+        # term lam[1] * dC/dphi_mu of the constraint C = u^2 + v^2 - 1
+        path = lagfile(PENDULUM)
+        code, doc = invoke(capsys, "cascade", path)
+        assert code == 0
+        assert doc["result"] == {
+            "u:p[1]": "p[u;0;1] = u[1]",
+            "u:euler": "p[u;0;1;1] = 2*u*lam[1]",
+            "v:p[1]": "p[v;0;1] = v[1]",
+            "v:euler": "p[v;0;1;1] = 2*v*lam[1]",
+        }
+
+    @pytest.mark.parametrize("command,message", [
+        ("momenta", "problem has constraints; use "
+                    "constrained_generating_family"),
+        ("legendre", "Legendre transform of a constrained problem is not "
+                     "supported"),
+    ])
+    def test_constrained_problem_refused(self, capsys, lagfile, command,
+                                         message):
+        assert run([command, lagfile(PENDULUM)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_internal_fault_exit_3(self, capsys, lagfile, monkeypatch):
         def fault(*args, **kwargs):
@@ -848,9 +891,12 @@ class TestDeterminism:
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # the results are plain values and the records plain __slots__
     # classes, so loading the command line pulls in neither dataclasses
-    # nor the inspect module that dataclasses imports
+    # nor the inspect module that dataclasses imports; and the engine's
+    # rational constants are exact int divisions, so neither fractions nor
+    # the decimal module that fractions imports is loaded either
     snippet = ("import sys, jetcalc.cli\n"
-               "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+               "print(sorted({'dataclasses', 'inspect', 'fractions', "
+               "'decimal'} & set(sys.modules)))\n")
     src = os.path.dirname(os.path.dirname(jetcalc.__file__))
     proc = subprocess.run([sys.executable, "-c", snippet],
                           capture_output=True, text=True,

@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from jetcalc import (
     Base, Expr, ExprError, Jet, LagrangianProblem, Momentum, MultiIndex,
     Multiplier, OpaqueCall, Parameter, ParseError, divide, gradient,
-    multiindex_factor, parse_expr, partial_derivative, substitute, to_dsl,
-    total_derivative, total_derivative_multi,
+    parse_expr, partial_derivative, substitute, to_dsl, total_derivative,
+    total_derivative_multi,
 )
 from jetcalc.expr import (ONE, ZERO, _akey, _atom_partial, _atom_total,
                           _digits, _display_sorted, _mul_monomials,
@@ -59,20 +60,28 @@ def _reference_grid(n, order):
             for tail in _reference_grid(n - 1, order - head)]
 
 
+def collapse(indices, n):
+    """The multi-index of a symmetric index list (1-based entries)."""
+    return functools.reduce(MultiIndex.bump, indices, MultiIndex.zero(n))
+
+
 class TestMultiIndex:
     def test_factor_single_arrangement(self):
-        mi, w = multiindex_factor((1, 1), n=2)
+        mi = collapse((1, 1), n=2)
+        w = mi.weight()
         assert mi == MultiIndex((2, 0)) and w == 1
 
     def test_factor_two_arrangements_brute_force(self):
-        mi, w = multiindex_factor((1, 2), n=2)
+        mi = collapse((1, 2), n=2)
+        w = mi.weight()
         assert mi == MultiIndex((1, 1))
         # oracle: enumerate the arrangements of the index list directly
         arrangements = {perm for perm in itertools.permutations((1, 2))}
         assert w == len(arrangements) == 2
 
     def test_factor_empty(self):
-        mi, w = multiindex_factor((), n=2)
+        mi = collapse((), n=2)
+        w = mi.weight()
         assert mi == MultiIndex((0, 0)) and w == 1
 
     @pytest.mark.parametrize("n,l", [(1, 3), (2, 3), (3, 2), (2, 4)])
@@ -117,7 +126,7 @@ class TestMultiIndex:
         for mi in all_multiindices(2, 3):
             listing = []
             for tup in itertools.product((1, 2), repeat=3):
-                if multiindex_factor(tup, 2)[0] == mi:
+                if collapse(tup, 2) == mi:
                     listing.append(tup)
             assert mi.weight() == len(listing)
 
@@ -902,10 +911,36 @@ def test_coefficients_in_stored_form():
     assert half.parts() == ({(): 1}, 2)
     assert type(Expr.const(3).as_fraction()) is Fraction
     assert half.as_fraction() == Fraction(1, 2)
-    with pytest.raises(TypeError):
-        Expr({(): 0.5})
-    with pytest.raises(TypeError):
-        Expr.const(0.5)
+    assert type(ZERO.as_fraction()) is Fraction and ZERO.as_fraction() == 0
+    # any numbers.Rational comes in through its numerator and denominator,
+    # stored as plain ints in lowest terms
+    x = jet("u", 0)
+    X = ((Jet("u", MultiIndex((0,))), 1),)
+    for value, const, plus_x in (
+            (-7, ({(): -7}, 1), ({X: 1, (): -7}, 1)),
+            (0, ({}, 1), ({X: 1}, 1)),
+            (True, ({(): 1}, 1), ({X: 1, (): 1}, 1)),
+            (False, ({}, 1), ({X: 1}, 1)),
+            (Fraction(-6, 4), ({(): -3}, 2), ({X: 2, (): -3}, 2)),
+            (Fraction(6, 3), ({(): 2}, 1), ({X: 1, (): 2}, 1))):
+        for e, want in ((Expr.const(value), const), (x + value, plus_x),
+                        (value + x, plus_x)):
+            assert e.parts() == want, value
+            terms, den = e.parts()
+            assert all(type(c) is int for c in terms.values())
+            assert type(den) is int
+    # a float or a Decimal is refused, as a coefficient and as an operand
+    for bad in (0.5, Decimal("0.5")):
+        with pytest.raises(TypeError):
+            Expr({(): bad})
+        with pytest.raises(TypeError):
+            Expr.const(bad)
+        with pytest.raises(TypeError):
+            x + bad
+        with pytest.raises(TypeError):
+            bad + x
+        with pytest.raises(TypeError):
+            x * bad
 
 
 def test_quotient_step_stays_exact(monkeypatch):

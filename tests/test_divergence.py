@@ -8,19 +8,25 @@ import pytest
 
 from jetcalc import Expr, Jet, LagrangianProblem, MultiIndex
 from jetcalc.divergence import (DivergenceError, divergence_lagrangian,
-                                momentum_shift, trivial_momenta,
-                                verify_divergence_trivial)
+                                momentum_shift, verify_divergence_trivial)
 from jetcalc.expr import ZERO
 from jetcalc.randgen import (random_divergence_components,
                              random_quadratic_lagrangian)
-from jetcalc.variational import (canonical_momenta, cascade_equations,
-                                 euler_lagrange, evaluate_on_momenta)
+from jetcalc.variational import (MomentumAssignment, canonical_momenta,
+                                 cascade_equations, euler_lagrange,
+                                 evaluate_on_momenta)
 
 MI = MultiIndex
 
 
 def jet(fld, *mi):
     return Expr.atom(Jet(fld, MI(mi)))
+
+
+def trivial_momenta(F):
+    """The trivial momenta p^{mu lam} = dF^lam/dphi_mu of one field u:
+    the zero momenta shifted by F."""
+    return momentum_shift(MomentumAssignment.zero(len(F), ("u",), 1), F)
 
 
 class TestDivergenceLagrangian:
@@ -45,7 +51,7 @@ class TestTrivialMomenta:
         assert m.slot("u", MI((1,)), 1) == jet("u", 0)
 
     def test_constant_gives_zero(self):
-        m = trivial_momenta([Expr.const(3)], fields=("u",))
+        m = trivial_momenta([Expr.const(3)])
         assert all(v.is_zero() for v in m.slots.values())
 
     def test_linear_gives_constant(self):

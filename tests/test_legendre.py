@@ -13,20 +13,26 @@ from hypothesis import given, settings, strategies as st
 from jetcalc import (Base, Expr, Jet, LagrangianProblem, Momentum, MultiIndex,
                      OpaqueCall, Parameter, parse_expr, partial_derivative,
                      substitute)
-from jetcalc.expr import ONE, ZERO, ExprError, divide
+from jetcalc.expr import ONE, ZERO, ExprError, _coerce, divide
 from jetcalc.legendre import (LegendreError, SingularLegendreError,
-                              _bareiss_det, _check_hessian_entry,
-                              _check_time_entry, _quadratic_split,
-                              _solve_linear,
-                              energy_legendre, field_hamiltonian_first_order,
+                              _check_hessian_entry, _check_time_entry,
+                              _eliminate, _entry, _quadratic_split,
+                              _solve_linear, energy_legendre,
                               hamilton_equations, legendre_top)
 from jetcalc.multiindex import all_multiindices, multiindices_up_to
 from jetcalc.randgen import (_int_det, jet_atoms, random_polynomial,
                              random_quadratic_lagrangian)
 from jetcalc.variational import (canonical_momenta, cascade_equations,
-                                 evaluate_on_momenta, jet_partial)
+                                 evaluate_on_momenta)
 
 MI = MultiIndex
+
+
+def _bareiss_det(M) -> Expr:
+    """Exact determinant of a square matrix of Exprs or numbers by the
+    solver's fraction-free elimination, on a copy; 1 for an empty one."""
+    M = [[_entry(e) for e in row] for row in M]
+    return _coerce(_eliminate(M) * M[-1][-1] if M else 1)
 
 
 def _slot_atom(fld, mi, lam):
@@ -103,8 +109,9 @@ class TestLegendreTop:
             h_on_shell = evaluate_on_momenta(data.h, m)
             want = ZERO
             for (fld, mi), _ in data.inversion.items():
-                want = want + jet_partial(prob.lagrangian, fld, mi) * \
-                    Expr.atom(Jet(fld, mi))
+                x = Jet(fld, mi)
+                want = want + partial_derivative(prob.lagrangian, x) * \
+                    Expr.atom(x)
             assert h_on_shell == want - prob.lagrangian
 
     def test_inversion_is_h_gradient(self):
@@ -126,7 +133,7 @@ class TestLegendreTop:
             pairing = ZERO
             for fld, mi in data.inversion:
                 atom = Momentum(fld, mi)
-                mapping[atom] = jet_partial(prob.lagrangian, fld, mi)
+                mapping[atom] = partial_derivative(prob.lagrangian, Jet(fld, mi))
                 pairing = pairing + Expr.atom(atom) * Expr.atom(Jet(fld, mi))
             # L = sum p phi - h with p substituted by dL/dphi_top
             recovered = substitute(pairing - data.h, mapping)
@@ -182,7 +189,7 @@ class TestHamiltonEquations:
 
 class TestFieldHamiltonian:
     def test_wave(self):
-        H = field_hamiltonian_first_order(wave())
+        H = legendre_top(wave()).hamiltonian
         pt = Expr.atom(Momentum("f", MI((0, 0)), 1))
         px = Expr.atom(Momentum("f", MI((0, 0)), 2))
         half = Expr.const(Fraction(1, 2))
@@ -192,7 +199,7 @@ class TestFieldHamiltonian:
         prob = LagrangianProblem(1, ("q",), 1,
                                  Expr.const(Fraction(1, 2)) *
                                  Expr.atom(Jet("q", MI((1,)))) ** 2)
-        H = field_hamiltonian_first_order(prob)
+        H = legendre_top(prob).hamiltonian
         p = Expr.atom(Momentum("q", MI((0,)), 1))
         assert H == Expr.const(Fraction(1, 2)) * p ** 2
 
@@ -200,14 +207,10 @@ class TestFieldHamiltonian:
         prob0 = LagrangianProblem(2, ("f",), 1, Expr())
         L = parse_expr("f[1,0]*f[0,1]", prob0)
         prob = LagrangianProblem(2, ("f",), 1, L)
-        H = field_hamiltonian_first_order(prob)
+        H = legendre_top(prob).hamiltonian
         pt = Expr.atom(Momentum("f", MI((0, 0)), 1))
         px = Expr.atom(Momentum("f", MI((0, 0)), 2))
         assert H == pt * px
-
-    def test_second_order_rejected(self):
-        with pytest.raises(LegendreError, match="first-order"):
-            field_hamiltonian_first_order(beam())
 
 
 class TestEnergyLegendre:
@@ -220,7 +223,7 @@ class TestEnergyLegendre:
 
     def test_mechanics_energy_equals_hamiltonian(self):
         prob = mechanics()
-        assert energy_legendre(prob, 1) == field_hamiltonian_first_order(prob)
+        assert energy_legendre(prob, 1) == legendre_top(prob).hamiltonian
 
     def test_no_time_dependence(self):
         prob0 = LagrangianProblem(2, ("f",), 1, Expr())
@@ -290,7 +293,7 @@ class TestMultiField:
         back = evaluate_on_momenta(data.hamiltonian, m)
         want = ZERO
         for fld in ("q", "r"):
-            want = want + jet_partial(L, fld, MI((1,))) * \
+            want = want + partial_derivative(L, Jet(fld, MI((1,)))) * \
                 Expr.atom(Jet(fld, MI((1,))))
         assert back == want - L
 
@@ -321,7 +324,6 @@ class TestExactSolver:
     def test_determinant_matches_rational_evaluation(self):
         # independent oracle: evaluate the symbolic matrix at random rational
         # parameter values and compare with fraction arithmetic
-        from jetcalc.legendre import _bareiss_det
         from jetcalc import substitute
         rng = random.Random(6)
         a, b = Parameter("a"), Parameter("b")
@@ -528,7 +530,7 @@ def _reference_exchange(L, momenta, check):
     kill = {Jet(fld, mi): ZERO for fld, mi in unknowns}
     A, rhs = [], []
     for fld, mi in unknowns:
-        dL = jet_partial(L, fld, mi)
+        dL = partial_derivative(L, Jet(fld, mi))
         row = []
         for fld2, mi2 in unknowns:
             entry = partial_derivative(dL, Jet(fld2, mi2))
@@ -660,7 +662,7 @@ def _reference_split(L, unknowns):
     kill = {Jet(fld, mi): ZERO for fld, mi in unknowns}
     A, b = [], []
     for fld, mi in unknowns:
-        dL = jet_partial(L, fld, mi)
+        dL = partial_derivative(L, Jet(fld, mi))
         A.append([partial_derivative(dL, Jet(fld2, mi2))
                   for fld2, mi2 in unknowns])
         b.append(substitute(dL, kill))

@@ -45,6 +45,14 @@ class TestProlongation:
         assert lifted.get(Jet("u", MI((1,))), ZERO) == jet("u", 2)
         assert lifted.get(Jet("u", MI((2,))), ZERO) == jet("u", 3)
 
+    def test_negative_target_order_rejected(self):
+        # order 0 lifts the coefficient itself; below it there is no jet
+        X = {"u": jet("u", 1)}
+        assert prolong_vertical_field(X, n=1, target_order=0) == \
+            {Jet("u", MI((0,))): jet("u", 1)}
+        with pytest.raises(ProlongationError, match="target order -1"):
+            prolong_vertical_field(X, n=1, target_order=-1)
+
     def test_truncated_formula_at_first_order(self):
         # for psi = psi(x, phi) the lift coefficient at order one is
         # dpsi/dx^mu + phi_mu dpsi/dphi

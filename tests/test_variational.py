@@ -15,11 +15,10 @@ from jetcalc import randgen
 from jetcalc.randgen import jet_atoms, random_gauge_table, random_lagrangian
 from jetcalc.variational import (MomentumAssignment, VariationalError,
                                  apply_momentum_gauge, canonical_momenta,
-                                 cascade_equations, cascade_euler_residual,
+                                 cascade_equations,
                                  constrained_generating_family, currents,
                                  euler_lagrange, evaluate_on_momenta,
-                                 holonomy_residual, psi_reduction,
-                                 symmetrize_momenta)
+                                 holonomy_residual, symmetrize_momenta)
 
 MI = MultiIndex
 
@@ -152,7 +151,11 @@ class TestEulerLagrange:
             n = rng.choice((1, 2))
             k = rng.choice((1, 2, 3))
             prob = random_lagrangian(rng, n, k)
-            assert cascade_euler_residual(prob)["u"] == euler_lagrange(prob)["u"]
+            # the field row of the cascade on the canonical momenta
+            residual = -evaluate_on_momenta(
+                cascade_equations(prob)["u:euler"].residual(),
+                canonical_momenta(prob))
+            assert residual == euler_lagrange(prob)["u"]
 
 
 class TestHolonomy:
@@ -343,28 +346,6 @@ class TestConstrained:
                                  (Expr.atom(Jet("u", MI((2,)))),))
         with pytest.raises(VariationalError, match="order > 1"):
             constrained_generating_family(prob)
-
-
-class TestPsiReduction:
-    def test_trace_extraction(self):
-        j, p = psi_reduction({1: Expr.const(3)}, {(1, 1): Expr.const(5)})
-        assert j == Expr.const(5)
-        assert p[1] == Expr.const(3)
-
-    def test_zero(self):
-        j, p = psi_reduction({1: ZERO}, {(1, 1): ZERO})
-        assert j.is_zero() and p[1].is_zero()
-
-    def test_off_diagonal_ignored(self):
-        a, b, c, d_ = (Expr.atom(Parameter(s)) for s in "abcd")
-        moms = {1: a, 2: b}
-        jets = {(1, 1): c, (2, 2): d_,
-                (1, 2): Expr.const(17), (2, 1): Expr.const(-4)}
-        j, p = psi_reduction(moms, jets)
-        assert j == c + d_
-        jets2 = {**jets, (1, 2): ZERO, (2, 1): Expr.const(123)}
-        j2, _ = psi_reduction(moms, jets2)
-        assert j2 == j
 
 
 class TestDummyFieldDegeneracy:
