@@ -2,59 +2,50 @@
 
 Symbolic momenta, currents, Euler-Lagrange cascades, Legendre transforms and
 Poincare-Cartan forms on jet bundles, with exact-arithmetic theorem checks.
+
+Each public name is listed once, under the module that defines it, which
+is imported on the first use of the name (PEP 562).
 """
 
-from .coords import Base, Jet, Momentum, Multiplier, Parameter
-from .divergence import (DivergenceData, DivergenceError,
-                         divergence_lagrangian, momentum_shift,
-                         verify_divergence_trivial)
-from .expr import (Expr, ExprError, OpaqueCall, divide, gradient,
-                   partial_derivative, substitute, to_dsl, total_derivative,
-                   total_derivative_multi)
-from .forms import (ExteriorForm, FormsError, SectionData,
-                    exterior_derivative, holonomic_section, interior_product,
-                    pullback_section, wedge)
-from .legendre import (LegendreData, LegendreError, SingularLegendreError,
-                       energy_legendre, hamilton_equations, legendre_top)
-from .multiindex import MultiIndex, all_multiindices, multiindices_up_to
-from .parser import ParseError, ProblemFile, parse_expr, parse_problem
-from .poincare import (PCForm, galilei_transform_check,
-                       multisymplectic_residuals, pc_form)
-from .printing import form_to_latex, form_to_str, to_latex
-from .problem import LagrangianProblem, ProblemError
-from .prolongation import (ProlongationError, gram_matrix,
-                           homogeneous_degree, polarize,
-                           prolong_vertical_field, resymmetrize)
-from .variational import (Equation, EquationSet,
-                          MomentumAssignment, VariationalError,
-                          apply_momentum_gauge, canonical_momenta,
-                          cascade_equations, constrained_generating_family,
-                          currents, euler_lagrange, evaluate_on_momenta,
-                          gauge_part, holonomy_residual, symmetrize_momenta)
+import importlib
 
-__all__ = [
-    "Base", "Jet", "Momentum", "Multiplier", "Parameter",
-    "Expr", "ExprError", "OpaqueCall", "divide", "gradient",
-    "partial_derivative", "substitute", "to_dsl", "total_derivative",
-    "total_derivative_multi",
-    "MultiIndex", "all_multiindices", "multiindices_up_to",
-    "ParseError", "ProblemFile", "parse_expr", "parse_problem",
-    "LagrangianProblem", "ProblemError",
-    "ExteriorForm", "FormsError", "SectionData",
-    "exterior_derivative", "holonomic_section", "interior_product",
-    "pullback_section", "wedge",
-    "Equation", "EquationSet", "MomentumAssignment",
-    "VariationalError", "apply_momentum_gauge", "canonical_momenta",
-    "cascade_equations", "constrained_generating_family", "currents",
-    "euler_lagrange", "evaluate_on_momenta", "gauge_part",
-    "holonomy_residual", "symmetrize_momenta",
-    "LegendreData", "LegendreError", "SingularLegendreError",
-    "energy_legendre", "hamilton_equations", "legendre_top",
-    "PCForm", "galilei_transform_check",
-    "multisymplectic_residuals", "pc_form",
-    "DivergenceData", "DivergenceError", "divergence_lagrangian",
-    "momentum_shift", "verify_divergence_trivial",
-    "ProlongationError", "gram_matrix", "homogeneous_degree",
-    "polarize", "prolong_vertical_field", "resymmetrize",
-    "form_to_latex", "form_to_str", "to_latex",
-]
+_NAMES = {
+    "coords": "Base Jet Momentum Multiplier Parameter",
+    "expr": "Expr ExprError JetcalcError OpaqueCall divide gradient "
+            "partial_derivative substitute to_dsl total_derivative "
+            "total_derivative_multi",
+    "multiindex": "MultiIndex all_multiindices multiindices_up_to",
+    "parser": "ParseError ProblemFile parse_expr parse_problem",
+    "problem": "LagrangianProblem ProblemError",
+    "forms": "ExteriorForm FormsError SectionData exterior_derivative "
+             "form_to_str holonomic_section interior_product pullback_section "
+             "wedge",
+    "variational": "Equation EquationSet MomentumAssignment VariationalError "
+                   "apply_momentum_gauge canonical_momenta cascade_equations "
+                   "constrained_generating_family currents euler_lagrange "
+                   "evaluate_on_momenta gauge_part holonomy_residual "
+                   "symmetrize_momenta",
+    "legendre": "LegendreData LegendreError SingularLegendreError "
+                "energy_legendre hamilton_equations legendre_top",
+    "poincare": "PCForm galilei_transform_check multisymplectic_residuals "
+                "pc_form",
+    "divergence": "DivergenceData DivergenceError divergence_lagrangian "
+                  "momentum_shift verify_divergence_trivial",
+    "prolongation": "ProlongationError gram_matrix homogeneous_degree "
+                    "polarize prolong_vertical_field resymmetrize",
+    "printing": "form_to_latex to_latex",
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items()
+              for name in names.split()}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_MODULE_OF[name]}")
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted([*globals(), *__all__])

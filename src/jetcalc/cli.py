@@ -2,10 +2,10 @@
 
 Reports are JSON (``--latex`` switches the expression strings to LaTeX).
 Exit status: 0 on success, 1 when a verification command finds a nonzero
-residual, 2 on input errors (parse failures, singular transforms, missing
-blocks), 3 on an internal fault (any other exception, including stdout
-closed before the report was written); exit 2 and 3 print one ``error:``
-line on stderr.
+residual, 2 on input errors (a ``JetcalcError``: parse failures, singular
+transforms, missing blocks), 3 on an internal fault (any other exception,
+including stdout closed before the report was written); exit 2 and 3 print
+one ``error:`` line on stderr.  Each command imports its own modules.
 """
 
 from __future__ import annotations
@@ -17,31 +17,14 @@ import os
 import sys
 
 from .coords import Jet, Momentum
-from .divergence import (DivergenceError, divergence_lagrangian,
-                         momentum_shift, verify_divergence_trivial)
-from .expr import Expr, ExprError, to_dsl
+from .expr import Expr, JetcalcError, to_dsl
+from .forms import SectionData
 from .multiindex import MultiIndex
-from .forms import FormsError, SectionData
-from .legendre import LegendreError, hamilton_equations, legendre_top, \
-    energy_legendre
-from .parser import ParseError, ProblemFile, grid_refusal, parse_problem
-from .poincare import galilei_transform_check, multisymplectic_residuals, pc_form
 from .printing import form_to_latex, form_to_str, to_latex
-from .problem import ProblemError
-from .prolongation import (ProlongationError, homogeneous_degree, polarize,
-                           prolong_vertical_field)
-from .variational import (VariationalError, canonical_momenta,
-                          cascade_equations, constrained_generating_family,
-                          currents, euler_lagrange, holonomy_residual)
-from .verify import run_all
 
 COMMANDS = ("el", "cascade", "momenta", "currents", "legendre", "hamilton",
             "energy", "pc-form", "ms-check", "check-divergence", "shift",
             "prolong", "polarize", "galilei", "verify-all")
-
-
-class InputError(ValueError):
-    pass
 
 
 @functools.cache
@@ -100,13 +83,14 @@ class Report:
             self.add(row.label,
                      f"{self.expr(row.lhs)} = {self.expr(row.rhs)}")
 
-    def add_residuals(self, residuals) -> bool:
-        """Record the nonzero (label, residual) pairs; True if there are none."""
+    def add_residuals(self, residuals, render=None) -> bool:
+        """Record the nonzero (label, residual) pairs, printed by ``render``
+        (``expr`` by default); True if there are none."""
         ok = True
         for label, res in residuals:
             if not res.is_zero():
                 ok = False
-                self.add_residual(label, self.expr(res))
+                self.add_residual(label, (render or self.expr)(res))
         return ok
 
     def add_slots(self, slots: dict) -> None:
@@ -118,26 +102,22 @@ class Report:
         print(json.dumps(self.doc, indent=2, ensure_ascii=False), flush=True)
 
 
-def _load(path: str | None) -> ProblemFile:
+def _load(path: str | None):
+    from .parser import parse_problem
     if path is None:
-        raise InputError("this command requires a problem file")
+        raise JetcalcError("this command requires a problem file")
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_problem(fh.read())
     except OSError as exc:
-        raise InputError(str(exc)) from None
+        raise JetcalcError(str(exc)) from None
 
 
-def _need_section(pf: ProblemFile) -> SectionData:
-    if pf.section is None:
-        raise InputError("problem file has no section block")
-    return SectionData(pf.section, n=pf.problem.n)
-
-
-def _need_fvector(pf: ProblemFile):
-    if not pf.fvector:
-        raise InputError("problem file has no fcomponent statements")
-    return pf.fvector
+def _need(block, what: str):
+    """A block of the problem file, refused when the file has none."""
+    if not block:
+        raise JetcalcError(f"problem file has no {what}")
+    return block
 
 
 def _parse_argv(argv):
@@ -161,9 +141,7 @@ def run(argv=None) -> int:
         report, ok = _dispatch(args)
         report.emit()
         return 0 if ok else 1
-    except (ParseError, ProblemError, InputError, LegendreError,
-            DivergenceError, VariationalError, ProlongationError, FormsError,
-            ExprError) as exc:
+    except JetcalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:    # a fault of the program, not of the input
@@ -180,16 +158,15 @@ def _dispatch(args):
     cmd = args.command
 
     if cmd == "galilei":
+        from .poincare import galilei_transform_check
         report = Report(cmd, latex=args.latex)
-        ok = True
-        for label, form in galilei_transform_check():
+        rows = galilei_transform_check()
+        for label, form in rows:
             report.add(label, report.form(form))
-            if not form.is_zero():
-                ok = False
-                report.add_residual(label, report.form(form))
-        return report, ok
+        return report, report.add_residuals(rows, report.form)
 
     if cmd == "verify-all":
+        from .verify import run_all
         report = Report(cmd, latex=args.latex)
         results = run_all(seed=args.seed)
         ok = True
@@ -207,23 +184,27 @@ def _dispatch(args):
     report = Report(cmd, prob, latex=args.latex)
 
     if cmd == "el":
+        from .variational import euler_lagrange
         report.add("euler_lagrange",
                    {fld: report.expr(e)
                     for fld, e in euler_lagrange(prob, order_cap=args.order_cap).items()})
         return report, True
 
     if cmd == "cascade":
+        from .variational import cascade_equations, constrained_generating_family
         eqs = (constrained_generating_family(prob) if prob.constraints
                else cascade_equations(prob))
         report.add_rows(eqs)
         return report, True
 
     if cmd == "momenta":
+        from .variational import canonical_momenta
         m = canonical_momenta(prob, order_cap=args.order_cap)
         report.add_slots(m.slots)
         return report, True
 
     if cmd == "currents":
+        from .variational import canonical_momenta, currents
         tbl = currents(canonical_momenta(prob, order_cap=args.order_cap))
         for (fld, mi), e in sorted(tbl.items(),
                                    key=lambda kv: (kv[0][0], tuple(kv[0][1]))):
@@ -231,6 +212,7 @@ def _dispatch(args):
         return report, True
 
     if cmd == "legendre":
+        from .legendre import legendre_top
         data = legendre_top(prob)
         report.add("h", report.expr(data.h))
         report.add("H", report.expr(data.hamiltonian))
@@ -239,16 +221,19 @@ def _dispatch(args):
         return report, True
 
     if cmd == "hamilton":
+        from .legendre import hamilton_equations
         report.add_rows(hamilton_equations(prob))
         return report, True
 
     if cmd == "energy":
+        from .legendre import energy_legendre
         direction = args.time if args.time is not None else prob.n
         report.add("energy", report.expr(energy_legendre(prob, direction)))
         report.add("time_direction", str(direction))
         return report, True
 
     if cmd == "pc-form":
+        from .poincare import pc_form
         form = pc_form(prob)
         report.add("omega", report.form(form.omega))
         report.add("theta", report.form(form.theta))
@@ -256,7 +241,9 @@ def _dispatch(args):
         return report, True
 
     if cmd == "ms-check":
-        sigma = _need_section(pf)
+        from .poincare import multisymplectic_residuals
+        from .variational import holonomy_residual
+        sigma = SectionData(_need(pf.section, "section block"), n=prob.n)
         eqs = multisymplectic_residuals(prob, sigma)
         hol = holonomy_residual(prob, sigma)
         report.add_rows(eqs)
@@ -265,7 +252,8 @@ def _dispatch(args):
                                for label, res in hol.residuals()])
 
     if cmd == "check-divergence":
-        F = _need_fvector(pf)
+        from .divergence import divergence_lagrangian, verify_divergence_trivial
+        F = _need(pf.fvector, "fcomponent statements")
         data = divergence_lagrangian(F, fields=prob.fields)
         report.add("L0", report.expr(data.lagrangian))
         eqs = verify_divergence_trivial(F, fields=prob.fields)
@@ -273,20 +261,23 @@ def _dispatch(args):
         return report, report.add_residuals(eqs.residuals())
 
     if cmd == "shift":
-        F = _need_fvector(pf)
+        from .divergence import momentum_shift
+        from .variational import canonical_momenta
+        F = _need(pf.fvector, "fcomponent statements")
         m = canonical_momenta(prob, order_cap=args.order_cap)
         shifted = momentum_shift(m, F, "inverse" if args.inverse else "forward")
         report.add_slots(shifted.slots)
         return report, True
 
     if cmd == "prolong":
-        if not pf.vfields:
-            raise InputError("problem file has no vfield statements")
+        from .parser import grid_refusal
+        from .prolongation import prolong_vertical_field
+        vfields = _need(pf.vfields, "vfield statements")
         order = args.target_order if args.target_order is not None else prob.k
         refusal = grid_refusal(prob.n, order, "target order")
         if refusal:
-            raise InputError(refusal)
-        lifted = prolong_vertical_field(pf.vfields, n=prob.n,
+            raise JetcalcError(refusal)
+        lifted = prolong_vertical_field(vfields, n=prob.n,
                                         target_order=order,
                                         order_cap=args.order_cap)
         for coord, e in lifted.items():
@@ -294,15 +285,15 @@ def _dispatch(args):
         return report, True
 
     if cmd == "polarize":
-        if pf.poly is None:
-            raise InputError("problem file has no poly statement")
+        from .prolongation import homogeneous_degree, polarize
+        poly = _need(pf.poly, "poly statement")
         variables = [Jet(fld, MultiIndex.zero(prob.n)) for fld in prob.fields]
-        for fld, comp in zip(prob.fields, polarize(pf.poly, variables)):
+        for fld, comp in zip(prob.fields, polarize(poly, variables)):
             report.add(f"component_{fld}", report.expr(comp))
-        report.add("degree", str(homogeneous_degree(pf.poly, variables)))
+        report.add("degree", str(homogeneous_degree(poly, variables)))
         return report, True
 
-    raise InputError(f"unhandled command {cmd}")
+    raise JetcalcError(f"unhandled command {cmd}")
 
 
 def main() -> None:

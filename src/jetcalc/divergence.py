@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from .coords import Jet, Momentum
-from .expr import Expr, ZERO, _akey, total_divergence
+from .expr import Expr, JetcalcError, ZERO, _akey, total_divergence
 from .multiindex import multiindices_up_to
 from .problem import LagrangianProblem
 from .variational import (Equation, EquationSet, MomentumAssignment,
                           euler_lagrange, jet_gradient)
 
 
-class DivergenceError(ValueError):
+class DivergenceError(JetcalcError):
     pass
 
 

@@ -57,7 +57,11 @@ from .coords import (AtomBase, Base, Coordinate, Jet, Momentum, Multiplier,
 _RANK_OPAQUE = 5
 
 
-class ExprError(Exception):
+class JetcalcError(ValueError):
+    """Bad input to jetcalc; every module's error class derives from it."""
+
+
+class ExprError(JetcalcError):
     """Illegal algebraic operation (bad division, bad exponent, ...)."""
 
 

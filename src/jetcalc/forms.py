@@ -12,12 +12,12 @@ from itertools import chain
 
 from .coords import (Base, Coordinate, Jet, Momentum, Multiplier, Parameter,
                      is_fibre)
-from .expr import (Expr, ONE, _akey, _ranked, gradient, partial_derivative,
-                   substitute, total_derivative_multi)
+from .expr import (Expr, JetcalcError, ONE, _akey, _ranked, gradient,
+                   partial_derivative, substitute, total_derivative_multi)
 from .multiindex import multiindices_up_to
 
 
-class FormsError(ValueError):
+class FormsError(JetcalcError):
     pass
 
 
@@ -189,6 +189,12 @@ class SectionData:
     """
 
     def __init__(self, assign: dict, n: int | None = None):
+        for slot, value in assign.items():
+            if not is_fibre(slot):
+                raise FormsError(f"section assigns fibre slots only, got {slot!r}")
+            bad = sorted(filter(is_fibre, value.free_coordinates()), key=_akey)
+            if bad:
+                raise FormsError(f"section value for {slot!r} contains fibre atom {bad[0]!r}")
         dims = {slot.mi.n for slot in assign}
         if n is None:
             if len(dims) != 1:
@@ -196,12 +202,6 @@ class SectionData:
             n = dims.pop()
         elif dims - {n}:
             raise FormsError("slot dimension disagrees with n")
-        for slot, value in assign.items():
-            if not is_fibre(slot):
-                raise FormsError(f"section assigns fibre slots only, got {slot!r}")
-            bad = sorted(filter(is_fibre, value.free_coordinates()), key=_akey)
-            if bad:
-                raise FormsError(f"section value for {slot!r} contains fibre atom {bad[0]!r}")
         self.n = n
         self.assign = dict(assign)
 

@@ -32,15 +32,16 @@ of the slots of order below k - 1.
 from __future__ import annotations
 
 from .coords import Jet, Momentum, Parameter
-from .expr import (Expr, ExprError, OpaqueCall, ZERO, _akey, _coerce,
-                   _fold_over, _make, _mul_terms, divide, gradient, substitute)
+from .expr import (Expr, ExprError, JetcalcError, OpaqueCall, ZERO, _akey,
+                   _coerce, _fold_over, _make, _mul_terms, divide, gradient,
+                   substitute)
 from .multiindex import MultiIndex, all_multiindices, multiindices_up_to
 from .problem import LagrangianProblem
 from .variational import (Equation, EquationSet, MomentumAssignment,
                           _cascade_row)
 
 
-class LegendreError(ValueError):
+class LegendreError(JetcalcError):
     """Top dependence not quadratic / Hessian not parameter-constant."""
 
 

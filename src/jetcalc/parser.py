@@ -36,9 +36,9 @@ import itertools
 import re
 from math import gcd
 
-from .coords import Base, Jet, Momentum, Multiplier, Parameter
-from .expr import (Expr, OpaqueCall, _fold_over, _make, _mul_monomials,
-                   divide)
+from .coords import Base, Jet, Momentum, Multiplier, Parameter, is_fibre
+from .expr import (Expr, JetcalcError, OpaqueCall, _fold_over, _make,
+                   _mul_monomials, divide)
 from .problem import LagrangianProblem
 
 _RESERVED = {"p", "lam", "base", "field", "order", "param", "opaque",
@@ -71,6 +71,11 @@ _BASE_NAME = re.compile(r"x(\d+)")
 # has 20001 bits.
 TERM_BUDGET = 100_000
 BIT_BUDGET = 1 << 18
+
+# Budget on parenthesised groups and call argument lists nested together:
+# the parser, printers and derivatives recurse on them, and 95 nested calls
+# still pass every command, so the budget leaves a margin.
+NESTING_BUDGET = 64
 
 # Budget on the jet grid: the C(n+k, n) multi-indices of order <= k over n
 # base directions, which every command walks per field (a ``u`` alone is a
@@ -132,7 +137,7 @@ def _power_refusal(base, d: int) -> str | None:
     return None
 
 
-class ParseError(ValueError):
+class ParseError(JetcalcError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} at line {line}, column {col}")
         self.message = message
@@ -231,6 +236,7 @@ class _ExprParser(_Tokens):
         super().__init__(src, toks, base)
         self.problem = problem
         self.max_jet = problem.k if max_jet_order is None else max_jet_order
+        self.depth = 0
 
     def parse(self) -> Expr:
         e = self._sum()
@@ -240,7 +246,12 @@ class _ExprParser(_Tokens):
         return e
 
     def _sum(self) -> Expr:
-        """Terms joined by ``+`` and ``-``, folded into one term dict."""
+        """Terms joined by ``+`` and ``-``, folded into one term dict; a
+        group or call argument nests one level, refused past the budget."""
+        if self.depth > NESTING_BUDGET:
+            raise self.error(f"nesting deeper than {NESTING_BUDGET} levels of "
+                             f"parentheses and calls", self.i - 1)
+        self.depth += 1
         acc: dict = {}
         den = 1
         toks = self.toks
@@ -251,6 +262,7 @@ class _ExprParser(_Tokens):
                              if negative else items, d)
             op = toks[self.i]
             if op != "+" and op != "-":
+                self.depth -= 1
                 return _make(acc, den)
             self.i += 1
             negative = op == "-"
@@ -652,6 +664,8 @@ def parse_problem(text: str) -> ProblemFile:
             fld = kind.split(":", 1)[1]
             if fld not in problem.fields:
                 raise toks.error(f"vfield for unknown field {fld!r}", t)
+            if fld in pf.vfields:
+                raise toks.error(f"duplicate 'vfield' statement for {fld!r}", t)
             pf.vfields[fld] = _parse_stmt_expr(text, src, problem, "vfield")
     if poly_src is not None:
         pf.poly = _parse_stmt_expr(text, poly_src, problem, "poly")
@@ -660,12 +674,14 @@ def parse_problem(text: str) -> ProblemFile:
         for lhs_stmt, rhs_stmt, start in section_stmts:
             lhs = _parse_stmt_expr(text, lhs_stmt, problem, "section")
             atoms = lhs.atoms()
-            if len(atoms) != 1 or lhs != Expr.atom(next(iter(atoms))):
-                lhs_src = " ".join(lhs_stmt[0][:-1])
+            slot = next(iter(atoms), None)
+            lhs_src = " ".join(lhs_stmt[0][:-1])
+            if len(atoms) != 1 or lhs != Expr.atom(slot) or not is_fibre(slot):
                 raise toks.error(
                     f"section key must be a single slot: {lhs_src}", start)
-            assign[next(iter(atoms))] = _parse_stmt_expr(text, rhs_stmt,
-                                                         problem, "section")
+            if slot in assign:
+                raise toks.error(f"duplicate section key: {lhs_src}", start)
+            assign[slot] = _parse_stmt_expr(text, rhs_stmt, problem, "section")
         pf.section = assign
     if pf.fvector and len(pf.fvector) != problem.n:
         raise toks.error(

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from .coords import Jet, Momentum, Multiplier
-from .expr import Expr, ZERO, _akey
+from .expr import Expr, JetcalcError, ZERO, _akey
 
 
-class ProblemError(ValueError):
+class ProblemError(JetcalcError):
     pass
 
 

@@ -5,12 +5,12 @@ ones)."""
 from __future__ import annotations
 
 from .coords import Jet, Momentum
-from .expr import (Expr, OpaqueCall, ZERO, _akey, divide, gradient,
-                   total_derivative_multi)
+from .expr import (Expr, JetcalcError, OpaqueCall, ZERO, _akey, divide,
+                   gradient, total_derivative_multi)
 from .multiindex import multiindices_up_to
 
 
-class ProlongationError(ValueError):
+class ProlongationError(JetcalcError):
     pass
 
 

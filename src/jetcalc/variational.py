@@ -21,13 +21,14 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .coords import Base, Jet, Momentum, Multiplier
-from .expr import (Expr, ZERO, divide, gradient, partial_derivative,
-                   substitute, total_derivative_multi, total_divergence)
+from .expr import (Expr, JetcalcError, ZERO, divide, gradient,
+                   partial_derivative, substitute, total_derivative_multi,
+                   total_divergence)
 from .multiindex import MultiIndex, all_multiindices, multiindices_up_to
 from .problem import LagrangianProblem
 
 
-class VariationalError(ValueError):
+class VariationalError(JetcalcError):
     pass
 
 

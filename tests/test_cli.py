@@ -58,6 +58,15 @@ section { u = x1; u[1] = 1; p[u;;1] = 0; p[u;1;1] = 7; }
 """
 
 
+# a beam Lagrangian at line 6, plus a term from column 25 on
+NESTED = """base 1;
+field u;
+order 2;
+param m;
+opaque U(1);
+lagrangian 1/2*u[2]^2 + {};
+"""
+
 CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "corpus")
 
@@ -319,11 +328,74 @@ class TestCommands:
     def test_internal_fault_exit_3(self, capsys, lagfile, monkeypatch):
         def fault(*args, **kwargs):
             raise RuntimeError("boom")
-        monkeypatch.setattr(jetcalc.cli, "euler_lagrange", fault)
+        monkeypatch.setattr("jetcalc.variational.euler_lagrange", fault)
         assert run(["el", lagfile(BEAM)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: RuntimeError: boom\n"
+
+    @pytest.mark.parametrize("error,code,err", [
+        (type("FreshError", (jetcalc.JetcalcError,), {})("bad"), 2,
+         "error: bad\n"),
+        (ValueError("bad"), 3, "error: ValueError: bad\n"),
+    ], ids=["jetcalc-error-subclass", "plain-value-error"])
+    def test_exit_2_is_exactly_a_jetcalc_error(self, capsys, lagfile,
+                                               monkeypatch, error, code, err):
+        # exit 2 is the one class JetcalcError, whatever module raises it
+        def refuse(*args, **kwargs):
+            raise error
+        monkeypatch.setattr("jetcalc.variational.euler_lagrange", refuse)
+        assert run(["el", lagfile(BEAM)]) == code
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize("argv", [["el"], ["legendre"],
+                                      ["--latex", "pc-form"]])
+    def test_nesting_at_the_budget_passes(self, capsys, lagfile, argv):
+        # 64 nested calls: at the parser's nesting budget, and within the
+        # stack of every later recursion over them
+        path = lagfile(NESTED.format("U(" * 64 + "u" + ")" * 64))
+        assert run([*argv, path]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("body,col", [
+        ("U(" * 65 + "u" + ")" * 65, 154),
+        ("(" * 3000 + "u" + ")" * 3000, 89),
+    ], ids=["65-calls", "3000-parentheses"])
+    def test_nesting_past_the_budget_exit_2(self, capsys, lagfile, body, col):
+        # these ended in a RecursionError (exit 3), or 65 calls passed
+        assert run(["el", lagfile(NESTED.format(body))]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: nesting deeper than 64 levels of parentheses and calls "
+            f"(in lagrangian statement) at line 6, column {col}\n"))
+
+    @pytest.mark.parametrize("key,where", [
+        ("x1", "x1 at line 7, column 11"),
+        ("m", "m at line 7, column 11"),
+        ("lam[1]", "lam [ 1 ] at line 7, column 11"),
+        ("U(x1)", "U ( x1 ) at line 7, column 11"),
+    ], ids=["base", "parameter", "multiplier", "call"])
+    @pytest.mark.parametrize("command", ["ms-check", "el"])
+    def test_section_key_that_is_no_slot_exit_2(self, capsys, lagfile, key,
+                                                where, command):
+        # these ended in an AttributeError (exit 3) in ms-check
+        path = lagfile(NESTED.format("0") + f"section {{ {key} = 2; }}\n")
+        assert run([command, path]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: section key must be a single slot: {where}\n")
+
+    @pytest.mark.parametrize("command", ["ms-check", "prolong", "el"])
+    @pytest.mark.parametrize("source,message", [
+        ("section { u = x1^3; u[1] = 3*x1^2; u = x1; }",
+         "duplicate section key: u at line 7, column 36"),
+        ("vfield u = u^2;\nvfield u = u;",
+         "duplicate 'vfield' statement for 'u' at line 8, column 1"),
+    ], ids=["section-key", "vfield"])
+    def test_duplicate_value_exit_2(self, capsys, lagfile, source, message,
+                                    command):
+        # the second value used to replace the first silently
+        path = lagfile(NESTED.format("0") + source + "\n")
+        assert run([command, path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_closed_stdout_exit_3(self, lagfile):
         # the reader is gone before the report is written: one error line,

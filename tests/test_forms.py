@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetcalc import Base, Expr, Jet, Momentum, MultiIndex, OpaqueCall, Parameter
+from jetcalc import (Base, Expr, Jet, Momentum, MultiIndex, Multiplier,
+                     OpaqueCall, Parameter)
 from jetcalc.expr import ZERO, divide
 from jetcalc.forms import (ExteriorForm, FormsError, SectionData,
                            exterior_derivative, interior_product,
@@ -118,6 +119,14 @@ class TestPullback:
                             n=2)
         a = wedge(d(x1), d(x2))
         assert pullback_section(a, sigma) == a
+
+    @pytest.mark.parametrize("key", [
+        T, Parameter("m"), Multiplier(1), OpaqueCall("U", (0,), (Expr.atom(T),)),
+    ], ids=["base", "parameter", "multiplier", "call"])
+    def test_key_that_is_no_fibre_slot(self, key):
+        # refused before the slot's multi-index is read (an AttributeError)
+        with pytest.raises(FormsError, match="fibre slots only"):
+            SectionData({key: Expr.const(2)}, n=1)
 
     def test_missing_assignment(self):
         sigma = SectionData({Q: Expr.atom(T)}, n=1)

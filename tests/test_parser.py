@@ -18,7 +18,12 @@ crashed on:
   ``ParseError`` at the exponent and the reference computed;
 - a ``base``/``order`` pair whose jet grid is over its budget, which the
   parser refuses at the later of the two values before any expression is
-  parsed, and the reference accepted.
+  parsed, and the reference accepted;
+- a ``(`` nested past the nesting budget, which the reference parsed or
+  crashed on with a ``RecursionError``;
+- a second ``vfield`` statement for a field, and a section key that is not
+  a jet or momentum slot or repeats an earlier key, which the reference
+  let through, keeping the last value.
 """
 
 import importlib.util
@@ -589,6 +594,33 @@ def _assert_grid_is_past_its_budget(text, new):
                for prev, t in zip(toks, toks[1:])), (text, new)
 
 
+def _assert_refusal_of_this_parser(text, ref, new):
+    """A nesting refusal stands at a "(" past the budget, counted here; a
+    duplicate vfield refusal at a ``vfield`` statement whose field had one
+    before; and a section key refusal where the reference went on past the
+    key."""
+    toks = ref_tokenize(text)
+    at = next(i for i, t in enumerate(toks) if (t.line, t.col) == new[2:])
+    if new[1].startswith("nesting deeper than "):
+        depth = sum((t.text == "(") - (t.text == ")") for t in toks[:at + 1])
+        assert toks[at].text == "(" and \
+            depth > parser_module.NESTING_BUDGET, (text, new)
+    elif new[1].startswith("duplicate 'vfield' statement"):
+        name = toks[at + 1].text
+        assert toks[at].text == "vfield" and any(
+            a.text == "vfield" and b.text == name
+            for a, b in zip(toks[:at], toks[1:at])), (text, new)
+    else:
+        assert ref[0] == "ok" or (ref[0] == "ParseError"
+                                  and ref[2:] > new[2:]), (text, ref, new)
+
+
+_REFUSALS_OF_THIS_PARSER = ("nesting deeper than ",
+                            "duplicate 'vfield' statement",
+                            "section key must be a single slot: ",
+                            "duplicate section key: ")
+
+
 def _assert_same_or_allowed(text):
     ref = _outcome(ref_parse_problem, text)
     new = _outcome(parse_problem, text)
@@ -603,6 +635,9 @@ def _assert_same_or_allowed(text):
         return
     if new[0] == "ParseError" and new[1].startswith("jet grid too large: "):
         _assert_grid_is_past_its_budget(text, new)
+        return
+    if new[0] == "ParseError" and new[1].startswith(_REFUSALS_OF_THIS_PARSER):
+        _assert_refusal_of_this_parser(text, ref, new)
         return
     assert new[0] == "ParseError" and new[1].startswith("expected a name, found ") \
         and _non_identifier_declaration(text, new[2], new[3]), (text, ref, new)
@@ -716,6 +751,10 @@ def test_generated_inputs_parse_as_the_reference(tmp_path):
     "base 1; field u; order 1; vfield w = u;",
     "base 1; field u; order 1; vfield 3 = u;",
     "base 1; field u; order 1; lagrangian p[3];",
+    # at the nesting budget: 64 groups, 64 calls
+    "base 1; field u; order 1; lagrangian " + "(" * 64 + "u" + ")" * 64 + ";",
+    "base 1; field u; order 1; opaque U(1); lagrangian "
+    + "U(" * 64 + "u" + ")" * 64 + ";",
     "",
     "   \n  ",
     # products and quotients of numbers and one-term factors, with repeats
@@ -760,10 +799,38 @@ def test_edge_inputs_parse_as_the_reference(text):
     ("base 1;\nfield u;\nlagrangian w;\norder 100000000;", "jet grid too "
      "large: base 1 and order 100000000 give more than 2000 multi-indices",
      (4, 7)),
+    # past the nesting budget at the 65th "(", of a group or of a call; the
+    # reference parsed these, or crashed on the deeper ones
+    ("base 1; field u; order 1; lagrangian " + "(" * 65 + "u" + ")" * 65 + ";",
+     "nesting deeper than 64 levels of parentheses and calls (in lagrangian "
+     "statement)", (1, 102)),
+    ("base 1; field u; order 1; opaque U(1); lagrangian "
+     + "U(" * 65 + "u" + ")" * 65 + ";",
+     "nesting deeper than 64 levels of parentheses and calls (in lagrangian "
+     "statement)", (1, 180)),
+    ("base 1; field u; order 1; lagrangian " + "(" * 3000 + "u" + ")" * 3000
+     + ";", "nesting deeper than 64 levels of parentheses and calls (in "
+     "lagrangian statement)", (1, 102)),
+    # the reference kept the last of two values, or a key that is no slot
+    ("base 1; field u; order 1; vfield u = u;\nvfield u = u^2;",
+     "duplicate 'vfield' statement for 'u'", (2, 1)),
+    ("base 1; field u; order 1; section { u = x1; u[0] = 2; }",
+     "duplicate section key: u [ 0 ]", (1, 45)),
+    ("base 1; field u; order 1; section { x1 = 2; }",
+     "section key must be a single slot: x1", (1, 37)),
+    ("base 1; field u; order 1; param m; section { m = 2; }",
+     "section key must be a single slot: m", (1, 46)),
+    ("base 1; field u; order 1; section { lam[1] = 2; }",
+     "section key must be a single slot: lam [ 1 ]", (1, 37)),
+    ("base 1; field u; order 1; opaque U(1); section { U(x1) = 2; }",
+     "section key must be a single slot: U ( x1 )", (1, 50)),
 ], ids=["lam-two-indices", "field-int", "param-paren", "opaque-marker",
         "field-at-end", "vfield-at-end", "long-literal", "long-exponent",
         "long-declaration", "long-index", "grid-base", "grid-order",
-        "grid-before-expressions"])
+        "grid-before-expressions", "nested-groups", "nested-calls",
+        "nested-3000", "duplicate-vfield", "duplicate-section-key",
+        "section-key-base", "section-key-param", "section-key-multiplier",
+        "section-key-call"])
 def test_input_the_reference_let_through_is_a_parse_error(text, message, where):
     with pytest.raises(ParseError) as info:
         parse_problem(text)
