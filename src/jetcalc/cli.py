@@ -156,6 +156,10 @@ def run(argv=None) -> int:
 def _dispatch(args):
     """Compute the command's report; returns (report, no residual found)."""
     cmd = args.command
+    if args.order_cap < 0:
+        raise JetcalcError(f"order cap {args.order_cap} is negative")
+    if cmd in ("galilei", "verify-all") and args.file is not None:
+        raise JetcalcError(f"{cmd} takes no problem file")
 
     if cmd == "galilei":
         from .poincare import galilei_transform_check

@@ -17,17 +17,22 @@ optional derivative block), ``p[u;2,0]`` for symmetrized momenta,
 ``lam[a]`` for multipliers and ``U_{,12}(...)`` for opaque derivative
 markers.  The printer in :mod:`jetcalc.expr` emits exactly this grammar.
 
-The input is read once.  One ``findall`` gives the tokens as strings, ending
-in ``""``; a token's first character tells its kind.  The parser holds token
-indices, and a ``ParseError`` finds the line and column of its token by
-scanning the source again up to that index.  Each expression statement is
-parsed from its slice of the token list once the declarations are known.
-Numeric literals stay Python ints, as the kernel's coefficients do: a
-product carries one monomial with an integer numerator and denominator, and
-an ``Expr`` is built at the first factor that is neither a number nor a
-one-term factor, or at a divisor that is not a number.  A sum folds its
-terms into one term dict over the lcm of their denominators and reduces
-once, at the end.
+Legal input is read once.  One ``findall`` gives the tokens as strings,
+ending in ``""``; a token's first character tells its kind.  A jet reference
+without whitespace, ``u[1,0]``, is one token there, and each statement keeps
+a table from such a token to the atom it built, so a repeated reference is
+one lookup.  Where that pass fails in any way, the input is parsed again
+with ``[``, the name and each entry as tokens of their own, and the second
+parse decides the result or the error.  The parser holds token indices, and
+a ``ParseError`` finds the line and column of its token by scanning the
+source again with those plain tokens up to that index.  Each expression
+statement is parsed from its slice of the token list once the declarations
+are known.  Numeric literals stay Python ints, as the kernel's coefficients
+do: a product carries one monomial with an integer numerator and
+denominator, and an ``Expr`` is built at the first factor that is neither a
+number nor a one-term factor, or at a divisor that is not a number.  A sum
+folds its terms into one term dict over the lcm of their denominators and
+reduces once, at the end.
 """
 
 from __future__ import annotations
@@ -45,18 +50,20 @@ _RESERVED = {"p", "lam", "base", "field", "order", "param", "opaque",
              "lagrangian", "constraint", "section", "fcomponent", "vfield",
              "poly"}
 
-_TOKEN_RE = re.compile(
-    r"""\s*(?:\#[^\n]*\s*)*                 # whitespace and comments before it
+_TOKENS = r"""\s*(?:\#[^\n]*\s*)*                 # whitespace and comments before it
       ( [-+*/^(){};,=\[\]]                # operator
       | \d+                              # int (\d is str.isdecimal)
       | [A-Za-z_]\w*_\{,\d+\}             # marker
+      %s                                 # jet reference (one-token lexing)
       | [A-Za-z_]\w*                      # name
       | \Z                                # the end: ""
       | [\s\S]+                           # a bad character and the rest
       )
-    """,
-    re.VERBOSE,
-)
+    """
+_TOKEN_RE = re.compile(_TOKENS % "", re.VERBOSE)
+# A whitespace-free jet reference such as u[1,0] is one token here.
+_JET_TOKEN_RE = re.compile(_TOKENS % r"| [A-Za-z_]\w*\[\d+(?:,\d+)*\]",
+                           re.VERBOSE)
 _NAME_START = frozenset("_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _OPS = frozenset("-+*/^(){};,=[]")
 
@@ -153,9 +160,9 @@ def _error(src: str, message: str, i: int) -> ParseError:
                       pos - src.rfind("\n", 0, pos))
 
 
-def _tokenize(src: str) -> list:
+def _tokenize(src: str, token_re=_TOKEN_RE) -> list:
     """The tokens of ``src``, ending with one ``""`` for the end."""
-    toks = _TOKEN_RE.findall(src)
+    toks = token_re.findall(src)
     # After trailing whitespace the end matches twice, then as an empty match.
     if len(toks) > 1 and not toks[-2]:
         toks.pop()
@@ -205,6 +212,23 @@ class _Tokens:
                              i) from None
 
 
+class _Relex(ValueError):
+    """Raised on a jet reference token that is not a field's jet within
+    the bound: the input is parsed again with plain lexing."""
+
+
+def _lexed_twice(parse, text: str):
+    """``parse(tokens)`` on the one-token-jet lexing of ``text``.  On any
+    input error there (every ``JetcalcError`` is a ``ValueError``, as are
+    ``_Relex`` and ``int`` past the digit limit) the plain lexing decides:
+    a ``ParseError`` is located by the index of a plain token, so input
+    with an error is parsed twice."""
+    try:
+        return parse(_tokenize(text, _JET_TOKEN_RE))
+    except ValueError:
+        return parse(_tokenize(text))
+
+
 class ProblemFile:
     """A parsed problem file: the problem plus the optional tool blocks,
     which the parser fills in after the problem.  Two files are equal when
@@ -237,6 +261,7 @@ class _ExprParser(_Tokens):
         self.problem = problem
         self.max_jet = problem.k if max_jet_order is None else max_jet_order
         self.depth = 0
+        self.jets: dict = {}    # jet reference token -> its atom
 
     def parse(self) -> Expr:
         e = self._sum()
@@ -344,6 +369,8 @@ class _ExprParser(_Tokens):
             self.i += 1
             return self.int_value(self.i - 1)
         if t[:1] in _NAME_START:
+            if t[-1] == "]":
+                return self._jetref(t)
             return self._opaque_marker() if t[-1] == "}" else self._atomref()
         if t == "(":
             self.i += 1
@@ -412,6 +439,22 @@ class _ExprParser(_Tokens):
             if 1 <= mu <= problem.n:
                 return Expr.atom(Base(mu))
         raise self.error(f"unknown identifier {name!r}", t)
+
+    def _jetref(self, t: str) -> Expr:
+        """A jet reference lexed as one token, built once per statement.
+        Any other name before the bracket, a wrong number of entries, an
+        order over the bound or an entry past the digit limit (a
+        ``ValueError``) leaves it to the plain lexing."""
+        e = self.jets.get(t)
+        if e is None:
+            name, entries = t[:-1].split("[")
+            mi = tuple(map(int, entries.split(",")))
+            if (name not in self.problem.fields or len(mi) != self.problem.n
+                    or sum(mi) > self.max_jet):
+                raise _Relex
+            e = self.jets[t] = Expr.atom(Jet(name, mi))
+        self.i += 1
+        return e
 
     def _momentum(self, t: int) -> Expr:
         self.expect("[")
@@ -493,7 +536,9 @@ def parse_expr(text: str, problem: LagrangianProblem,
     the bound (reports legitimately contain jets above k, e.g. from total
     derivatives in the cascade).
     """
-    return _ExprParser(text, _tokenize(text), problem, max_jet_order).parse()
+    return _lexed_twice(
+        lambda toks: _ExprParser(text, toks, problem, max_jet_order).parse(),
+        text)
 
 
 def _parse_stmt_expr(src: str, stmt: tuple, problem: LagrangianProblem,
@@ -508,11 +553,14 @@ def _parse_stmt_expr(src: str, stmt: tuple, problem: LagrangianProblem,
 
 
 def parse_problem(text: str) -> ProblemFile:
-    """Parse a full problem file.  The file is tokenized once: each
-    expression statement keeps its token slice, parsed once the
-    declarations are known."""
-    toks = _Tokens(text, _tokenize(text))
-    tokens = toks.toks
+    """Parse a full problem file.  The file is tokenized once (twice if it
+    has an error): each expression statement keeps its token slice, parsed
+    once the declarations are known."""
+    return _lexed_twice(lambda tokens: _parse_problem(text, tokens), text)
+
+
+def _parse_problem(text: str, tokens: list) -> ProblemFile:
+    toks = _Tokens(text, tokens)
     n = k = None
     n_tok = k_tok = None
     fields: list[str] = []
@@ -569,7 +617,8 @@ def parse_problem(text: str) -> ProblemFile:
 
     def declare() -> str:
         name = toks.peek()
-        if name[:1] not in _NAME_START or name[-1] == "}":
+        # a marker or a jet reference is no name
+        if name[:1] not in _NAME_START or name[-1] in "]}":
             raise toks.error(f"expected a name, found {name!r}")
         if name in _RESERVED or _BASE_NAME.fullmatch(name):
             raise toks.error(f"{name!r} is reserved")

@@ -293,6 +293,25 @@ class TestCommands:
         assert code == 0
         assert doc["result"] == {"euler_lagrange": {"u": "u[4]"}}
 
+    @pytest.mark.parametrize("command", ["el", "momenta"])
+    def test_negative_order_cap_exit_2(self, capsys, lagfile, command):
+        # one refusal for every command, before the file is read: el used
+        # to exit 0 here, and momenta to refuse in its cascade
+        path = lagfile("base 1; field u; order 1; lagrangian x1^2 + u;")
+        assert run([command, path, "--order-cap", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: order cap -1 is negative\n")
+
+    @pytest.mark.parametrize("path", ["/nonexistent.lag",
+                                      os.path.join(CORPUS, "beam.lag")])
+    @pytest.mark.parametrize("argv", [["galilei"], ["verify-all", "--seed", "1"]])
+    def test_command_without_a_file_refuses_one(self, capsys, argv, path):
+        assert run([argv[0], path, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: {argv[0]} takes no problem file\n")
+
     def test_missing_file_exit_2(self, capsys):
         assert run(["el", "/nonexistent/x.lag"]) == 2
 
