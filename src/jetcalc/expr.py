@@ -39,8 +39,8 @@ rescaled, in ``_TOTAL_RULES`` for the life of the process; the table grows
 with the atoms that total derivatives meet, as the intern tables do.
 
 Building an ``Expr`` sets only its term dict and denominator.  Its
-canonical sort key and its hash are computed on first use (the first
-``hash`` or ``==``) and kept.
+canonical sort key and its hash are computed on the first ``hash`` and
+kept; ``==`` compares the denominators and the term dicts.
 """
 
 from __future__ import annotations
@@ -119,7 +119,29 @@ def _akey(atom):
 def _mul_monomials(m1, m2):
     """Merge two sorted monomials, summing exponents.  A product of valid
     monomials is valid: only a divisor can bring a negative power of an
-    atom that is not a parameter, so ``_div_single_term`` checks for it."""
+    atom that is not a parameter, so ``_div_single_term`` checks for it.
+
+    Two shapes skip the merge: monomials whose atom ranges do not overlap
+    are concatenated, and a one-factor operand is placed by one scan and
+    two slices (its exponent added to an equal atom, the factor dropped
+    where a parameter's exponents cancel)."""
+    if not m1 or not m2:
+        return m1 or m2
+    if m1[-1][0]._sort_key < m2[0][0]._sort_key:
+        return m1 + m2
+    if m2[-1][0]._sort_key < m1[0][0]._sort_key:
+        return m2 + m1
+    if len(m1) == 1 or len(m2) == 1:
+        (a, e), m = (m1[0], m2) if len(m1) == 1 else (m2[0], m1)
+        k = a._sort_key
+        # the ranges overlap, so a sorts no later than m's last atom
+        for i, (b, f) in enumerate(m):
+            if b is a:
+                e += f
+                return m[:i] + ((a, e),) + m[i + 1:] if e else \
+                    m[:i] + m[i + 1:]
+            if k < b._sort_key:
+                return m[:i] + ((a, e),) + m[i:]
     out = []
     i = j = 0
     while i < len(m1) and j < len(m2):
@@ -239,7 +261,8 @@ class Expr:
     def __eq__(self, other):
         if not isinstance(other, Expr):
             return NotImplemented
-        return self._key() == other._key()
+        # canonical forms are unique, so the pairs decide
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
         try:
@@ -328,8 +351,10 @@ class Expr:
                             self._den ** exponent)
         if exponent <= 2:
             return self if exponent == 1 else self * self
+        # Expanded in monomial order, a sum of distinct single atoms
+        # multiplies out by concatenation (see ``_mul_monomials``).
         acc: dict = {}
-        _fold(acc, _multinomial_terms(list(terms.items()), exponent))
+        _fold(acc, _multinomial_terms(_ranked(terms, _factor_key), exponent))
         return _trusted(acc, self._den ** exponent)
 
     def __truediv__(self, other):
@@ -568,8 +593,7 @@ def _derive(acc: dict, den: int, e: Expr, rules) -> int:
                 den = _fold_over(acc, den, (), d)  # acc over the lcm
                 ce *= den // d
             for dm, dc in da.items():
-                _fold(acc, ((_mul_monomials(rest, dm) if dm else rest,
-                             ce * dc),))
+                _fold(acc, ((_mul_monomials(rest, dm), ce * dc),))
     return den
 
 

@@ -18,21 +18,21 @@ optional derivative block), ``p[u;2,0]`` for symmetrized momenta,
 markers.  The printer in :mod:`jetcalc.expr` emits exactly this grammar.
 
 Legal input is read once.  One ``findall`` gives the tokens as strings,
-ending in ``""``; a token's first character tells its kind.  A jet reference
-without whitespace, ``u[1,0]``, is one token there, and each statement keeps
-a table from such a token to the atom it built, so a repeated reference is
-one lookup.  Where that pass fails in any way, the input is parsed again
-with ``[``, the name and each entry as tokens of their own, and the second
-parse decides the result or the error.  The parser holds token indices, and
-a ``ParseError`` finds the line and column of its token by scanning the
-source again with those plain tokens up to that index.  Each expression
-statement is parsed from its slice of the token list once the declarations
-are known.  Numeric literals stay Python ints, as the kernel's coefficients
-do: a product carries one monomial with an integer numerator and
-denominator, and an ``Expr`` is built at the first factor that is neither a
-number nor a one-term factor, or at a divisor that is not a number.  A sum
-folds its terms into one term dict over the lcm of their denominators and
-reduces once, at the end.
+ending in ``""``; a token's first character tells its kind.  A jet or
+multiplier reference without whitespace, ``u[1,0]`` or ``lam[1]``, is one
+token there, and each statement keeps a table from such a token to the atom
+it built, so a repeated reference is one lookup.  Where that pass fails in
+any way, the input is parsed again with ``[``, the name and each entry as
+tokens of their own, and the second parse decides the result or the error.
+The parser holds token indices, and a ``ParseError`` finds the line and
+column of its token by scanning the source again with those plain tokens up
+to that index.  Each expression statement is parsed from its slice of the
+token list once the declarations are known.  Numeric literals stay Python
+ints, as the kernel's coefficients do: a product carries one monomial with
+an integer numerator and denominator, and an ``Expr`` is built at the first
+factor that is neither a number nor a one-term factor, or at a divisor that
+is not a number.  A sum folds its terms into one term dict over the lcm of
+their denominators and reduces once, at the end.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ class _ExprParser(_Tokens):
         self.problem = problem
         self.max_jet = problem.k if max_jet_order is None else max_jet_order
         self.depth = 0
-        self.jets: dict = {}    # jet reference token -> its atom
+        self.jets: dict = {}    # reference token -> its atom
 
     def parse(self) -> Expr:
         e = self._sum()
@@ -317,7 +317,7 @@ class _ExprParser(_Tokens):
                 terms, d = f.parts()
                 if op == "*" and len(terms) == 1:
                     (m, c), = terms.items()
-                    mon = _mul_monomials(mon, m) if mon else m
+                    mon = _mul_monomials(mon, m)
                     num *= c
                     den *= d
                 elif op == "*" and not mon and num == den:
@@ -441,18 +441,22 @@ class _ExprParser(_Tokens):
         raise self.error(f"unknown identifier {name!r}", t)
 
     def _jetref(self, t: str) -> Expr:
-        """A jet reference lexed as one token, built once per statement.
-        Any other name before the bracket, a wrong number of entries, an
-        order over the bound or an entry past the digit limit (a
-        ``ValueError``) leaves it to the plain lexing."""
+        """A jet reference, or a multiplier ``lam[a]``, lexed as one token
+        and built once per statement.  Any other name before the bracket, a
+        wrong number of entries, an order over the bound or an entry past
+        the digit limit (a ``ValueError``) leaves it to the plain lexing."""
         e = self.jets.get(t)
         if e is None:
             name, entries = t[:-1].split("[")
             mi = tuple(map(int, entries.split(",")))
-            if (name not in self.problem.fields or len(mi) != self.problem.n
-                    or sum(mi) > self.max_jet):
+            if name == "lam" and len(mi) == 1:
+                atom = Multiplier(mi[0])
+            elif (name not in self.problem.fields
+                    or len(mi) != self.problem.n or sum(mi) > self.max_jet):
                 raise _Relex
-            e = self.jets[t] = Expr.atom(Jet(name, mi))
+            else:
+                atom = Jet(name, mi)
+            e = self.jets[t] = Expr.atom(atom)
         self.i += 1
         return e
 

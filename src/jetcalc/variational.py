@@ -157,6 +157,10 @@ def canonical_momenta(problem: LagrangianProblem,
         raise VariationalError(
             "problem has constraints; use constrained_generating_family")
     n, k, L = problem.n, problem.k, problem.lagrangian
+    # L has jets of order <= k and each level below the top adds one total
+    # derivative, so no V passes 2k - 1 and a cap at or above it never fires
+    if order_cap is not None and 2 * k - 1 <= order_cap:
+        order_cap = None
     slots = {}
     for fld in problem.fields:
         dL = jet_gradient(L, fld, n, k)

@@ -353,14 +353,139 @@ def colliding_sums(draw):
                  for mon in mons})
 
 
+def _atom_order(factor):
+    return _akey(factor[0])
+
+
+def _reference_monomial_product(m1, m2):
+    """The product of two monomials from a dict of summed exponents: the
+    zero exponents dropped, the atoms sorted by their keys."""
+    exps: dict = {}
+    for a, e in m1 + m2:
+        exps[a] = exps.get(a, 0) + e
+    return tuple(sorted(((a, e) for a, e in exps.items() if e),
+                        key=_atom_order))
+
+
+def _reference_product(x, y):
+    """``x * y`` term by term on Fraction coefficients, each product of
+    monomials formed by ``_reference_monomial_product``."""
+    acc: dict = {}
+    for m1, c1 in _coefficients(x).items():
+        for m2, c2 in _coefficients(y).items():
+            m = _reference_monomial_product(m1, m2)
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return Expr(acc)
+
+
+_J00, _J01, _J10 = (Jet("u", MultiIndex(mi))
+                    for mi in ((0, 0), (0, 1), (1, 0)))
+_N_PARAM = Parameter("n")
+# one atom of each kind and more than one of some, in their stored order
+_MONOMIAL_ATOMS = tuple(sorted(
+    [Base(1), Base(2), _J00, _J01, _J10, Jet("v", MultiIndex((0, 0))),
+     Momentum("u", MultiIndex((0, 0)), 1), Multiplier(1), _M, _N_PARAM, _U],
+    key=_akey))
+
+
+def _exponents(a):
+    """1 to 3, and -3 to 3 but not 0 for a parameter."""
+    return st.integers(-3, 3).filter(bool) if isinstance(a, Parameter) \
+        else st.integers(1, 3)
+
+
+@st.composite
+def monomials(draw, atoms=_MONOMIAL_ATOMS):
+    """A sorted monomial over up to five of ``atoms``."""
+    chosen = draw(st.lists(st.sampled_from(atoms), unique=True,
+                           max_size=5)) if atoms else []
+    return tuple(sorted(((a, draw(_exponents(a))) for a in chosen),
+                        key=_atom_order))
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Two monomials, in either order, in each shape the product treats
+    apart: an empty one, atom ranges that do not overlap, one factor (an
+    atom of the other monomial or any atom), one parameter factor that
+    cancels a power of the other, and a general overlap."""
+    shape = draw(st.sampled_from(("empty", "disjoint", "one", "cancel",
+                                  "general")))
+    m1 = draw(monomials())
+    if shape == "empty":
+        m2 = ()
+    elif shape == "disjoint":
+        cut = draw(st.integers(0, len(_MONOMIAL_ATOMS)))
+        m1 = draw(monomials(_MONOMIAL_ATOMS[:cut]))
+        m2 = draw(monomials(_MONOMIAL_ATOMS[cut:]))
+    elif shape == "one":
+        held = [a for a, _ in m1]
+        a = draw(st.sampled_from(held if held and draw(st.booleans())
+                                 else _MONOMIAL_ATOMS))
+        m2 = ((a, draw(_exponents(a))),)
+    elif shape == "cancel":
+        p = draw(st.sampled_from((_M, _N_PARAM)))
+        e = draw(_exponents(p))
+        m1 = tuple(sorted([f for f in m1 if f[0] is not p] + [(p, e)],
+                          key=_atom_order))
+        m2 = ((p, -e),)
+    else:
+        m2 = draw(monomials())
+    return (m2, m1) if draw(st.booleans()) else (m1, m2)
+
+
+_MONOMIAL_EXAMPLES = [
+    ((), ()), (((_J00, 1),), ()),
+    # disjoint ranges, either order
+    (((Base(1), 1), (_J00, 2)), ((_M, -1), (_U, 1))),
+    (((_M, -1), (_U, 1)), ((Base(1), 1), (_J00, 2))),
+    # one factor landing first, inside, last, and on atoms it holds
+    (((_J00, 1), (_J10, 1), (_M, 1)), ((Base(2), 2),)),
+    (((_J01, 1),), ((_J00, 1), (_J10, 1), (_M, 1))),
+    (((_J00, 1), (_J10, 1), (_M, 1)), ((_U, 1),)),
+    (((_J00, 1), (_J10, 1), (_M, 1)), ((_J10, 2),)),
+    (((_J00, 1),), ((_J00, 1), (_J10, 1), (_M, 1))),
+    (((_J00, 1), (_J10, 1), (_M, 1)), ((_M, 3),)),
+    # a parameter's exponents cancelling to 0
+    (((_J00, 1), (_M, 2), (_U, 1)), ((_M, -2),)),
+    (((_M, 1),), ((_M, -1),)),
+    # a general overlap
+    (((_J00, 1), (_J10, 1), (_N_PARAM, -1)),
+     ((_J01, 1), (_M, 1), (_N_PARAM, 1))),
+]
+
+
+@pytest.mark.parametrize("m1,m2", _MONOMIAL_EXAMPLES)
+def test_monomial_product_shapes_match_the_reference(m1, m2):
+    assert _mul_monomials(m1, m2) == _reference_monomial_product(m1, m2)
+
+
 @_KERNEL
-@given(st.one_of(small_exprs(), colliding_sums()), st.integers(0, 9),
-       st.data())
+@given(monomial_pairs())
+def test_monomial_product_matches_the_reference(pair):
+    m1, m2 = pair
+    got = _mul_monomials(m1, m2)
+    assert type(got) is tuple
+    assert got == _reference_monomial_product(m1, m2)
+
+
+@st.composite
+def atom_sums(draw):
+    """Sums of distinct single atoms with Fraction coefficients, the terms
+    inserted in shuffled order."""
+    atoms = draw(st.permutations(_MONOMIAL_ATOMS))[:draw(st.integers(1, 5))]
+    return Expr({((a, 1),): draw(st.fractions(-3, 3, max_denominator=4))
+                 for a in atoms})
+
+
+@_KERNEL
+@given(st.one_of(small_exprs(), colliding_sums(), atom_sums()),
+       st.integers(0, 9), st.data())
 def test_power_is_repeated_product(e, n, data):
     # every path of the power: the constant 1, the closed form of one
     # term, the square and the multinomial expansion
     got = e ** n
-    assert got == functools.reduce(operator.mul, [e] * n, ONE)
+    assert got == functools.reduce(_reference_product, [e] * n, ONE)
     _assert_canonical(got)
     split = data.draw(st.integers(0, n))
     assert got == e ** split * e ** (n - split)
@@ -448,7 +573,7 @@ def _leibniz_reference(e, atom_rule):
         for i, (a, exp) in enumerate(mon):
             rest = mon[:i] + ((a, exp - 1),) if exp != 1 else mon[:i]
             for dm, dc in _coefficients(atom_rule(a)).items():
-                m = _mul_monomials(rest + mon[i + 1:], dm)
+                m = _reference_monomial_product(rest + mon[i + 1:], dm)
                 acc[m] = acc.get(m, 0) + coeff * exp * dc
     return Expr(acc)
 
@@ -570,7 +695,8 @@ def test_substitute_matches_the_product_of_values(e, k, mapping):
     _assert_canonical(got)
 
 
-# -- the lazy hash: the hash and the sort key are computed on first use
+# -- the lazy hash: the hash and the sort key are computed on the first
+# hash; equality compares the stored pairs
 
 _BUILDS = {
     "Expr(terms)": lambda a, b: Expr(dict(reversed(list(
@@ -606,6 +732,29 @@ def test_lazy_hash_agrees_with_equality(a, b, name):
         for slot in ("_terms", "_hash", "_cached_key"):
             with pytest.raises(AttributeError, match="Expr is immutable"):
                 setattr(x, slot, None)
+
+
+@_KERNEL
+@given(small_exprs(), small_exprs())
+def test_equality_is_equality_of_canonical_keys(a, b):
+    # the builds of a + b, and those of a * b, are equal values from
+    # different routes; the rest mostly differ from them
+    values = [a, b, *(build(a, b) for build in _BUILDS.values())]
+    for x in values:
+        for y in values:
+            assert (x == y) is (x._key() == y._key())
+            assert (x != y) is (x._key() != y._key())
+
+
+def test_equality_of_one_value_built_two_ways():
+    u = Jet("u", MultiIndex((0, 0)))
+    half = divide(Expr.atom(u), 2)
+    same = Expr({((u, 1),): Fraction(1, 2)})
+    assert half == same and half._key() == same._key()
+    assert hash(half) == hash(same)
+    for other in (Expr({((u, 1),): Fraction(1, 3)}), Expr.atom(u),
+                  Expr.const(Fraction(1, 2))):
+        assert half != other and half._key() != other._key()
 
 
 # -- the representation: interned atoms, coefficients in stored form

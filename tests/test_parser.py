@@ -781,11 +781,34 @@ def test_generated_inputs_parse_as_the_reference(tmp_path):
     "base 2; field u; order 1; poly u[2,0]^2;",
     "base 1; field u; order 1; fcomponent lam[1]*u[1];",
     "base 2; field u; order 1; lagrangian u[ 1, 0 ]^2 + u[1,0]*u[0,1];",
+    # a multiplier read on the first pass: repeated, next to a jet, and
+    # refused in a Lagrangian or constraint only once the problem is built
+    "base 2; field u; order 1; vfield u = lam[1]*u[1,0] - lam[1]^2 + lam[02];",
+    "base 1; field u; order 1; lagrangian u[1]^2; poly lam[1]*lam[2]*u;",
+    "base 1; field u; order 1; section { u = lam[1]; }",
+    "base 1; field u; order 1; lagrangian lam[1]*u[1]^2;",
+    "base 1; field u; order 1; constraint lam[1]*u;",
 ])
 def test_edge_inputs_parse_as_the_reference(text):
     got = _outcome(parse_problem, text)
     assert got == _outcome(ref_parse_problem, text)
     _assert_same_or_allowed(text)
+
+
+def test_a_multiplier_reference_is_parsed_in_one_pass():
+    calls = []
+    real = parser_module._tokenize
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(parser_module, "_tokenize", spy):
+        pf = parse_problem("base 1; field u; order 1; lagrangian u[1]^2; "
+                           "fcomponent lam[1]*u[1];")
+    assert len(calls) == 1
+    assert pf.fvector == [Expr.atom(Multiplier(1))
+                          * Expr.atom(Jet("u", MultiIndex((1,))))]
 
 
 def test_a_jet_with_spaces_is_the_jet_without():
@@ -807,6 +830,8 @@ def test_jets_built_in_one_parse_are_not_reused_in_the_next():
 @pytest.mark.parametrize("text,message,where", [
     ("base 1; field u; order 1; lagrangian lam[1,2];",
      "expected ']', found ',' (in lagrangian statement)", (1, 43)),
+    ("base 1; field u; order 1; poly lam[1,2];",
+     "expected ']', found ',' (in poly statement)", (1, 37)),
     ("base 1;\nfield 3;", "expected a name, found '3'", (2, 7)),
     ("base 1;\nparam (;", "expected a name, found '('", (2, 7)),
     ("base 1; order 1; opaque U_{,1}(1);",
@@ -824,6 +849,9 @@ def test_jets_built_in_one_parse_are_not_reused_in_the_next():
     ("base 1; field u; order 1; lagrangian u[" + "7" * 5000 + "];",
      "integer literal too long (5000 digits) (in lagrangian statement)",
      (1, 40)),
+    ("base 1; field u; order 1; poly lam[" + "7" * 5000 + "];",
+     "integer literal too long (5000 digits) (in poly statement)",
+     (1, 36)),
     # a jet grid over its budget, at the value of the later of `base` and
     # `order`, and before the unknown `w`; no expression mentions a jet,
     # so no grid is built here even without the budget
@@ -859,9 +887,9 @@ def test_jets_built_in_one_parse_are_not_reused_in_the_next():
      "section key must be a single slot: lam [ 1 ]", (1, 37)),
     ("base 1; field u; order 1; opaque U(1); section { U(x1) = 2; }",
      "section key must be a single slot: U ( x1 )", (1, 50)),
-], ids=["lam-two-indices", "field-int", "param-paren", "opaque-marker",
+], ids=["lam-two-indices", "poly-lam-two-indices", "field-int", "param-paren", "opaque-marker",
         "field-at-end", "vfield-at-end", "long-literal", "long-exponent",
-        "long-declaration", "long-index", "grid-base", "grid-order",
+        "long-declaration", "long-index", "long-multiplier", "grid-base", "grid-order",
         "grid-before-expressions", "nested-groups", "nested-calls",
         "nested-3000", "duplicate-vfield", "duplicate-section-key",
         "section-key-base", "section-key-param", "section-key-multiplier",

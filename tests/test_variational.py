@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetcalc import (Base, Expr, Jet, LagrangianProblem, Momentum, MultiIndex,
                      Multiplier, OpaqueCall, Parameter, parse_expr,
                      total_derivative)
 from jetcalc.expr import ZERO
 from jetcalc.forms import SectionData
-from jetcalc.multiindex import multiindices_up_to
+from jetcalc.multiindex import all_multiindices, multiindices_up_to
 from jetcalc import randgen
 from jetcalc.randgen import jet_atoms, random_gauge_table, random_lagrangian
 from jetcalc.variational import (MomentumAssignment, VariationalError,
@@ -18,7 +19,8 @@ from jetcalc.variational import (MomentumAssignment, VariationalError,
                                  cascade_equations,
                                  constrained_generating_family, currents,
                                  euler_lagrange, evaluate_on_momenta,
-                                 holonomy_residual, symmetrize_momenta)
+                                 holonomy_residual, jet_gradient,
+                                 symmetrize_momenta, _weighted_descent)
 
 MI = MultiIndex
 
@@ -53,6 +55,51 @@ class TestCanonicalMomenta:
         prob = LagrangianProblem(1, ("u",), 2, Expr.const(7))
         m = canonical_momenta(prob)
         assert all(v.is_zero() for v in m.slots.values())
+
+    def test_cap_below_the_cascade_bound_is_checked(self):
+        # the beam's p^x is -u[3], of order 2k - 1 = 3
+        with pytest.raises(VariationalError, match="jet order cap 2"):
+            canonical_momenta(beam(), order_cap=2)
+        assert canonical_momenta(beam(), order_cap=3) == \
+            canonical_momenta(beam())
+
+
+def _scanned_momenta(prob, cap):
+    """The slots of ``canonical_momenta`` from a descent that checks every
+    V against the cap, or the message of its refusal."""
+    slots = {}
+    try:
+        for fld in prob.fields:
+            dL = jet_gradient(prob.lagrangian, fld, prob.n, prob.k)
+            slots.update(_weighted_descent(
+                fld, prob.n, prob.k, {}, lambda mi: dL.get(mi, ZERO), cap))
+    except VariationalError as exc:
+        return str(exc)
+    return slots
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 2), st.integers(1, 3),
+       st.data())
+def test_momenta_cap_refuses_exactly_when_every_level_is_scanned(
+        seed, n, k, data):
+    prob = random_lagrangian(random.Random(seed), n, k, degree=3, terms=6)
+    if data.draw(st.booleans()):
+        # the square of a top jet takes the cascade to order 2k - 1
+        top = jet("u", *data.draw(st.sampled_from(all_multiindices(n, k))))
+        prob = LagrangianProblem(n, ("u",), k, prob.lagrangian + top ** 2)
+    cap = data.draw(st.one_of(st.sampled_from((2 * k - 2, 2 * k - 1)),
+                              st.integers(0, 7)))
+    want = _scanned_momenta(prob, cap)
+    if isinstance(want, str):
+        with pytest.raises(VariationalError) as info:
+            canonical_momenta(prob, order_cap=cap)
+        assert str(info.value) == want
+    else:
+        assert canonical_momenta(prob, order_cap=cap).slots == want
+    # no cap at all
+    assert canonical_momenta(prob, order_cap=None).slots == \
+        _scanned_momenta(prob, None)
 
 
 class TestSymbolicSlots:
