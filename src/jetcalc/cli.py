@@ -1,5 +1,15 @@
 """Command-line front end.
 
+``jetcalc COMMAND [FILE] [OPTION ...]``: one table, ``COMMANDS``, names the
+options each command reads, and ``OPTIONS`` gives each option its value
+type and default.  The options may come before or after the command and
+the file, as ``--opt value`` or ``--opt=value``; ``-h``/``--help`` prints a
+usage text built from the same tables.  Any other argv is refused as
+argparse refuses it: the usage on stderr, a ``jetcalc: error:`` line last,
+exit 2.  That covers an unknown or abbreviated option, an option the
+command does not read, an option given twice, a missing or non-integer
+value, a missing or unknown command, and a second positional.
+
 Reports are JSON (``--latex`` switches the expression strings to LaTeX).
 Exit status: 0 on success, 1 when a verification command finds a nonzero
 residual, 2 on input errors (a ``JetcalcError``: parse failures, singular
@@ -10,11 +20,10 @@ one ``error:`` line on stderr.  Each command imports its own modules.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .coords import Jet, Momentum
 from .expr import Expr, JetcalcError, to_dsl
@@ -22,39 +31,134 @@ from .forms import SectionData
 from .multiindex import MultiIndex
 from .printing import form_to_latex, form_to_str, to_latex
 
-COMMANDS = ("el", "cascade", "momenta", "currents", "legendre", "hamilton",
-            "energy", "pc-form", "ms-check", "check-divergence", "shift",
-            "prolong", "polarize", "galilei", "verify-all")
+# option -> (metavar, default, help); an option without a metavar is a flag
+# (default False), every other takes an int
+OPTIONS = {
+    "--latex": (None, False, "emit LaTeX expression strings"),
+    "--seed": ("N", 0, "seed for verify-all"),
+    "--order-cap": ("N", 12,
+                    "cap on jet order growth in iterated derivatives"),
+    "--time": ("MU", None,
+               "time direction for the energy command (default n)"),
+    "--target-order": ("K", None,
+                       "prolongation order (default problem order)"),
+    "--inverse": (None, False, "apply the inverse momentum shift"),
+}
+
+_CAPPED = ("--latex", "--order-cap")
+
+# command -> the options it reads
+COMMANDS = {
+    "el": _CAPPED, "cascade": ("--latex",), "momenta": _CAPPED,
+    "currents": _CAPPED, "legendre": ("--latex",), "hamilton": ("--latex",),
+    "energy": ("--latex", "--time"), "pc-form": ("--latex",),
+    "ms-check": ("--latex",), "check-divergence": ("--latex",),
+    "shift": _CAPPED + ("--inverse",),
+    "prolong": _CAPPED + ("--target-order",), "polarize": ("--latex",),
+    "galilei": ("--latex",), "verify-all": ("--seed",),
+}
+
+FILELESS = ("galilei", "verify-all")
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first ``run`` in a process and
-    reused by every later one.  Building it costs more than parsing a
-    small problem file, and the reuse pays only in a process that calls
-    ``run`` more than once (a test session, an embedding caller, a
-    benchmark loop); a one-command shell process builds it once either
-    way.  Reuse is safe because ``parse_args`` keeps no state on the
-    parser: each call returns a fresh namespace and writes its usage and
-    errors to the ``sys.stdout``/``sys.stderr`` of that moment."""
-    ap = argparse.ArgumentParser(
-        prog="jetcalc",
-        description="canonical formalism for higher-order Lagrangian field theories")
-    ap.add_argument("command", choices=COMMANDS)
-    ap.add_argument("file", nargs="?", help="problem file (DSL)")
-    ap.add_argument("--latex", action="store_true",
-                    help="emit LaTeX expression strings")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for verify-all")
-    ap.add_argument("--order-cap", type=int, default=12,
-                    help="cap on jet order growth in iterated derivatives")
-    ap.add_argument("--time", type=int, default=None,
-                    help="time direction for the energy command (default n)")
-    ap.add_argument("--target-order", type=int, default=None,
-                    help="prolongation order (default problem order)")
-    ap.add_argument("--inverse", action="store_true",
-                    help="apply the inverse momentum shift")
-    return ap
+def _synopsis(cmd: str) -> str:
+    words = [cmd] + ["FILE"] * (cmd not in FILELESS)
+    for name in COMMANDS[cmd]:
+        metavar = OPTIONS[name][0]
+        words.append(f"[{name} {metavar}]" if metavar else f"[{name}]")
+    return " ".join(words)
+
+
+def _usage(cmd: str | None = None) -> str:
+    words = _synopsis(cmd) if cmd else "[-h] COMMAND [FILE] [OPTION ...]"
+    return f"usage: jetcalc {words}\n"
+
+
+def _help() -> str:
+    rows = [("-h, --help", "show this help message and exit")]
+    for name, (metavar, default, text) in OPTIONS.items():
+        if metavar:
+            name = f"{name} {metavar}"
+            if default is not None:
+                text = f"{text} (default {default})"
+        rows.append((name, text))
+    width = max(len(name) for name, _ in rows) + 2
+    return "".join([
+        _usage(),
+        "\ncanonical formalism for higher-order Lagrangian field theories\n",
+        "\ncommands, with the options each reads:\n",
+        *(f"  {_synopsis(cmd)}\n" for cmd in COMMANDS),
+        "\noptions:\n",
+        *(f"  {name:<{width}}{text}\n" for name, text in rows)])
+
+
+def _refuse(message: str, words=()):
+    """Refuse the argv as argparse does: the usage (of the command, once
+    ``words`` starts with one), the error line last, exit 2."""
+    cmd = words[0] if words and words[0] in COMMANDS else None
+    sys.stderr.write(f"{_usage(cmd)}jetcalc: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _is_option(arg: str) -> bool:
+    """True for an option word; "-" and negative numbers are values."""
+    return arg[:1] == "-" and arg != "-" and not arg[1:].isdigit()
+
+
+def _parse_argv(argv):
+    """The namespace ``_dispatch`` reads: command, file and every option,
+    unread options at their defaults.  Words after ``--`` are positionals."""
+    values, words, leftover = {}, [], []
+    i, options_end = 0, False
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if options_end or not _is_option(arg):
+            (words if len(words) < 2 else leftover).append(arg)
+            continue
+        if arg == "--":
+            options_end = True
+            continue
+        if arg in ("-h", "--help"):
+            sys.stdout.write(_help())
+            raise SystemExit(0)
+        name, eq, value = arg.partition("=")
+        if name not in OPTIONS:
+            leftover.append(arg)
+            continue
+        if name in values:
+            _refuse(f"argument {name}: given twice", words)
+        if OPTIONS[name][0] is None:
+            if eq:
+                _refuse(f"argument {name}: ignored explicit argument "
+                        f"'{value}'", words)
+            values[name] = True
+            continue
+        if not eq:
+            if i == len(argv) or _is_option(argv[i]):
+                _refuse(f"argument {name}: expected one argument", words)
+            value = argv[i]
+            i += 1
+        try:
+            values[name] = int(value)
+        except ValueError:
+            _refuse(f"argument {name}: invalid int value: '{value}'", words)
+    if not words:
+        _refuse("the following arguments are required: command")
+    cmd = words[0]
+    if cmd not in COMMANDS:
+        _refuse(f"argument command: invalid choice: '{cmd}' (choose from "
+                f"{', '.join(map(repr, COMMANDS))})")
+    if leftover:
+        _refuse(f"unrecognized arguments: {' '.join(leftover)}", words)
+    unread = [name for name in values if name not in COMMANDS[cmd]]
+    if unread:
+        _refuse(f"{cmd} does not read {', '.join(unread)}", words)
+    args = SimpleNamespace(command=cmd,
+                           file=words[1] if len(words) > 1 else None)
+    for name, (_, default, _) in OPTIONS.items():
+        setattr(args, name[2:].replace("-", "_"), values.get(name, default))
+    return args
 
 
 class Report:
@@ -120,23 +224,8 @@ def _need(block, what: str):
     return block
 
 
-def _parse_argv(argv):
-    """The parsed arguments; the file may come after the options.  The
-    optional ``file`` positional is matched, empty, right after the command,
-    so a file named after an option is left over: one leftover that is not
-    an option is taken as the file when none was given.  Any other leftover
-    is refused as ``parse_args`` refuses it (usage, error line, exit 2)."""
-    ap = _build_parser()
-    args, rest = ap.parse_known_args(argv)
-    if args.file is None and len(rest) == 1 and not rest[0].startswith("-"):
-        args.file = rest.pop()
-    if rest:
-        ap.error(f"unrecognized arguments: {' '.join(rest)}")
-    return args
-
-
 def run(argv=None) -> int:
-    args = _parse_argv(argv)
+    args = _parse_argv(sys.argv[1:] if argv is None else argv)
     try:
         report, ok = _dispatch(args)
         report.emit()
@@ -158,7 +247,7 @@ def _dispatch(args):
     cmd = args.command
     if args.order_cap < 0:
         raise JetcalcError(f"order cap {args.order_cap} is negative")
-    if cmd in ("galilei", "verify-all") and args.file is not None:
+    if cmd in FILELESS and args.file is not None:
         raise JetcalcError(f"{cmd} takes no problem file")
 
     if cmd == "galilei":
@@ -288,16 +377,14 @@ def _dispatch(args):
             report.add(f"d/d({coord!r})", report.expr(e))
         return report, True
 
-    if cmd == "polarize":
-        from .prolongation import homogeneous_degree, polarize
-        poly = _need(pf.poly, "poly statement")
-        variables = [Jet(fld, MultiIndex.zero(prob.n)) for fld in prob.fields]
-        for fld, comp in zip(prob.fields, polarize(poly, variables)):
-            report.add(f"component_{fld}", report.expr(comp))
-        report.add("degree", str(homogeneous_degree(poly, variables)))
-        return report, True
-
-    raise JetcalcError(f"unhandled command {cmd}")
+    # polarize, the last command
+    from .prolongation import homogeneous_degree, polarize
+    poly = _need(pf.poly, "poly statement")
+    variables = [Jet(fld, MultiIndex.zero(prob.n)) for fld in prob.fields]
+    for fld, comp in zip(prob.fields, polarize(poly, variables)):
+        report.add(f"component_{fld}", report.expr(comp))
+    report.add("degree", str(homogeneous_degree(poly, variables)))
+    return report, True
 
 
 def main() -> None:

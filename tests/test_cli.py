@@ -450,18 +450,19 @@ class TestCommands:
         assert doc["result"]["p[q;0;1]"] == "m\\,q_{(1)}"
 
 
-class TestOptionsBeforeFile:
-    """The file may follow the options: one leftover argument that is not
-    an option is the file; anything else left over is refused by argparse."""
+def run_argv(capsys, argv):
+    """(exit code, stdout, stderr) of ``run(argv)``, argv refusals and
+    ``-h`` included."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:               # argv refusals and -h
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
-    @staticmethod
-    def _run(capsys, argv):
-        try:
-            code = run(argv)
-        except SystemExit as exc:           # argparse refusals
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
+
+class TestOptionsBeforeFile:
+    """The file may follow the options; a second positional is refused."""
 
     @pytest.mark.parametrize("command,option,name", [
         ("momenta", "--order-cap", "beam.lag"),
@@ -470,20 +471,20 @@ class TestOptionsBeforeFile:
     def test_option_first_equals_file_first(self, capsys, command, option,
                                             name):
         path = os.path.join(CORPUS, name)
-        first = self._run(capsys, [command, path, option, "3"])
+        first = run_argv(capsys, [command, path, option, "3"])
         assert first[0] == 0 and first[1] and not first[2]
-        assert self._run(capsys, [command, option, "3", path]) == first
+        assert run_argv(capsys, [command, option, "3", path]) == first
 
     @pytest.mark.parametrize("argv,rest", [
-        ("momenta --order-cap 3 {beam} {beam}", "{beam} {beam}"),
+        ("momenta --order-cap 3 {beam} {beam}", "{beam}"),
         ("momenta {beam} {beam}", "{beam}"),
         ("momenta {beam} --order-cap 3 {beam}", "{beam}"),
         ("momenta --order-cap 3 --no-such-option {beam}",
-         "--no-such-option {beam}"),
+         "--no-such-option"),
     ])
     def test_other_leftovers_exit_2(self, capsys, argv, rest):
         beam = os.path.join(CORPUS, "beam.lag")
-        code, out, err = self._run(
+        code, out, err = run_argv(
             capsys, [a.format(beam=beam) for a in argv.split()])
         assert (code, out) == (2, "")
         assert err.startswith("usage: jetcalc ")
@@ -491,9 +492,126 @@ class TestOptionsBeforeFile:
                             f"{rest.format(beam=beam)}\n")
 
 
-class TestParserReuse:
-    """``run`` builds its argument parser once per process; no call may
-    see a trace of an earlier one."""
+def assert_argv_refusal(result, message=None):
+    """Exit 2, no report, the usage first and the error line last."""
+    code, out, err = result
+    assert (code, out) == (2, ""), result
+    first, *_, last = err.splitlines()
+    assert first.startswith("usage: jetcalc "), err
+    assert last.startswith("jetcalc: error: "), err
+    assert err.count("\n") == 2, err
+    if message is not None:
+        assert last == f"jetcalc: error: {message}"
+
+
+class TestCommandTable:
+    """Each command reads the options its row of ``COMMANDS`` names and
+    refuses every other argv word that is not its file."""
+
+    BEAM = os.path.join(CORPUS, "beam.lag")
+
+    @staticmethod
+    def _option_words(name):
+        return [name] if jetcalc.cli.OPTIONS[name][0] is None else [name, "1"]
+
+    @pytest.mark.parametrize("command", list(jetcalc.cli.COMMANDS))
+    def test_every_unread_option_exit_2(self, capsys, command):
+        file = [] if command in jetcalc.cli.FILELESS else [self.BEAM]
+        unread = [o for o in jetcalc.cli.OPTIONS
+                  if o not in jetcalc.cli.COMMANDS[command]]
+        assert unread
+        for option in unread:
+            result = run_argv(capsys,
+                              [command, *file, *self._option_words(option)])
+            assert_argv_refusal(result, f"{command} does not read {option}")
+            assert result[2].startswith(f"usage: jetcalc {command} ")
+
+    @pytest.mark.parametrize("words", [["--lat"], ["--order", "5"],
+                                       ["--lat", "--order", "5"],
+                                       ["--order-c=3"], ["-l"]])
+    def test_abbreviations_exit_2(self, capsys, words):
+        result = run_argv(capsys, ["el", self.BEAM, *words])
+        assert_argv_refusal(result,
+                            f"unrecognized arguments: {' '.join(words)}")
+
+    @pytest.mark.parametrize("command,value", [("momenta", "3"),
+                                               ("el", "4"), ("el", "-1")])
+    def test_equals_form_equals_two_words(self, capsys, command, value):
+        two = run_argv(capsys, [command, self.BEAM, "--order-cap", value])
+        assert run_argv(capsys, [command, self.BEAM,
+                                 f"--order-cap={value}"]) == two
+        assert two[0] in (0, 2) and (two[1] or two[2])
+
+    @pytest.mark.parametrize("command", ["el", "legendre", "galilei"])
+    def test_option_before_the_command(self, capsys, command):
+        file = [] if command in jetcalc.cli.FILELESS else [self.BEAM]
+        after = run_argv(capsys, [command, *file, "--latex"])
+        assert after[0] == 0 and after[1] and not after[2]
+        assert run_argv(capsys, ["--latex", command, *file]) == after
+        assert run_argv(capsys, [command, "--latex", *file]) == after
+
+    @pytest.mark.parametrize("argv,message", [
+        (["el", BEAM, "--order-cap", "3", "--order-cap", "4"],
+         "argument --order-cap: given twice"),
+        (["el", BEAM, "--latex", "--latex"], "argument --latex: given twice"),
+        (["el", "--order-cap=3", BEAM, "--order-cap", "3"],
+         "argument --order-cap: given twice"),
+        (["el", BEAM, "--order-cap"], "argument --order-cap: expected one "
+                                      "argument"),
+        (["el", BEAM, "--order-cap", "--latex"],
+         "argument --order-cap: expected one argument"),
+        (["el", BEAM, "--order-cap", "x"],
+         "argument --order-cap: invalid int value: 'x'"),
+        (["el", BEAM, "--order-cap="],
+         "argument --order-cap: invalid int value: ''"),
+        (["el", BEAM, "--latex=1"],
+         "argument --latex: ignored explicit argument '1'"),
+        (["galilei", "--order-cap", "3"], "galilei does not read --order-cap"),
+        (["verify-all", "--latex", "--seed", "1", "--time", "2"],
+         "verify-all does not read --latex, --time"),
+        (["el", BEAM, "--seed", "3", "--no-such-option"],
+         "unrecognized arguments: --no-such-option"),
+        ([], "the following arguments are required: command"),
+        (["--latex"], "the following arguments are required: command"),
+    ])
+    def test_argv_refusals(self, capsys, argv, message):
+        assert_argv_refusal(run_argv(capsys, argv), message)
+
+    def test_unknown_command_exit_2(self, capsys):
+        result = run_argv(capsys, ["no-such-command", self.BEAM])
+        assert_argv_refusal(result)
+        assert result[2].startswith("usage: jetcalc [-h] COMMAND ")
+        assert "invalid choice: 'no-such-command'" in result[2]
+
+    def test_words_after_double_dash_are_positionals(self, capsys):
+        plain = run_argv(capsys, ["el", self.BEAM])
+        assert run_argv(capsys, ["el", "--", self.BEAM]) == plain
+        assert_argv_refusal(run_argv(capsys, ["el", "--", self.BEAM,
+                                              "--latex"]),
+                            "unrecognized arguments: --latex")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_names_every_command_and_option(self, capsys, flag):
+        code, out, err = run_argv(capsys, ["el", self.BEAM, flag])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: jetcalc ")
+        for word in [*jetcalc.cli.COMMANDS, *jetcalc.cli.OPTIONS]:
+            assert re.search(rf"(^|\s|\[){re.escape(word)}(\s|\]|$)", out,
+                             re.M), word
+        for line in out.splitlines():
+            if line.startswith("  momenta "):
+                assert line == "  momenta FILE [--latex] [--order-cap N]"
+
+    def test_help_comes_first(self, capsys):
+        # -h answers even when the rest of the argv would be refused
+        code, out, _ = run_argv(capsys, ["--no-such-option", "-h"])
+        assert code == 0 and out.startswith("usage: jetcalc ")
+
+
+class TestRunsInOneProcess:
+    """Many ``run`` calls in one process, as in a test session, an
+    embedding caller or a benchmark loop: no call may see a trace of an
+    earlier one, so each matches its argv in a fresh process."""
 
     ENERGY = "base 2; field u; order 1; lagrangian 1/2*u[1,0]^2 - u[0,1]^2;"
 
@@ -502,26 +620,24 @@ class TestParserReuse:
         argvs = [["el", beam, "--latex"], ["el", beam],
                  ["momenta", beam, "--order-cap", "1"], ["momenta", beam],
                  ["no-such-command"],
-                 ["energy", energy, "--time", "1"], ["energy", energy]]
+                 ["energy", energy, "--time", "1"], ["energy", energy],
+                 ["-h"]]
         src = os.path.dirname(os.path.dirname(jetcalc.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         seen = []
         for argv in argvs:
-            try:
-                code = run(argv)
-            except SystemExit as exc:       # argparse refusals
-                code = exc.code
-            captured = capsys.readouterr()
+            result = run_argv(capsys, argv)
             fresh = subprocess.run(
                 [sys.executable, "-m", "jetcalc.cli", *argv],
                 capture_output=True, text=True, env=env, timeout=60)
-            assert (code, captured.out, captured.err) == \
+            assert result == \
                 (fresh.returncode, fresh.stdout, fresh.stderr), argv
-            seen.append((code, captured.out, captured.err))
+            seen.append(result)
         # the runs differ where their arguments do
-        assert [c for c, _, _ in seen] == [0, 0, 2, 0, 2, 0, 0]
+        assert [c for c, _, _ in seen] == [0, 0, 2, 0, 2, 0, 0, 0]
         assert seen[0][1] != seen[1][1] and seen[5][1] != seen[6][1]
         assert seen[4][2].startswith("usage: jetcalc ")
+        assert seen[7][1].startswith("usage: jetcalc ")
         assert seen[2][2] == \
             "error: momentum cascade exceeded the jet order cap 1\n"
 

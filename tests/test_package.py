@@ -98,3 +98,22 @@ def test_unknown_name_raises_attribute_error():
 def test_every_error_class_is_a_jetcalc_error(name):
     assert issubclass(getattr(jetcalc, name), jetcalc.JetcalcError)
     assert issubclass(jetcalc.JetcalcError, ValueError)
+
+
+def test_a_command_loads_no_argument_parser():
+    # the command table reads argv itself: neither argparse nor the
+    # gettext and locale modules that argparse loads are imported by a run
+    beam = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "corpus", "beam.lag")
+    snippet = ("import contextlib, io, sys\n"
+               "from jetcalc.cli import run\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               f"    code = run(['el', {beam!r}])\n"
+               "print(code, sorted({'argparse', 'gettext', 'locale'}"
+               " & set(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(jetcalc.__file__))
+    proc = subprocess.run([sys.executable, "-c", snippet],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
