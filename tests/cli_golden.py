@@ -21,15 +21,13 @@ import shutil
 import sys
 import tempfile
 
-from jetcalc.cli import run
+from jetcalc.cli import COMMANDS, FILELESS, run
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS = os.path.join(os.path.dirname(HERE), "perfbench", "corpus")
 GOLDEN = os.path.join(HERE, "cli_golden.json")
 
-FILE_COMMANDS = ("el", "cascade", "momenta", "currents", "legendre",
-                 "hamilton", "energy", "pc-form", "ms-check",
-                 "check-divergence", "shift", "prolong", "polarize")
+FILE_COMMANDS = [c for c in COMMANDS if c not in FILELESS]
 
 _HEAD = "base 2;\nfield u;\norder 1;\n"
 
