@@ -38,6 +38,11 @@ formed once per direction and interned atom and kept as formed, never
 rescaled, in ``_TOTAL_RULES`` for the life of the process; the table grows
 with the atoms that total derivatives meet, as the intern tables do.
 
+Exact division by a sum runs on ints alone: scaled to be primitive, the
+divisor leaves an integral exact quotient (Gauss), and the remainder's
+monomials sit in a heap under a graded-lex key (Johnson's sparse division;
+Monagan and Pearce, JSC 2011).
+
 Building an ``Expr`` sets only its term dict and denominator.  Its
 canonical sort key and its hash are computed on the first ``hash`` and
 kept; ``==`` compares the denominators and the term dicts.
@@ -46,7 +51,6 @@ kept; ``==`` compares the denominators and the term dicts.
 from __future__ import annotations
 
 import math
-from functools import cmp_to_key
 from itertools import chain, count
 from math import gcd
 from numbers import Rational
@@ -767,36 +771,6 @@ def _div_single_term(num: Expr, den: Expr) -> Expr:
     return _make(terms, num._den * abs(dcoeff))
 
 
-def _cmp_monomials(m1, m2) -> int:
-    """Graded lexicographic comparison (a true monomial order: total degree
-    first, then the earliest atom with a differing exponent decides, larger
-    exponent winning; absent atoms count as zero)."""
-    g1 = sum(e for _, e in m1)
-    g2 = sum(e for _, e in m2)
-    if g1 != g2:
-        return 1 if g1 > g2 else -1
-    i = j = 0
-    while i < len(m1) or j < len(m2):
-        a1 = m1[i] if i < len(m1) else None
-        a2 = m2[j] if j < len(m2) else None
-        if a1 is not None and a2 is not None and a1[0] is a2[0]:
-            if a1[1] != a2[1]:
-                return 1 if a1[1] > a2[1] else -1
-            i += 1
-            j += 1
-            continue
-        if a2 is None or (a1 is not None and a1[0]._sort_key < a2[0]._sort_key):
-            return 1 if a1[1] > 0 else -1
-        return -1 if a2[1] > 0 else 1
-    return 0
-
-
-def _lead(e: Expr):
-    """Leading term under the graded-lex monomial order."""
-    return max(e._terms.items(),
-               key=cmp_to_key(lambda x, y: _cmp_monomials(x[0], y[0])))
-
-
 def _parameter_floor(e: Expr) -> tuple:
     """The monomial of the parameters p of ``e`` to their least exponent
     over its terms (0 in a term without p), the factors at 0 left out."""
@@ -822,6 +796,14 @@ def divide(num: Expr, den: Expr) -> Expr:
     parameter then divides the divisor, nor has a negative power in it, so
     the exact multivariate polynomial division that follows fails only
     when no Laurent quotient exists; its quotient is divided by c * m.
+
+    It runs on the integer numerators, the divisor's divided by their gcd
+    into a primitive P, so by Gauss's lemma every quotient coefficient is an
+    exact int division by P's lead coefficient; a remainder, or a lead
+    monomial that does not divide, refuses at once.  The remainder's
+    monomials sit in a heap under the graded-lex key (-degree, (rank,
+    -exponent) per factor), the atoms ranked once per call, and each step
+    pops the largest live one and folds a quotient term times P's tail in.
     """
     den = _coerce(den)
     num = _coerce(num)
@@ -837,39 +819,51 @@ def divide(num: Expr, den: Expr) -> Expr:
     clear = tuple((p, -k) for p, k in _parameter_floor(num) if k < 0)
     divisor = _div_single_term(den, _trusted({content: 1})) \
         if content else den
-    lead_mon, lead_coeff = _lead(divisor)
-    # a quotient term's coefficient is (r/rden) / (lead/dden)
-    lead_scale = divisor._den if lead_coeff > 0 else -divisor._den
-    lead_coeff = abs(lead_coeff)
-    quotient = ZERO
     rem = num * _trusted({clear: 1}) if clear else num
-    steps = 0
-    while not rem.is_zero():
-        steps += 1
-        if steps > 100000:
+    import heapq
+    terms, rterms = divisor._terms, dict(rem._terms)
+    g = gcd(*terms.values())
+    rank = {a: i for i, a in enumerate(sorted(
+        {a for m in chain(terms, rterms) for a, _ in m}, key=_akey))}
+
+    def entry(m):
+        # the key is unique per monomial, so the heap never compares m
+        return -sum(e for _, e in m), tuple((rank[a], -e) for a, e in m), m
+
+    lead = min(map(entry, terms))[2]
+    lc = terms[lead] // g
+    neg = tuple((a, -e) for a, e in lead)
+    tail = [(m, c // g) for m, c in terms.items() if m != lead]
+    heap = list(map(entry, rterms))
+    heapq.heapify(heap)
+    quotient = {}
+    while heap:
+        m = heapq.heappop(heap)[2]
+        c = rterms.pop(m)
+        if not c:
+            continue
+        if len(quotient) == 100000:
             raise ExprError(f"division did not terminate: {num} by {den}")
-        rmon, rcoeff = _lead(rem)
-        qmon = _div_monomials(rmon, lead_mon)
-        if qmon is None:
+        qc, r = divmod(c, lc)
+        qm = _mul_monomials(m, neg)
+        if r or any(e < 0 for _, e in qm):
             raise ExprError(f"inexact division: {num} by {den}")
-        n, d = _lowest(rcoeff * lead_scale, rem._den * lead_coeff)
-        qterm = _trusted({qmon: n}, d)
-        quotient = quotient + qterm
-        rem = rem - qterm * divisor
+        quotient[qm] = qc
+        for tm, tc in tail:
+            pm = _mul_monomials(qm, tm)
+            s = rterms.get(pm)
+            if s is None:
+                rterms[pm] = -qc * tc
+                heapq.heappush(heap, entry(pm))
+            else:
+                # a cancelled monomial stays at 0 until popped: pushed once
+                rterms[pm] = s - qc * tc
+    # (R / rden) / (g / dden * P) is the quotient times dden / (rden * g)
+    quotient = _make({m: c * divisor._den for m, c in quotient.items()},
+                     rem._den * g)
     shift = _mul_monomials(content, clear)
     return _div_single_term(quotient, _trusted({shift: 1})) \
         if shift else quotient
-
-
-def _div_monomials(m1, m2):
-    """m1 / m2 as a monomial, or None unless every factor of m2 is matched in
-    m1 with at least its exponent (no Laurent slack for multi-term divisors)."""
-    have = dict(m1)
-    for a, e in m2:
-        if have.get(a, 0) < e:
-            return None
-    neg = tuple((a, -e) for a, e in m2)
-    return _mul_monomials(m1, neg)
 
 
 # -- canonical DSL printing -------------------------------------------------

@@ -244,16 +244,12 @@ def pullback_section(a: ExteriorForm, sigma: SectionData) -> ExteriorForm:
     return ExteriorForm.sum(a.degree, pairs)
 
 
-def holonomic_section(problem, profiles: dict, jet_order: int,
-                      momenta: dict | None = None) -> SectionData:
+def holonomic_section(problem, profiles: dict, jet_order: int) -> SectionData:
     """Prolong base-coordinate field profiles into a holonomic SectionData
-    assigning every jet slot up to ``jet_order``; extra momentum-slot
-    assignments may be supplied alongside."""
+    assigning every jet slot up to ``jet_order``."""
     assign: dict = {}
     for fld in problem.fields:
         f = profiles[fld]
         for mi in multiindices_up_to(problem.n, jet_order):
             assign[Jet(fld, mi)] = total_derivative_multi(f, mi)
-    if momenta:
-        assign.update(momenta)
     return SectionData(assign)

@@ -32,15 +32,11 @@ class PCForm:
         self.hamiltonian = hamiltonian
 
 
-def pc_form(problem: LagrangianProblem,
-            hamiltonian: Expr | None = None) -> PCForm:
+def pc_form(problem: LagrangianProblem) -> PCForm:
     """Omega = sum dp^{mu lam} ^ dx^1 ^ ... ^ dphi_mu (lam-th place) ^ ...
-    ^ dx^n  -  dH ^ d^n x, with H from the top Legendre transform.
-
-    ``hamiltonian`` overrides the Legendre route (e.g. a vanishing H, for
-    which Omega consists of the dp-blocks alone)."""
+    ^ dx^n  -  dH ^ d^n x, with H from the top Legendre transform."""
     n, k = problem.n, problem.k
-    H = legendre_top(problem).hamiltonian if hamiltonian is None else hamiltonian
+    H = legendre_top(problem).hamiltonian
     volume = tuple(Base(mu) for mu in range(1, n + 1))
     # dphi_mu in front of d^n x without dx^lam stands lam - 1 places left
     # of the lam-th place: sign (-1)^(lam - 1)

@@ -5,6 +5,7 @@ see them live; they are also in the captured output)."""
 import random
 import time
 import numpy as np
+import pytest
 
 from jetcalc import (Base, Expr, Jet, Momentum, MultiIndex, OpaqueCall,
                      Parameter)
@@ -190,3 +191,53 @@ def test_dense_power_euler_lagrange(tmp_path):
                     "lagrangian (u+u[1,0]+u[0,1]+x1)^20;\n")
     with _Criterion("dense (u+u[1,0]+u[0,1]+x1)^20 el", 30.0):
         assert run(["el", str(path)]) == 0
+
+
+def _hessian_file(path, d, params, entry):
+    """A base-1, order-1 file in the fields u1..ud whose Lagrangian is
+    1/2 sum_ij H_ij ui[1] uj[1], with H_ij = entry(i, j) for i <= j."""
+    rows = range(1, d + 1)
+    terms = [f"1/2*({entry(i, i)})*u{i}[1]^2" for i in rows] + [
+        f"({entry(i, j)})*u{i}[1]*u{j}[1]" for i in rows for j in rows if i < j]
+    path.write_text("base 1;\norder 1;\n"
+                    + "".join(f"field u{i};\n" for i in rows)
+                    + "".join(f"param {p};\n" for p in params)
+                    + f"lagrangian {' + '.join(terms)};\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("d, limit_s", [(3, 1.0), (4, 1.0), (6, 4.0)])
+def test_symbolic_legendre_refusal(tmp_path, capsys, d, limit_s):
+    """The fully symbolic top Hessian, one parameter aij per entry: the
+    inversion is no Laurent polynomial, which the Bareiss solve finds by
+    exact multi-term divisions."""
+    rows = range(1, d + 1)
+    path = _hessian_file(tmp_path / "symbolic.lag", d,
+                         [f"a{i}{j}" for i in rows for j in rows if i <= j],
+                         lambda i, j: f"a{i}{j}")
+    with _Criterion(f"fully symbolic {d}x{d} legendre refusal", limit_s):
+        assert run(["legendre", path]) == 2
+        out, err = capsys.readouterr()
+    assert out == "" and err.startswith(
+        "error: Legendre inversion not representable: inexact division: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_representable_symbolic_legendre(tmp_path, d):
+    """H = L L^T with L unit lower-triangular and symbolic lij below the
+    diagonal: det H = 1, so the inversion is a polynomial.  Every leading
+    minor is 1 too, so every Bareiss pivot is 1 (L^T L is the hard case,
+    see ROADMAP item 3)."""
+    rows = range(1, d + 1)
+
+    def entry(i, j):
+        L = lambda r, k: "1" if r == k else f"l{r}{k}"
+        return " + ".join(f"{L(i, k)}*{L(j, k)}"
+                          for k in range(1, min(i, j) + 1))
+
+    path = _hessian_file(tmp_path / "llt.lag", d,
+                         [f"l{i}{k}" for i in rows for k in range(1, i)],
+                         entry)
+    with _Criterion(f"L L^T {d}x{d} legendre", 1.0):
+        assert run(["legendre", path]) == 0

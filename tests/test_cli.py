@@ -1099,10 +1099,11 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # classes, so loading the command line pulls in neither dataclasses
     # nor the inspect module that dataclasses imports; and the engine's
     # rational constants are exact int divisions, so neither fractions nor
-    # the decimal module that fractions imports is loaded either
+    # the decimal module that fractions imports is loaded either; heapq is
+    # imported only by a division by a sum
     snippet = ("import sys, jetcalc.cli\n"
                "print(sorted({'dataclasses', 'inspect', 'fractions', "
-               "'decimal'} & set(sys.modules)))\n")
+               "'decimal', 'heapq'} & set(sys.modules)))\n")
     src = os.path.dirname(os.path.dirname(jetcalc.__file__))
     proc = subprocess.run([sys.executable, "-c", snippet],
                           capture_output=True, text=True,

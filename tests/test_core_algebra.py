@@ -10,7 +10,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from jetcalc import (
     Base, Expr, ExprError, Jet, LagrangianProblem, Momentum, MultiIndex,
@@ -1092,17 +1092,12 @@ def test_coefficients_in_stored_form():
             x * bad
 
 
-def test_quotient_step_stays_exact(monkeypatch):
-    # int / int would be a float: a/3 must come out as Fraction(1, 3), in
-    # the one quotient step that a^2 + a = (a/3)(3a + 3) takes
-    import jetcalc.expr
-    steps = []
-    real = jetcalc.expr._div_monomials
-    monkeypatch.setattr(jetcalc.expr, "_div_monomials",
-                        lambda m1, m2: steps.append(m1) or real(m1, m2))
+def test_quotient_step_stays_exact():
+    # int / int would be a float: a/3 must come out as the int pair (1, 3)
+    # from a^2 + a = (a/3)(3a + 3)
     a = Expr.atom(Parameter("a"))
     q = divide(a ** 2 + a, 3 * a + 3)
-    assert q == a / 3 and len(steps) == 1
+    assert q == a / 3
     terms, den = q.parts()
     ((mon, c),) = terms.items()
     assert mon == ((Parameter("a"), 1),)
@@ -1217,6 +1212,9 @@ class TestDivisionRoundTrip:
         a, b = Expr.atom(Parameter("a")), Expr.atom(Parameter("b"))
         with pytest.raises(ExprError, match="inexact|non-constant"):
             divide(a ** 2 + b, a + b)
+        # every monomial divides, but the lead coefficient 2 does not
+        with pytest.raises(ExprError, match="^inexact division: "):
+            divide(a, 2 * a + 3)
 
     def test_laurent_quotients(self):
         # the numerator's negative powers and the divisor's parameter
@@ -1251,6 +1249,56 @@ def test_product_divided_by_factor_is_the_laurent_factor(q, den):
     if den.is_zero():
         return
     assert divide(q * den, den) == q
+
+
+_ORACLE_ATOMS = (*_ATOMS[:4], Parameter("m"), Parameter("a"))
+
+
+def _polynomial_draw(max_terms):
+    """(Fraction coefficient, exponents) pairs over ``_ORACLE_ATOMS``,
+    exponents 0-2: a polynomial to build both in the kernel and in sympy."""
+    return st.lists(st.tuples(st.fractions(-3, 3, max_denominator=3),
+                              st.tuples(*(st.integers(0, 2)
+                                          for _ in _ORACLE_ATOMS))),
+                    min_size=1, max_size=max_terms)
+
+
+@_KERNEL
+@given(_polynomial_draw(3), _polynomial_draw(4), st.booleans())
+def test_divide_refuses_exactly_when_sympy_leaves_a_remainder(d, n, product):
+    """``divide`` by a multi-term polynomial over jets, x1 and two
+    parameters against ``sympy.div`` over QQ: refused as inexact exactly
+    when sympy leaves a remainder, and otherwise q * D == N.  Every
+    parameter is absent from some term of D, so D has no parameter content
+    and a Laurent quotient is a polynomial one; N is a random polynomial
+    or one times D."""
+    import sympy
+    syms = sympy.symbols(f"s0:{len(_ORACLE_ATOMS)}")
+
+    def kernel(draw):
+        return Expr.sum(Expr.const(c) * functools.reduce(operator.mul, (
+            Expr.atom(a) ** k for a, k in zip(_ORACLE_ATOMS, exps)), ONE)
+            for c, exps in draw)
+
+    def oracle(draw):
+        return sum(sympy.Rational(c.numerator, c.denominator)
+                   * sympy.Mul(*(x ** k for x, k in zip(syms, exps)))
+                   for c, exps in draw)
+
+    D, Ds = kernel(d), oracle(d)
+    terms, _ = D.parts()
+    assume(len(terms) >= 2)
+    assume(all(any(p not in dict(m) for m in terms)
+               for p in _ORACLE_ATOMS[4:]))
+    N, Ns = kernel(n), oracle(n)
+    if product:
+        N, Ns = N * D, sympy.expand(Ns * Ds)
+    _, r = sympy.div(Ns, Ds, *syms, domain="QQ")
+    if r == 0:
+        assert divide(N, D) * D == N
+    else:
+        with pytest.raises(ExprError, match="^inexact division: "):
+            divide(N, D)
 
 
 # -- the kernel against a per-term Fraction reference.  A reference

@@ -145,8 +145,7 @@ class TestMultisymplecticResiduals:
         assign = {}
         for (fld, mi, lam), value in m.slots.items():
             assign[Momentum(fld, mi, lam)] = jets.evaluate(value)
-        sigma = holonomic_section(prob, profiles, jet_order=prob.k - 1,
-                                  momenta=assign)
+        sigma = SectionData({**jets.assign, **assign})
         eqs = multisymplectic_residuals(prob, sigma)
         from jetcalc.variational import euler_lagrange
         euler_on_sigma = jets.evaluate(euler_lagrange(prob)["u"])
@@ -169,14 +168,17 @@ class TestGalilei:
 
 
 class TestStructuralCases:
-    def test_zero_hamiltonian_leaves_only_dp_blocks(self):
-        prob = LagrangianProblem(1, ("u",), 2, ZERO)
-        form = pc_form(prob, hamiltonian=ZERO)
+    def test_omega_without_dh_leaves_only_dp_blocks(self):
+        prob = beam()
+        form = pc_form(prob)
         u, u1 = Jet("u", MI((0,))), Jet("u", MI((1,)))
         p0, p1 = Momentum("u", MI((0,)), 1), Momentum("u", MI((1,)), 1)
         want = wedge(ExteriorForm.d_coordinate(p0), ExteriorForm.d_coordinate(u)) \
             + wedge(ExteriorForm.d_coordinate(p1), ExteriorForm.d_coordinate(u1))
-        assert form.omega == want
+        dH = exterior_derivative(ExteriorForm.scalar(
+            legendre_top(prob).hamiltonian))
+        assert form.omega + wedge(dH, ExteriorForm.d_coordinate(Base(1))) \
+            == want
 
     def test_first_order_residual_set_is_exactly_h1_h2(self):
         # k = 1: one residual per field slot and per momentum slot, nothing else
@@ -208,8 +210,7 @@ class TestTwoDimensionalRecovery:
         jets = holonomic_section(prob, profiles, jet_order=6)
         assign = {Momentum(f, mi, lam): jets.evaluate(v)
                   for (f, mi, lam), v in m.slots.items()}
-        sigma = holonomic_section(prob, profiles, jet_order=prob.k - 1,
-                                  momenta=assign)
+        sigma = SectionData({**jets.assign, **assign})
         eqs = multisymplectic_residuals(prob, sigma)
         from jetcalc.variational import euler_lagrange
         el = jets.evaluate(euler_lagrange(prob)["u"])
