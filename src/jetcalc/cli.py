@@ -265,10 +265,9 @@ def _dispatch(args):
         ok = True
         for r in results:
             report.add(r.name, "pass" if r.ok else "fail")
-            for label, e in r.failures:
+            for _, label, text in r.failures:
                 ok = False
-                # plain text in either mode: e is an Expr or a form
-                report.add_residual(f"{r.name}: {label}", repr(e))
+                report.add_residual(f"{r.name}: {label}", text)
         report.doc["result"]["seed"] = args.seed
         return report, ok
 

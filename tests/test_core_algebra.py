@@ -1254,17 +1254,25 @@ def test_product_divided_by_factor_is_the_laurent_factor(q, den):
 _ORACLE_ATOMS = (*_ATOMS[:4], Parameter("m"), Parameter("a"))
 
 
-def _polynomial_draw(max_terms):
+def _polynomial_draw(max_terms, min_terms=1):
     """(Fraction coefficient, exponents) pairs over ``_ORACLE_ATOMS``,
     exponents 0-2: a polynomial to build both in the kernel and in sympy."""
     return st.lists(st.tuples(st.fractions(-3, 3, max_denominator=3),
                               st.tuples(*(st.integers(0, 2)
                                           for _ in _ORACLE_ATOMS))),
-                    min_size=1, max_size=max_terms)
+                    min_size=min_terms, max_size=max_terms)
+
+
+def _first_term_without_parameters(draw):
+    """The draw with the parameters' exponents of its first term set to
+    0, so that no parameter is a factor of every term."""
+    (c, exps), *rest = draw
+    return [(c, exps[:-2] + (0, 0)), *rest]
 
 
 @_KERNEL
-@given(_polynomial_draw(3), _polynomial_draw(4), st.booleans())
+@given(_polynomial_draw(3, 2).map(_first_term_without_parameters),
+       _polynomial_draw(4), st.booleans())
 def test_divide_refuses_exactly_when_sympy_leaves_a_remainder(d, n, product):
     """``divide`` by a multi-term polynomial over jets, x1 and two
     parameters against ``sympy.div`` over QQ: refused as inexact exactly
