@@ -364,9 +364,10 @@ def _cpus() -> int:
 def _fork_odd_draws(seed: int):
     """Fork a child that writes ``_odd_failures(seed)`` to a pipe, as
     marshal data; returns (pid, the pipe's read end), or None without fork,
-    a second CPU or a process to spare.  Nor does a process that runs other
-    threads fork: the child would hold none of them, nor any lock they
-    hold."""
+    a second CPU or a process to spare.  On one CPU the child's replay of
+    every draw costs more than its share saves.  Nor does a process that
+    runs other threads fork: the child would hold none of them, nor any
+    lock they hold."""
     threading = sys.modules.get("threading")
     if (not hasattr(os, "fork") or _cpus() < 2
             or threading is not None and threading.active_count() > 1):

@@ -1263,16 +1263,22 @@ def _polynomial_draw(max_terms, min_terms=1):
                     min_size=min_terms, max_size=max_terms)
 
 
-def _first_term_without_parameters(draw):
-    """The draw with the parameters' exponents of its first term set to
-    0, so that no parameter is a factor of every term."""
-    (c, exps), *rest = draw
-    return [(c, exps[:-2] + (0, 0)), *rest]
+@st.composite
+def _divisor_draw(draw):
+    """A draw of two or three terms in which each parameter's exponent is
+    0 in one drawn term, chosen per parameter: every divisor whose
+    parameters each miss some term is reachable, ``m*u1 + a*x1`` among
+    them, and the test's ``assume``s rarely reject."""
+    terms = draw(_polynomial_draw(3, 2))
+    for p in range(4, len(_ORACLE_ATOMS)):
+        i = draw(st.integers(0, len(terms) - 1))
+        c, exps = terms[i]
+        terms[i] = (c, exps[:p] + (0,) + exps[p + 1:])
+    return terms
 
 
 @_KERNEL
-@given(_polynomial_draw(3, 2).map(_first_term_without_parameters),
-       _polynomial_draw(4), st.booleans())
+@given(_divisor_draw(), _polynomial_draw(4), st.booleans())
 def test_divide_refuses_exactly_when_sympy_leaves_a_remainder(d, n, product):
     """``divide`` by a multi-term polynomial over jets, x1 and two
     parameters against ``sympy.div`` over QQ: refused as inexact exactly
