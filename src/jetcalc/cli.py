@@ -265,10 +265,10 @@ def _dispatch(args):
         ok = True
         for r in results:
             report.add(r.name, "pass" if r.ok else "fail")
-            for _, label, text in r.failures:
+            for label, text in r.failures:
                 ok = False
                 report.add_residual(f"{r.name}: {label}", text)
-        report.doc["result"]["seed"] = args.seed
+        report.add("seed", args.seed)
         return report, ok
 
     pf = _load(args.file)

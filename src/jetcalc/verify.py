@@ -2,19 +2,20 @@
 
 Each check returns a ``CheckResult``.  Each of the six seeded checks draws
 its instances from its own ``random.Random(seed)``, so a failing draw
-replays from the seed and its index alone.  Its ``parity`` keyword selects
-the draws it verifies: every draw (``None``, the default), or the even (0)
-or the odd (1) ones.  Either way it makes every draw, and a draw verifies
-only after its last call to the generator, so each draw is the same in
-every share.
+replays from the seed and its index alone.  Its ``half`` keyword selects
+the draws it verifies: every draw (``None``, the default), the first
+``count // 2`` (0) or the rest (1).  The first half stops drawing at its
+end; the rest makes every draw before it, and a draw verifies only after
+its last call to the generator, so each draw is the same in every share.
 
 ``run_all``, behind the CLI's ``verify-all``, splits the work between two
-processes when it may use two CPUs: a forked child verifies the odd draws,
-and this process the even draws, the three unseeded suites and
-polarization's Gram check.  The child sends its failures back as plain
-data, never an ``Expr`` (atoms are interned by identity), and the merged
-report is the one the sequential run gives.  The acceptance test module
-drives the same suites at the documented instance counts.
+processes when it may use two CPUs: a forked child verifies the second
+half of each seeded suite's draws, and this process the first half, the
+three unseeded suites and polarization's Gram check.  The child sends its
+failures back as plain data, never an ``Expr`` (atoms are interned by
+identity); appended to this process's, they give the report of the
+sequential run.  The acceptance test module drives the same suites at the
+documented instance counts.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .divergence import (divergence_lagrangian, momentum_shift,
 
 class CheckResult:
     """One suite's outcome: ``ok`` until a failure is recorded.  A failure
-    is plain data, (draw index or None, label, residual text)."""
+    is plain data, (label, residual text)."""
 
     __slots__ = ("name", "failures")
 
@@ -65,19 +66,14 @@ class CheckResult:
         """Record a failure; one in a draw is labelled ``draw i: label``."""
         if draw is not None:
             label = f"draw {draw}: {label}" if label else f"draw {draw}"
-        self.failures.append((draw, label, repr(residual)))
-
-    def merge(self, failures) -> None:
-        """Add the failures of the other share of the draws, in the order
-        of a sequential run: those outside any draw first, then by draw,
-        and within a draw in check order."""
-        self.failures = sorted(self.failures + failures,
-                               key=lambda f: -1 if f[0] is None else f[0])
+        self.failures.append((label, repr(residual)))
 
 
-def _skipped(i: int, parity) -> bool:
-    """True when draw ``i`` is not in the share ``parity`` selects."""
-    return parity is not None and i % 2 != parity
+def _share(count: int, half: int | None) -> range:
+    """The draws of ``count`` that ``half`` selects."""
+    if half is None:
+        return range(count)
+    return range(count // 2) if half == 0 else range(count // 2, count)
 
 
 def mechanics_problem() -> LagrangianProblem:
@@ -119,15 +115,16 @@ def check_galilei() -> CheckResult:
 
 
 def check_divergence_triviality(seed: int = 0, count: int = 50,
-                                parity: int | None = None) -> CheckResult:
+                                half: int | None = None) -> CheckResult:
     """Theorem: divergence Lagrangians have vanishing Euler-Lagrange
     residual and the residual table equals the symmetrized momenta."""
     out = CheckResult("divergence-triviality")
     rng = random.Random(seed)
-    for i in range(count):
+    share = _share(count, half)
+    for i in range(share.stop):
         n = rng.choice((1, 2))
         F = random_divergence_components(rng, n, jet_order=2)
-        if _skipped(i, parity):
+        if i < share.start:
             continue
         eqs = verify_divergence_trivial(F)
         for label, res in eqs.residuals():
@@ -137,17 +134,18 @@ def check_divergence_triviality(seed: int = 0, count: int = 50,
 
 
 def check_momentum_shift(seed: int = 0, count: int = 20,
-                         parity: int | None = None) -> CheckResult:
+                         half: int | None = None) -> CheckResult:
     """Adding a divergence leaves the Euler-Lagrange residual unchanged and
     the momentum shift maps cascade solutions to cascade solutions."""
     out = CheckResult("momentum-shift")
     rng = random.Random(seed)
-    for i in range(count):
+    share = _share(count, half)
+    for i in range(share.stop):
         n = rng.choice((1, 2))
         k = rng.choice((1, 2))
         prob = random_quadratic_lagrangian(rng, n, k)
         F = random_divergence_components(rng, n, jet_order=k, degree=2)
-        if _skipped(i, parity):
+        if i < share.start:
             continue
         data = divergence_lagrangian(F, fields=("u",))
         total = LagrangianProblem(n, ("u",), max(k, data.order),
@@ -170,16 +168,17 @@ def check_momentum_shift(seed: int = 0, count: int = 20,
 
 
 def check_cascade_equivalence(seed: int = 0, count: int = 50,
-                              parity: int | None = None) -> CheckResult:
+                              half: int | None = None) -> CheckResult:
     """Eliminating the cascade reproduces the classical Euler-Lagrange
     operator exactly."""
     out = CheckResult("cascade-equivalence")
     rng = random.Random(seed)
-    for i in range(count):
+    share = _share(count, half)
+    for i in range(share.stop):
         n = rng.choice((1, 2))
         k = rng.choice((1, 2, 3))
         prob = random_lagrangian(rng, n, k)
-        if _skipped(i, parity):
+        if i < share.start:
             continue
         m = canonical_momenta(prob)
         eqs = cascade_equations(prob)
@@ -193,16 +192,17 @@ def check_cascade_equivalence(seed: int = 0, count: int = 50,
 
 
 def check_gauge_invariance(seed: int = 0, count: int = 20,
-                           parity: int | None = None) -> CheckResult:
+                           half: int | None = None) -> CheckResult:
     """The field-equation residual and the current table survive a gauge
     modification followed by symmetrization."""
     out = CheckResult("gauge-invariance")
     rng = random.Random(seed)
-    for i in range(count):
+    share = _share(count, half)
+    for i in range(share.stop):
         k = rng.choice((2, 3))
         prob = random_lagrangian(rng, 2, k)
         chi = random_gauge_table(rng, prob)
-        if _skipped(i, parity):
+        if i < share.start:
             continue
         m = canonical_momenta(prob)
         gauged = apply_momentum_gauge(m, chi)
@@ -256,17 +256,18 @@ def check_multisymplectic() -> CheckResult:
 
 
 def check_polarization(seed: int = 0, count: int = 20,
-                       parity: int | None = None) -> CheckResult:
+                       half: int | None = None) -> CheckResult:
     """Quadratic Gram matrix and Euler re-symmetrization; the Gram check
-    belongs to the even share."""
+    belongs to the first half."""
     out = CheckResult("polarization")
-    if parity != 1:
+    if half != 1:
         _check_gram(out)
     rng = random.Random(seed)
-    for i in range(count):
+    share = _share(count, half)
+    for i in range(share.stop):
         nv = rng.randint(1, 3)
         d = rng.randint(1, 4)
-        vs = [Jet(f"v{i+1}", MultiIndex((0,))) for i in range(nv)]
+        vs = [Jet(f"v{j+1}", MultiIndex((0,))) for j in range(nv)]
         e = ZERO
         while e.is_zero():
             terms = []
@@ -279,7 +280,7 @@ def check_polarization(seed: int = 0, count: int = 20,
                     term = term * Expr.atom(v) ** p
                 terms.append(term)
             e = Expr.sum(terms)
-        if _skipped(i, parity):
+        if i < share.start:
             continue
         if resymmetrize(polarize(e, vs), vs) != e:
             out.fail("euler identity", e, i)
@@ -301,11 +302,12 @@ def _check_gram(out: CheckResult) -> None:
 
 
 def check_prolongation(seed: int = 0, count: int = 20,
-                       parity: int | None = None) -> CheckResult:
+                       half: int | None = None) -> CheckResult:
     """First-order lift formula and contact preservation at orders <= 3."""
     out = CheckResult("prolongation")
     rng = random.Random(seed)
-    for i in range(count):
+    share = _share(count, half)
+    for i in range(share.stop):
         n = rng.choice((1, 2))
         zero = MultiIndex((0,) * n)
         atoms = [Base(mu) for mu in range(1, n + 1)] + [Jet("u", zero)]
@@ -314,7 +316,7 @@ def check_prolongation(seed: int = 0, count: int = 20,
         psi2 = random_vertical_coefficient(rng, n, jet_order=1)
         prob = LagrangianProblem(n, ("u",), max(k, 2), ZERO)
         profiles = random_section_profiles(rng, prob, degree=2)
-        if _skipped(i, parity):
+        if i < share.start:
             continue
         lift = prolong_vertical_field({"u": psi}, n=n, target_order=1)
         for mu in range(1, n + 1):
@@ -334,10 +336,10 @@ def check_prolongation(seed: int = 0, count: int = 20,
     return out
 
 
-def _verify(seed: int, parity: int | None):
-    """The suites' results in report order.  With ``parity`` 1 only the six
-    seeded suites run, on their odd draws."""
-    share = {"seed": seed, "parity": parity}
+def _verify(seed: int, half: int | None):
+    """The suites' results in report order.  With ``half`` 1 only the six
+    seeded suites run, on the second half of their draws."""
+    share = {"seed": seed, "half": half}
     suites = ((check_mechanics, {}), (check_galilei, {}),
               (check_divergence_triviality, share),
               (check_momentum_shift, share),
@@ -346,12 +348,7 @@ def _verify(seed: int, parity: int | None):
               (check_multisymplectic, {}),
               (check_polarization, share),
               (check_prolongation, share))
-    return [check(**kw) for check, kw in suites if kw or parity != 1]
-
-
-def _odd_failures(seed: int) -> dict:
-    """The failures of the odd draws, by suite name."""
-    return {r.name: r.failures for r in _verify(seed, 1)}
+    return [check(**kw) for check, kw in suites if kw or half != 1]
 
 
 def _cpus() -> int:
@@ -361,13 +358,13 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_odd_draws(seed: int):
-    """Fork a child that writes ``_odd_failures(seed)`` to a pipe, as
-    marshal data; returns (pid, the pipe's read end), or None without fork,
-    a second CPU or a process to spare.  On one CPU the child's replay of
-    every draw costs more than its share saves.  Nor does a process that
-    runs other threads fork: the child would hold none of them, nor any
-    lock they hold."""
+def _fork_second_half(seed: int):
+    """Fork a child that writes the failures of ``_verify(seed, 1)`` to a
+    pipe, by suite name, as marshal data; returns (pid, the pipe's read
+    end), or None without fork, a second CPU or a process to spare.  On one
+    CPU the two processes would take turns, and the fork only add its
+    cost.  Nor does a process that runs other threads fork: the child would
+    hold none of them, nor any lock they hold."""
     threading = sys.modules.get("threading")
     if (not hasattr(os, "fork") or _cpus() < 2
             or threading is not None and threading.active_count() > 1):
@@ -383,8 +380,9 @@ def _fork_odd_draws(seed: int):
         status = 1
         try:
             os.close(r)
+            failures = {res.name: res.failures for res in _verify(seed, 1)}
             with open(w, "wb") as fh:
-                fh.write(marshal.dumps(_odd_failures(seed)))
+                fh.write(marshal.dumps(failures))
             status = 0
         finally:
             os._exit(status)
@@ -395,36 +393,33 @@ def _fork_odd_draws(seed: int):
 def run_all(seed: int = 0):
     """Every suite in report order; the seeded ones draw from ``seed``.
 
-    With fork and two CPUs, a child verifies the odd draws while this
-    process verifies the rest; its failures merge into the results in
-    sequential order.  When the child does not answer in full, this
-    process verifies the odd draws itself, so the results, and an internal
-    fault raised while computing them, are those of the sequential run."""
-    child = _fork_odd_draws(seed)
+    With fork and two CPUs, a child verifies the second half of each seeded
+    suite's draws while this process verifies the rest, so the child's
+    failures follow all of this process's in each suite.  After a fault in
+    this share, or without a full answer from the child, the child is
+    reaped and this process runs every suite itself: a fault in the child's
+    share may come first in report order, so the sequential run decides
+    which fault is raised."""
+    child = _fork_second_half(seed)
     if child is None:
         return _verify(seed, None)
     pid, reader = child
     try:
-        with reader:
-            results = _verify(seed, 0)
-            # to EOF before the wait: a long answer overflows the pipe
-            answer = reader.read()
-    except BaseException as exc:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        if not isinstance(exc, Exception):
+        try:
+            with reader:
+                results = _verify(seed, 0)
+                # to EOF before the wait: a long answer overflows the pipe
+                answer = reader.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
             raise
-        # A fault in this share.  One in the child's share may come first
-        # in report order, so the sequential run decides which is raised.
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        if status:
+            raise ChildProcessError(f"child status {status}")
+        later = marshal.loads(answer)
+        for r in results:
+            r.failures += later.get(r.name, [])
+    except Exception:
         return _verify(seed, None)
-    status = os.waitpid(pid, 0)[1]
-    try:
-        odd = marshal.loads(answer) if status == 0 else None
-    except (EOFError, ValueError):
-        odd = None
-    if odd is None:
-        odd = _odd_failures(seed)
-    for r in results:
-        if r.name in odd:
-            r.merge(odd[r.name])
     return results

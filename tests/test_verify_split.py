@@ -1,10 +1,14 @@
-"""verify-all split over two processes: a forked child verifies the odd
-draws of the seeded suites.  The report, the exit code and an internal
-fault's error line must be those of the sequential run, and no child may
-outlive a run."""
+"""verify-all split over two processes: a forked child verifies the second
+half of each seeded suite's draws.  The report, the exit code and an
+internal fault's error line must be those of the sequential run, and no
+child may outlive a run."""
 
+import errno
+import inspect
 import os
+import random
 import signal
+import types
 
 import pytest
 
@@ -158,10 +162,10 @@ DRAW_STAGES = {
 
 @pytest.mark.parametrize("suite", SEEDED)
 def test_halves_verify_the_draws_of_the_whole(monkeypatch, suite):
-    # The two shares make the same generator calls as the whole run, so
-    # together they verify the very draws it verifies, argument for
-    # argument; a draw that moved an RNG call below its parity test would
-    # shift every later draw of one share.
+    # The first half and the rest together verify the very draws the whole
+    # run verifies, argument for argument and in order; a draw that moved an
+    # RNG call below its share test would shift every later draw of the
+    # rest.
     calls = []
     for name in DRAW_STAGES[suite]:
         fn = getattr(verify, name)
@@ -172,50 +176,81 @@ def test_halves_verify_the_draws_of_the_whole(monkeypatch, suite):
         monkeypatch.setattr(verify, name, recorded)
     check = getattr(verify, f"check_{suite}")
 
-    def draws(parity):
+    def draws(half):
         calls.clear()
-        assert check(seed=11, parity=parity).ok
+        assert check(seed=11, half=half).ok
         return list(calls)
 
-    whole, even, odd = draws(None), draws(0), draws(1)
-    assert even and odd
-    assert sorted(even + odd) == sorted(whole)
+    whole, first, rest = draws(None), draws(0), draws(1)
+    assert first and rest
+    assert first + rest == whole
 
 
-def test_gram_check_belongs_to_the_even_share(monkeypatch):
+class _Recorded(random.Random):
+    """A generator that keeps each instance, to read its state after."""
+    made = []
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.made.append(self)
+
+
+@pytest.mark.parametrize("suite", SEEDED)
+def test_first_half_makes_only_its_draws(monkeypatch, suite):
+    # No replay in this process: after the first half, the suite's
+    # generator stands where a whole run of count // 2 draws leaves it.
+    check = getattr(verify, f"check_{suite}")
+    count = inspect.signature(check).parameters["count"].default
+    monkeypatch.setattr(verify, "random",
+                        types.SimpleNamespace(Random=_Recorded))
+
+    def state(**kwargs):
+        _Recorded.made.clear()
+        check(seed=5, **kwargs)
+        (rng,) = _Recorded.made
+        return rng.getstate()
+
+    assert state(half=0) == state(count=count // 2) != state()
+    assert state(half=1) == state()
+
+
+def test_first_half_draws_half_the_lagrangians(monkeypatch):
+    drawn = []
+    real = verify.random_lagrangian
+    monkeypatch.setattr(verify, "random_lagrangian",
+                        lambda *args: drawn.append(1) or real(*args))
+    for half, want in ((0, 25), (1, 50), (None, 50)):
+        drawn.clear()
+        verify.check_cascade_equivalence(seed=0, half=half)
+        assert len(drawn) == want
+
+
+def test_gram_check_belongs_to_the_first_half(monkeypatch):
     shares = []
     real = verify._check_gram
     monkeypatch.setattr(verify, "_check_gram",
-                        lambda out: shares.append(parity) or real(out))
-    for parity in (None, 0, 1):
-        verify.check_polarization(seed=0, count=0, parity=parity)
+                        lambda out: shares.append(half) or real(out))
+    for half in (None, 0, 1):
+        verify.check_polarization(seed=0, count=0, half=half)
     assert shares == [None, 0]
-
-
-def test_merge_keeps_the_sequential_order():
-    r = verify.CheckResult("suite")
-    r.fail("outside", Expr.const(1))
-    r.fail("a", Expr.const(2), 0)
-    r.fail("b", Expr.const(3), 0)
-    r.fail("c", Expr.const(4), 4)
-    r.merge([(1, "draw 1: a", "5"), (1, "draw 1: b", "6"),
-             (5, "draw 5", "7")])
-    assert [label for _, label, _ in r.failures] == [
-        "outside", "draw 0: a", "draw 0: b", "draw 1: a", "draw 1: b",
-        "draw 4: c", "draw 5"]
-    assert not r.ok
 
 
 def test_long_answer_is_read_before_the_wait(monkeypatch, two_cpus):
     # far more than a pipe holds: a parent that waited for the child
     # before reading its answer would hang here
     text = "x" * (1 << 20)
-    monkeypatch.setattr(verify, "_odd_failures", lambda seed: {
-        "prolongation": [(1, "draw 1: long", text)]})
+    real = verify._verify
+
+    def child_fails_long(seed, half):
+        results = real(seed, half)
+        if half == 1:
+            results[-1].failures.append(("draw 19: long", text))
+        return results
+    monkeypatch.setattr(verify, "_verify", child_fails_long)
     results = verify.run_all(seed=0)
     assert two_cpus
     prolongation = results[-1]
-    assert prolongation.failures == [(1, "draw 1: long", text)]
+    assert prolongation.failures == [("draw 19: long", text)]
 
 
 def _child_dies(how):
@@ -261,10 +296,10 @@ def _draw_lagrangians(check, seed):
 
 @pytest.mark.parametrize("draws", [
     # (suite, draw) pairs whose Lagrangians raise
-    [("cascade_equivalence", 1)],             # the child's share only
+    [("cascade_equivalence", 30)],            # the child's share only
     [("cascade_equivalence", 2)],             # this process's share only
-    [("cascade_equivalence", 3), ("gauge_invariance", 0)],
-    [("cascade_equivalence", 4), ("cascade_equivalence", 5)],
+    [("cascade_equivalence", 30), ("gauge_invariance", 0)],
+    [("cascade_equivalence", 24), ("cascade_equivalence", 25)],
 ])
 def test_internal_fault_gives_the_sequential_error_line(
         capsys, monkeypatch, two_cpus, draws):
@@ -315,3 +350,26 @@ def test_a_process_with_other_threads_runs_sequentially(monkeypatch):
         release.set()
         waiter.join(30)
     assert not waiter.is_alive()
+
+
+def test_refused_fork_runs_sequentially(monkeypatch):
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    pipes = []
+    real_pipe = os.pipe
+
+    def pipe():
+        pipes.append(real_pipe())
+        return pipes[-1]
+
+    def fork():
+        raise OSError(errno.EAGAIN, "no process to spare")
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    split = [(r.name, r.failures) for r in verify.run_all(seed=1)]
+    assert len(pipes) == 1
+    for fd in pipes[0]:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert split == [(r.name, r.failures) for r in verify._verify(1, None)]
