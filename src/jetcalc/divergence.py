@@ -7,7 +7,7 @@ from .expr import Expr, JetcalcError, ZERO, _akey, total_divergence
 from .multiindex import multiindices_up_to
 from .problem import LagrangianProblem
 from .variational import (Equation, EquationSet, MomentumAssignment,
-                          euler_lagrange, jet_gradient)
+                          euler_lagrange, jet_gradient, lagrangian_gradient)
 
 
 class DivergenceError(JetcalcError):
@@ -81,11 +81,11 @@ def verify_divergence_trivial(F, fields=None) -> EquationSet:
     data = divergence_lagrangian(F, fields)
     m = _trivial_momenta(data)
     n, l = len(data.components), data.order
-    euler = euler_lagrange(LagrangianProblem(n, data.fields, l,
-                                             data.lagrangian))
+    problem = LagrangianProblem(n, data.fields, l, data.lagrangian)
+    euler = euler_lagrange(problem)
     rows = []
     for fld in data.fields:
-        dL0 = jet_gradient(data.lagrangian, fld, n, l)
+        dL0 = lagrangian_gradient(problem, fld)
         for mi in multiindices_up_to(n, l):
             lhs = dL0.get(mi, ZERO)
             if mi.order <= l - 1:

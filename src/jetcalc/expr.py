@@ -383,8 +383,22 @@ class Expr:
         return out
 
     def max_jet_order(self) -> int:
-        orders = [c.mi.order for c in self.free_coordinates() if isinstance(c, Jet)]
-        return max(orders, default=0)
+        """The highest order of a jet among the coordinates, opaque
+        arguments included; 0 without a jet.  Read off the factors and the
+        cached argument coordinates of each call, with no set formed."""
+        top = 0
+        for m in self._terms:
+            for a, _ in m:
+                if a.__class__ is Jet:
+                    order = a.mi.order
+                elif a.__class__ is OpaqueCall:
+                    order = max((c.mi.order for c in _call_coordinates(a)
+                                 if c.__class__ is Jet), default=0)
+                else:
+                    continue
+                if order > top:
+                    top = order
+        return top
 
 
 # The slots' own setters, past the immutability guard of ``__setattr__``.

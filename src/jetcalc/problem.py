@@ -16,11 +16,13 @@ class LagrangianProblem:
 
     L lives on jets of order <= k and never mentions momenta or multipliers;
     the constraints are expressions on the same jet space.  Two problems
-    are equal when every attribute is.
+    are equal when every public attribute is; ``_gradients`` holds the
+    first partials of L that ``variational.lagrangian_gradient`` derives
+    once per field, with the L they came from.
     """
 
     __slots__ = ("n", "fields", "k", "lagrangian", "constraints", "params",
-                 "opaques")
+                 "opaques", "_gradients")
 
     def __init__(self, n: int, fields: tuple, k: int, lagrangian: Expr = ZERO,
                  constraints: tuple = (), params: tuple = (),
@@ -48,9 +50,11 @@ class LagrangianProblem:
         self.constraints = constraints
         self.params = params
         self.opaques = {} if opaques is None else opaques
+        self._gradients = (lagrangian, {})
 
     def __eq__(self, other):
         if other.__class__ is not LagrangianProblem:
             return NotImplemented
+        # every slot but the last, the gradient table
         return all(getattr(self, a) == getattr(other, a)
-                   for a in LagrangianProblem.__slots__)
+                   for a in LagrangianProblem.__slots__[:-1])

@@ -8,7 +8,6 @@ given seed.
 from __future__ import annotations
 
 import random
-from collections import Counter
 
 from .coords import Base, Jet
 from .expr import Expr, ZERO, _factor_key, _fold, _trusted, divide
@@ -25,7 +24,10 @@ def random_polynomial(rng: random.Random, atoms, degree: int,
     acc: dict = {}
     for _ in range(terms):
         coeff = rng.randint(-3, 3)
-        mon = Counter(rng.choice(atoms) for _ in range(rng.randint(0, degree)))
+        mon: dict = {}
+        for _ in range(rng.randint(0, degree)):
+            a = rng.choice(atoms)
+            mon[a] = mon.get(a, 0) + 1
         if coeff:
             _fold(acc, ((tuple(sorted(mon.items(), key=_factor_key)), coeff),))
     return _trusted(acc)

@@ -14,6 +14,12 @@ slots as the momentum atoms p^{mu|lam} themselves, so the cascade, the
 currents and the Legendre and Poincare-Cartan modules never spell out the
 storage.  The one weighted descent, slot[nu, lam] = weight(nu) * V[nu + e_lam],
 serves both the canonical momenta and the gauge propagation.
+
+The first partials dL/dphi_mu of a problem's Lagrangian, one table
+{mu: dL/dphi_mu} per field, are derived once per problem
+(``lagrangian_gradient``) and kept on it, tied to the Lagrangian object
+they came from: the canonical momenta, the cascade rows, the Euler-Lagrange
+operator and the divergence triviality check all read the same table.
 """
 
 from __future__ import annotations
@@ -149,6 +155,21 @@ def jet_gradient(L: Expr, fld: str, n: int, order: int) -> dict:
     return {c.mi: d for c, d in g.items()}
 
 
+def lagrangian_gradient(problem: LagrangianProblem, fld: str) -> dict:
+    """``jet_gradient`` of the problem's Lagrangian for the field ``fld`` up
+    to order k, derived on first use and kept on the problem until its
+    ``lagrangian`` is replaced; shared, so read it and do not change it."""
+    L = problem.lagrangian
+    source, table = problem._gradients
+    if source is not L:
+        table = {}
+        problem._gradients = (L, table)
+    dL = table.get(fld)
+    if dL is None:
+        dL = table[fld] = jet_gradient(L, fld, problem.n, problem.k)
+    return dL
+
+
 def canonical_momenta(problem: LagrangianProblem,
                       order_cap: int = 12) -> MomentumAssignment:
     """The symmetric representative of the canonical momenta (gauge r = 0):
@@ -156,14 +177,14 @@ def canonical_momenta(problem: LagrangianProblem,
     if problem.constraints:
         raise VariationalError(
             "problem has constraints; use constrained_generating_family")
-    n, k, L = problem.n, problem.k, problem.lagrangian
+    n, k = problem.n, problem.k
     # L has jets of order <= k and each level below the top adds one total
     # derivative, so no V passes 2k - 1 and a cap at or above it never fires
     if order_cap is not None and 2 * k - 1 <= order_cap:
         order_cap = None
     slots = {}
     for fld in problem.fields:
-        dL = jet_gradient(L, fld, n, k)
+        dL = lagrangian_gradient(problem, fld)
         slots.update(_weighted_descent(
             fld, n, k, {}, lambda mi: dL.get(mi, ZERO), order_cap))
     return MomentumAssignment(n, problem.fields, k, slots)
@@ -234,11 +255,11 @@ def cascade_equations(problem: LagrangianProblem) -> EquationSet:
     if problem.constraints:
         raise VariationalError(
             "problem has constraints; use constrained_generating_family")
-    n, k, L = problem.n, problem.k, problem.lagrangian
+    n, k = problem.n, problem.k
     p = MomentumAssignment.symbolic(n, problem.fields, k)
     rows = []
     for fld in problem.fields:
-        dL = jet_gradient(L, fld, n, k)
+        dL = lagrangian_gradient(problem, fld)
         for order in range(k, -1, -1):
             for mi in all_multiindices(n, order):
                 rows.append(_cascade_row(p, fld, mi, dL.get(mi, ZERO)))
@@ -259,12 +280,11 @@ def _cascade_row(p: MomentumAssignment, fld: str, mi: MultiIndex,
 def euler_lagrange(problem: LagrangianProblem, order_cap: int = 12) -> dict:
     """The classical eliminated residual per field:
     E(L) = sum_mu (-1)^|mu| D_mu dL/dphi_mu; the equation reads E(L) = 0."""
-    n, k, L = problem.n, problem.k, problem.lagrangian
     out = {}
     for fld in problem.fields:
-        dL = jet_gradient(L, fld, n, k)
+        dL = lagrangian_gradient(problem, fld)
         terms = []
-        for mi in multiindices_up_to(n, k):
+        for mi in multiindices_up_to(problem.n, problem.k):
             dl = dL.get(mi)
             if dl is None:
                 continue

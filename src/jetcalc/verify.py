@@ -183,8 +183,9 @@ def check_cascade_equivalence(seed: int = 0, count: int = 50,
         m = canonical_momenta(prob)
         eqs = cascade_equations(prob)
         residual = -evaluate_on_momenta(eqs["u:euler"].residual(), m)
-        if residual != euler_lagrange(prob)["u"]:
-            out.fail("", residual - euler_lagrange(prob)["u"], i)
+        el = euler_lagrange(prob)["u"]
+        if residual != el:
+            out.fail("", residual - el, i)
         for label, res in eqs.residuals():
             if label != "u:euler" and not evaluate_on_momenta(res, m).is_zero():
                 out.fail(label, res, i)

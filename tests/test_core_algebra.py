@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import pickle
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -562,6 +563,45 @@ def test_iterated_derivative_refuses_exactly_when_a_step_passes_the_cap(
             f"jet order exceeded cap {cap} during iterated total derivative")
     else:
         assert total_derivative_multi(e, MultiIndex(mi), order_cap=cap) == want
+
+
+_ORDER_JETS = [Jet(fld, MultiIndex(mi)) for fld in ("u", "v")
+               for o in range(5) for mi in all_multiindices(2, o)]
+
+
+def _call_expr(rng, depth, bare_jets):
+    """A sum of up to three random monomials over x1, a parameter, jets of
+    order 0-4 when ``bare_jets``, and, at ``depth`` > 0, opaque calls of one
+    or two arguments that are such sums one level down; with ``bare_jets``
+    false, jets appear only in the innermost arguments."""
+    atoms = [Base(1), Parameter("m")] + (_ORDER_JETS if bare_jets else [])
+    for _ in range(2 if depth else 0):
+        args = tuple(_call_expr(rng, depth - 1, bare_jets or depth == 1)
+                     for _ in range(rng.randint(1, 2)))
+        atoms.append(OpaqueCall("U", (0,) * len(args), args))
+    parts = []
+    for _ in range(rng.randint(0, 3)):
+        term = Expr.const(rng.randint(-3, 3))
+        for _ in range(rng.randint(0, 3)):
+            term = term * Expr.atom(rng.choice(atoms))
+        parts.append(term)
+    return Expr.sum(parts)
+
+
+def test_max_jet_order_is_the_highest_free_jet_order():
+    nested_only = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        bare, depth = rng.random() < 0.5, rng.randint(0, 3)
+        e = _call_expr(rng, depth, bare)
+        orders = [c.mi.order for c in e.free_coordinates()
+                  if isinstance(c, Jet)]
+        assert e.max_jet_order() == max(orders, default=0), seed
+        if depth >= 2 and not bare and any(orders):
+            nested_only += 1
+    # the draws include Exprs whose only jets, of positive order, sit in
+    # the arguments of calls nested in calls
+    assert nested_only >= 20
 
 
 def _leibniz_reference(e, atom_rule):

@@ -691,7 +691,9 @@ _FILE_CHANGED = dict(problem=LagrangianProblem(**dict(_RECORD, k=3)),
 
 @pytest.mark.parametrize("name", sorted(_RECORD_CHANGED))
 def test_problem_equality_covers_every_field(name):
-    assert set(_RECORD_CHANGED) == set(LagrangianProblem.__slots__)
+    # every slot but the gradient table, which equality leaves out
+    assert set(_RECORD_CHANGED) | {"_gradients"} == \
+        set(LagrangianProblem.__slots__)
     assert LagrangianProblem(**_RECORD) == LagrangianProblem(**_RECORD)
     changed = LagrangianProblem(**dict(_RECORD, **{name: _RECORD_CHANGED[name]}))
     assert changed != LagrangianProblem(**_RECORD)

@@ -12,7 +12,7 @@ from jetcalc import (Base, Expr, Jet, LagrangianProblem, Momentum, MultiIndex,
 from jetcalc.expr import ZERO
 from jetcalc.forms import SectionData
 from jetcalc.multiindex import all_multiindices, multiindices_up_to
-from jetcalc import randgen
+from jetcalc import divergence, randgen, variational
 from jetcalc.randgen import jet_atoms, random_gauge_table, random_lagrangian
 from jetcalc.variational import (MomentumAssignment, VariationalError,
                                  apply_momentum_gauge, canonical_momenta,
@@ -20,7 +20,8 @@ from jetcalc.variational import (MomentumAssignment, VariationalError,
                                  constrained_generating_family, currents,
                                  euler_lagrange, evaluate_on_momenta,
                                  holonomy_residual, jet_gradient,
-                                 symmetrize_momenta, _weighted_descent)
+                                 lagrangian_gradient, symmetrize_momenta,
+                                 _weighted_descent)
 
 MI = MultiIndex
 
@@ -463,3 +464,76 @@ def test_random_draws_match_the_product_construction(monkeypatch):
             want = _draws(seed)
         assert got == want, seed
         assert list(got[1]) == list(want[1]), seed
+
+
+# -- the per-problem gradient table ------------------------------------------
+
+def _counted_gradients(monkeypatch):
+    """Wrap ``jet_gradient`` in both modules that call it; returns the list
+    of (Lagrangian, field) pairs it is called on."""
+    calls = []
+
+    def counted(L, fld, n, order):
+        calls.append((L, fld))
+        return jet_gradient(L, fld, n, order)
+    monkeypatch.setattr(variational, "jet_gradient", counted)
+    monkeypatch.setattr(divergence, "jet_gradient", counted)
+    return calls
+
+
+def _two_field_problem(rng, n, k):
+    atoms = jet_atoms(n, k) + [Jet("v", mi) for mi in multiindices_up_to(n, k)]
+    return LagrangianProblem(n, ("u", "v"), k,
+                             randgen.random_polynomial(rng, atoms, 3, 6))
+
+
+def _rows(eqs):
+    return [(r.label, r.lhs, r.rhs) for r in eqs]
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 3), (2, 2), (2, 3)])
+def test_one_gradient_pass_per_field_and_problem(monkeypatch, n, k):
+    calls = _counted_gradients(monkeypatch)
+    prob = _two_field_problem(random.Random(10 * n + k), n, k)
+    L = prob.lagrangian
+    m = canonical_momenta(prob)
+    eqs = cascade_equations(prob)
+    el = euler_lagrange(prob)
+    assert calls == [(L, "u"), (L, "v")]
+    # the shared table gives what a fresh, equal problem derives anew
+    assert m == canonical_momenta(LagrangianProblem(n, ("u", "v"), k, L))
+    assert _rows(eqs) == _rows(cascade_equations(
+        LagrangianProblem(n, ("u", "v"), k, L)))
+    assert el == euler_lagrange(LagrangianProblem(n, ("u", "v"), k, L))
+    # a filled table is no part of equality
+    assert prob == LagrangianProblem(n, ("u", "v"), k, L)
+    assert LagrangianProblem(n, ("u", "v"), k, L) == prob
+
+
+def test_a_new_lagrangian_replaces_the_table(monkeypatch):
+    calls = _counted_gradients(monkeypatch)
+    rng = random.Random(4)
+    prob = _two_field_problem(rng, 2, 2)
+    euler_lagrange(prob)
+    new = _two_field_problem(rng, 2, 2).lagrangian
+    # an equal copy is still a new Lagrangian object
+    for L in (new, new + ZERO):
+        fresh = LagrangianProblem(2, ("u", "v"), 2, L)
+        want = euler_lagrange(fresh), canonical_momenta(fresh)
+        assert L is not prob.lagrangian
+        prob.lagrangian = L
+        del calls[:]
+        assert (euler_lagrange(prob), canonical_momenta(prob)) == want
+        assert lagrangian_gradient(prob, "v") == jet_gradient(L, "v", 2, 2)
+        assert calls == [(L, "u"), (L, "v")]
+
+
+def test_divergence_triviality_derives_dL0_once(monkeypatch):
+    calls = _counted_gradients(monkeypatch)
+    F = randgen.random_divergence_components(random.Random(3), 2, 2)
+    eqs = divergence.verify_divergence_trivial(F, fields=("u", "v"))
+    L0 = divergence.divergence_lagrangian(F).lagrangian
+    # one pass per field and component F^lam, then one per field on L0
+    assert [fld for _, fld in calls] == ["u", "u", "v", "v", "u", "v"]
+    assert [L == L0 for L, _ in calls] == [False] * 4 + [True] * 2
+    assert eqs.all_zero()
